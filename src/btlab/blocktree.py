@@ -7,7 +7,10 @@ is "selected" is the job of a pluggable selection policy: a chain chooser, a
 monotone score, and a validity predicate.
 
 The default policy is longest-chain with a deterministic lexicographic
-tiebreak and score = chain length (genesis counts).
+tiebreak and score = chain length (genesis counts). It is incremental: the
+tree records each block's depth on insert and keeps the selected leaf up to
+date, so a default read costs O(1) between inserts. A custom score or chain
+chooser recomputes over all root-to-leaf chains on every read.
 """
 
 from __future__ import annotations
@@ -102,6 +105,8 @@ class SelectionPolicy:
     def choose(self, tree: "BlockTree") -> Blockchain:
         if self.chain_chooser is not None:
             return self.chain_chooser(tree)
+        if self.score is length_score:
+            return tree.longest_chain()
         return max(tree.leaf_chains(), key=lambda c: (self.score(c), chain_ids(c)))
 
     def is_valid(self, tree: "BlockTree", block: Block) -> bool:
@@ -134,6 +139,9 @@ class BlockTree:
         self.genesis_id = g.id
         self._blocks: Dict[str, Block] = {g.id: g}
         self._children: Dict[str, List[str]] = {g.id: []}
+        self._depth: Dict[str, int] = {g.id: 1}
+        self._longest_leaf = g.id
+        self._longest_chain: Optional[Blockchain] = None
 
     # -- structure -----------------------------------------------------
 
@@ -175,6 +183,29 @@ class BlockTree:
     def leaf_chains(self) -> List[Blockchain]:
         return [self.chain_to(leaf) for leaf in self.leaves()]
 
+    def longest_chain(self) -> Blockchain:
+        """The deepest chain; ties go to the lexicographically largest ids.
+
+        Equal to max(leaf_chains(), key=lambda c: (len(c), chain_ids(c))),
+        kept up to date by insert() and built once per change of leaf.
+        """
+        if self._longest_chain is None:
+            self._longest_chain = self.chain_to(self._longest_leaf)
+        return self._longest_chain
+
+    def _outranks(self, a: str, b: str) -> bool:
+        """For two distinct blocks of equal depth: does a's chain sort after b's?
+
+        The chains agree down to the fork point, so the first ids to differ
+        are the fork point's children on each side.
+        """
+        blocks = self._blocks
+        pa, pb = blocks[a].parent_id, blocks[b].parent_id
+        while pa != pb:
+            a, b = pa, pb
+            pa, pb = blocks[a].parent_id, blocks[b].parent_id
+        return a > b
+
     def insert(self, block: Block) -> None:
         """Attach a block under its bound parent. Parent must exist, id fresh."""
         if block.id in self._blocks:
@@ -186,6 +217,12 @@ class BlockTree:
         self._blocks[block.id] = block
         self._children[block.id] = []
         self._children[block.parent_id].append(block.id)
+        depth = self._depth[block.parent_id] + 1
+        self._depth[block.id] = depth
+        best = self._depth[self._longest_leaf]
+        if depth > best or (depth == best and self._outranks(block.id, self._longest_leaf)):
+            self._longest_leaf = block.id
+            self._longest_chain = None
 
     # -- ADT operations -------------------------------------------------
 

@@ -134,14 +134,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.lab is None:
         print("no lab selected: empty campaign, trivially passing")
         return OK
+    seed = args.seed if args.seed is not None else _env_seed()
     if args.lab == "tape":
-        stats = tape_statistics(seed=args.seed if args.seed is not None else 2026)
+        stats = tape_statistics(seed=2026 if seed is None else seed)
         print(json.dumps(stats, indent=2))
         return OK if stats["ok"] else VIOLATION
-    seed = args.seed
-    if seed is None:
-        seed = _env_seed() or 0
-    result = CAMPAIGNS[args.lab](args.runs, seed)
+    result = CAMPAIGNS[args.lab](args.runs, 0 if seed is None else seed)
     print(f"campaign {result.name}: {result.runs} runs, "
           f"{len(result.violations)} violations")
     if result.stats:

@@ -153,6 +153,14 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
+def _number(cast, value: Any, what: str):
+    """cast(value), with a malformed value reported as a ScenarioError."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+
+
 def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
     _require(isinstance(doc, dict), "scenario must be a JSON object")
     _require(doc.get("version") == SCENARIO_VERSION,
@@ -170,15 +178,20 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
         behavior = p.get("behavior", "correct")
         _require(behavior in ("correct", "byzantine"),
                  f"behavior must be correct|byzantine, got {behavior!r}")
-        merit = float(p.get("merit", 1.0))
+        merit = _number(float, p.get("merit", 1.0), "merit")
         _require(0.0 < merit <= 1.0, "merit must be in (0, 1]")
+        _require(p.get("append_offset") is None or isinstance(p["append_offset"], int),
+                 "append_offset must be an integer or null")
+        for key in ("block_interval", "read_interval"):
+            _require(p.get(key) is None or (isinstance(p[key], int) and p[key] >= 1),
+                     f"{key} must be a positive integer or null")
         processes.append(ProcessSpec(
             id=p["id"], merit=merit, behavior=behavior,
             script=dict(p.get("script") or {}),
             block_interval=p.get("block_interval"),
             append_offset=p.get("append_offset"),
             read_interval=p.get("read_interval"),
-            read_offset=int(p.get("read_offset", 0)),
+            read_offset=_number(int, p.get("read_offset", 0), "read_offset"),
         ))
     ch = doc.get("channel", {})
     _require(isinstance(ch, dict), "channel must be an object")
@@ -187,16 +200,21 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
     except ValueError:
         raise ScenarioError(f"unknown channel kind {ch.get('kind')!r}")
     channel = ChannelModel(
-        kind=kind, delta=int(ch.get("delta", 3)), tau=int(ch.get("tau", 0)),
-        async_max_delay=int(ch.get("async_max_delay", 30)),
+        kind=kind, delta=_number(int, ch.get("delta", 3), "channel delta"),
+        tau=_number(int, ch.get("tau", 0), "channel tau"),
+        async_max_delay=_number(int, ch.get("async_max_delay", 30), "async_max_delay"),
         delays=list(ch.get("delays", [])), drops=list(ch.get("drops", [])),
         duplication=bool(ch.get("duplication", False)))
     _require(channel.delta >= 1, "channel delta must be >= 1")
+    _require(all(isinstance(r, dict) and isinstance(r.get("delay"), int)
+                 for r in channel.delays),
+             "each channel delay rule needs an integer delay")
     orc = doc.get("oracle", {})
+    _require(isinstance(orc, dict), "oracle must be an object")
     capacity = orc.get("capacity")
     _require(capacity is None or (isinstance(capacity, int) and capacity >= 1),
              "oracle capacity must be a positive integer or null")
-    suffix = int(doc.get("stabilization_suffix", 3))
+    suffix = _number(int, doc.get("stabilization_suffix", 3), "stabilization_suffix")
     _require(suffix >= 1, "stabilization_suffix must be >= 1")
     expected = doc.get("expected_verdicts", {})
     _require(isinstance(expected, dict), "expected_verdicts must be an object")
@@ -205,16 +223,18 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
                  f"expected verdict for {crit} must be PASS|FAIL|INCONCLUSIVE")
     script = doc.get("script", [])
     _require(isinstance(script, list), "script must be a list of events")
-    duration = int(doc.get("duration", 50))
+    duration = _number(int, doc.get("duration", 50), "duration")
     _require(duration >= 0, "duration must be >= 0")
     return Scenario(
         name=doc["name"], processes=processes, channel=channel,
-        oracle=OracleSpec(capacity=capacity, seed=int(orc.get("seed", 0))),
-        seed=int(doc.get("seed", 0)), duration=duration,
+        oracle=OracleSpec(capacity=capacity,
+                          seed=_number(int, orc.get("seed", 0), "oracle seed")),
+        seed=_number(int, doc.get("seed", 0), "seed"), duration=duration,
         declared_complete=bool(doc.get("declared_complete", True)),
         stabilization_suffix=suffix, expected_verdicts=dict(expected),
         script=list(script), description=str(doc.get("description", "")),
-        max_grant_attempts=int(doc.get("max_grant_attempts", 10**6)),
+        max_grant_attempts=_number(int, doc.get("max_grant_attempts", 10**6),
+                                   "max_grant_attempts"),
     )
 
 

@@ -1,8 +1,9 @@
 """Oracle-refined ledger: the block tree with appends gated by a token oracle.
 
 A refined append loops on get_token against the leaf of the currently
-selected chain (re-evaluated between grant attempts), then consumes the
-granted token. It appended iff its own stamped block is in the consumed set
+selected chain, then consumes the granted token. The leaf is computed once
+per call, because nothing changes the local tree inside one sequential
+grant loop. It appended iff its own stamped block is in the consumed set
 the oracle returns; a capacity loss is a rejection, running out of grant
 attempts is exhaustion, and the two are distinguishable.
 """
@@ -54,11 +55,11 @@ class RefinedLedger:
         Used directly by replicated settings where the local tree is updated
         by a separate (possibly delayed) update event.
         """
+        leaf_id = self.selected_leaf().id
         attempts = 0
         while attempts < self.max_grant_attempts:
-            leaf = self.selected_leaf()
             attempts += 1
-            stamped = self.oracle.get_token(leaf.id, candidate, caller)
+            stamped = self.oracle.get_token(leaf_id, candidate, caller)
             if stamped is None:
                 continue
             consumed = self.oracle.consume_token(stamped)

@@ -153,6 +153,58 @@ def test_custom_chain_chooser_overrides_longest():
     assert chain_ids(tree.read(shortest)) == ("b0", "z")
 
 
+def test_custom_score_selects_by_that_score():
+    tree = build(("a", "b0"), ("b", "a"), ("c", "b"), ("z", "b0"))
+    tree.insert(Block(id="y", parent_id="z", payload="heavy"))
+    heavy = SelectionPolicy(score=lambda chain: sum(len(b.payload) for b in chain))
+    assert chain_ids(tree.read(heavy)) == ("b0", "z", "y")
+    assert chain_ids(tree.read(POLICY)) == ("b0", "a", "b", "c")
+
+
+def longest_by_rebuild(tree):
+    """Reference oracle: rebuild every root-to-leaf chain and take the best."""
+    return max(tree.leaf_chains(), key=lambda c: (len(c), chain_ids(c)))
+
+
+def bushy_edges(rng, size):
+    """(id, parent) pairs of a wide, shallow tree: many equal-depth branches.
+
+    Ids are random, so their order is unrelated to insertion order or depth.
+    """
+    ids = rng.sample(range(10 * size), size)
+    nodes, edges = [("b0", 1)], []
+    for n in ids:
+        top = max(d for _, d in nodes)
+        parent, depth = rng.choice([x for x in nodes if x[1] >= top - 2])
+        block_id = f"x{n}"
+        edges.append((block_id, parent))
+        nodes.append((block_id, depth + 1))
+    return edges
+
+
+def shuffled_parent_first(rng, edges):
+    """A random insertion order in which every parent precedes its children."""
+    pending, placed, order = edges[:], {"b0"}, []
+    while pending:
+        edge = rng.choice([e for e in pending if e[1] in placed])
+        pending.remove(edge)
+        placed.add(edge[0])
+        order.append(edge)
+    return order
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_incremental_selection_matches_the_full_rebuild(seed):
+    rng = random.Random(seed)
+    edges = bushy_edges(rng, rng.randint(10, 60))
+    tree = BlockTree()
+    for block_id, parent in shuffled_parent_first(rng, edges):
+        tree.insert(Block(id=block_id, parent_id=parent))
+        assert tree.read(POLICY) == longest_by_rebuild(tree)
+    back = BlockTree.from_json(tree.to_json())
+    assert back.read(POLICY) == longest_by_rebuild(back) == tree.read(POLICY)
+
+
 # -- append/read transitions -----------------------------------------------------------
 
 

@@ -54,7 +54,7 @@ def test_run_exits_one_when_expected_verdicts_miss(tmp_path):
     assert run_cli("run", str(path)) == 1
 
 
-def test_run_rejects_unknown_names_and_bad_files(tmp_path):
+def test_run_rejects_unknown_names_and_bad_files(tmp_path, capsys):
     assert run_cli("run", "no-such-preset") == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -62,6 +62,12 @@ def test_run_rejects_unknown_names_and_bad_files(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"version": 1, "name": "x", "processes": []}))
     assert run_cli("run", str(invalid)) == 2
+    capsys.readouterr()
+    invalid.write_text(json.dumps({"version": 1, "name": "x",
+                                   "processes": [{"id": "p0", "merit": "hi"}]}))
+    assert run_cli("run", str(invalid)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "merit" in err
 
 
 def test_seed_flag_overrides_scenario_and_oracle_seed(tmp_path):
@@ -177,6 +183,17 @@ def test_campaign_tape_lab_reports_the_pinned_band(capsys):
     assert run_cli("campaign", "--lab", "tape") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["grants"] == 4972 and doc["ok"] is True
+
+
+def test_campaign_tape_lab_honours_btlab_seed(capsys, monkeypatch):
+    assert run_cli("campaign", "--lab", "tape", "--seed", "5") == 0
+    flagged = json.loads(capsys.readouterr().out)
+    monkeypatch.setenv("BTLAB_SEED", "5")
+    assert run_cli("campaign", "--lab", "tape") == 0
+    assert json.loads(capsys.readouterr().out) == flagged
+    assert flagged["seed"] == 5 and flagged["grants"] != 4972
+    assert run_cli("campaign", "--lab", "tape", "--seed", "2026") == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2026     # the flag wins
 
 
 def test_campaign_small_hierarchy_and_shm_runs(capsys):

@@ -105,6 +105,14 @@ def test_minimal_scenario_parses_with_defaults():
     (lambda d: d.update(stabilization_suffix=0), "stabilization_suffix"),
     (lambda d: d.update(expected_verdicts={"sc": "MAYBE"}), "PASS|FAIL"),
     (lambda d: d.update(duration=-1), "duration"),
+    (lambda d: d["processes"][0].update(merit="hi"), "merit must be a number"),
+    (lambda d: d["channel"].update(delays=[{"from": "p0"}]), "delay"),
+    (lambda d: d["processes"][0].update(block_interval=0), "block_interval"),
+    (lambda d: d["processes"][0].update(read_interval=-3), "read_interval"),
+    (lambda d: d["processes"][0].update(append_offset="x"), "append_offset"),
+    (lambda d: d["channel"].update(delta="x"), "delta must be a number"),
+    (lambda d: d.update(oracle=[]), "oracle"),
+    (lambda d: d.update(seed=None), "seed"),
 ])
 def test_schema_violations_raise_scenario_errors(mutate, fragment):
     doc = valid_doc()
