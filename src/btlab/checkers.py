@@ -15,8 +15,9 @@ judged for reads that still have a future inside the trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from .blocktree import length_score, mcps, prefix_comparable
 from .history import Event, EventKind, History, Operation, returned_chain
@@ -59,36 +60,41 @@ DEFAULT_WINDOW = EventualityWindow()
 
 
 def _split_window(h: History, window: EventualityWindow):
-    """(reference reads, window read set) by per-process trailing suffix."""
+    """(reference reads, window reads), both in response order.
+
+    The window holds each process's trailing `stabilization_suffix` reads.
+    """
     in_window: Set[int] = set()
     for p in h.processes:
-        per = h.reads_of(p)
-        for op in per[-window.stabilization_suffix:]:
+        for op in h.reads_of(p)[-window.stabilization_suffix:]:
             in_window.add(op.response.event_id)
-    refs = [r for r in h.reads() if r.response.event_id not in in_window]
-    return refs, in_window
+    refs: List[Operation] = []
+    last: List[Operation] = []
+    for r in h.reads():
+        (last if r.response.event_id in in_window else refs).append(r)
+    return refs, last
 
 
 # -- block validity -------------------------------------------------------
 
 
 def check_block_validity(h: History, genesis_id: str = "b0") -> Verdict:
-    """Every block a read returns must have been appended beforehand."""
-    appends: Dict[str, List[Event]] = {}
-    for e in h.events:
+    """Every block a read returns must have been appended beforehand: at an
+    earlier tick, or earlier on the reading process."""
+    first_time: Dict[str, int] = {}                 # block -> earliest append
+    first_seq: Dict[Tuple[str, str], int] = {}      # (block, process) -> earliest
+    for e in h.events:                              # canonical order: first is least
         if e.op == "append" and e.kind is EventKind.INVOCATION and e.args:
-            appends.setdefault(str(e.args[0]), []).append(e)
+            block_id = str(e.args[0])
+            first_time.setdefault(block_id, e.logical_time)
+            first_seq.setdefault((block_id, e.process), h.seq(e))
     for read in h.reads():
         rsp = read.response
         for block_id in returned_chain(read):
             if block_id == genesis_id:
                 continue
-            ok = any(
-                inv.logical_time < rsp.logical_time
-                or (inv.process == rsp.process and h.seq(inv) < h.seq(rsp))
-                for inv in appends.get(block_id, [])
-            )
-            if not ok:
+            if not (first_time.get(block_id, math.inf) < rsp.logical_time
+                    or first_seq.get((block_id, rsp.process), math.inf) < h.seq(rsp)):
                 return Verdict(
                     "block-validity", Status.FAIL, (rsp.event_id,),
                     f"read returned {block_id!r} with no prior append")
@@ -116,14 +122,22 @@ def check_local_monotonic_read(h: History, score: ScoreFn = length_score) -> Ver
 
 
 def check_strong_prefix(h: History) -> Verdict:
-    """Any two returned chains, whoever read them, must be prefix-comparable."""
+    """Any two returned chains, whoever read them, must be prefix-comparable.
+
+    When every non-empty chain is a prefix of the longest one, all pairs are
+    comparable and one pass decides; otherwise the pairwise scan finds the
+    earliest offending pair.
+    """
     reads = h.reads()
-    for i, a in enumerate(reads):
-        for b in reads[i + 1:]:
-            ca, cb = returned_chain(a), returned_chain(b)
-            if not ca or not cb:
-                continue
-            if not prefix_comparable(ca, cb):
+    chains = [returned_chain(r) for r in reads]
+    longest = max(chains, key=len, default=())
+    if all(not c or prefix_comparable(c, longest) for c in chains):
+        return Verdict("strong-prefix", Status.PASS)
+    for i, (a, ca) in enumerate(zip(reads, chains)):
+        if not ca:
+            continue
+        for b, cb in zip(reads[i + 1:], chains[i + 1:]):
+            if cb and not prefix_comparable(ca, cb):
                 return Verdict(
                     "strong-prefix", Status.FAIL,
                     (a.response.event_id, b.response.event_id),
@@ -141,19 +155,16 @@ def check_ever_growing_tree(h: History, window: EventualityWindow = DEFAULT_WIND
     A finite history can never refute this, so the verdict is PASS or
     INCONCLUSIVE: inconclusive iff a low read persists into the window.
     """
-    refs, in_window = _split_window(h, window)
+    refs, last = _split_window(h, window)
+    scored = [(later, score(returned_chain(later))) for later in last]
     for r in refs:
         s = score(returned_chain(r))
-        for later in h.reads():
-            if later is r or later.response.event_id not in in_window:
-                continue
-            if not h.po(r.response, later.invocation):
-                continue
-            if score(returned_chain(later)) <= s:
+        for later, later_score in scored:
+            if later_score <= s and h.po(r.response, later.invocation):
                 return Verdict(
                     "ever-growing-tree", Status.INCONCLUSIVE,
                     (r.response.event_id, later.response.event_id),
-                    f"window read score {score(returned_chain(later))} <= {s}")
+                    f"window read score {later_score} <= {s}")
     return Verdict("ever-growing-tree", Status.PASS)
 
 
@@ -166,22 +177,30 @@ def check_eventual_prefix(h: History, window: EventualityWindow = DEFAULT_WINDOW
 
     A violating pair inside the trailing window means the divergence has not
     healed by the end of the trace: INCONCLUSIVE, or FAIL when the history is
-    declared complete (the tail persists forever).
+    declared complete (the tail persists forever). The score of each window
+    pair's common prefix is computed once and shared by every reference.
     """
-    refs, in_window = _split_window(h, window)
+    refs, last = _split_window(h, window)
+    chains = [returned_chain(o) for o in last]
+    agree: Dict[Tuple[int, int], int] = {}            # window pair -> mcps
     for r in refs:
         s = score(returned_chain(r))
-        tail = [o for o in h.reads_after(r) if o.response.event_id in in_window]
-        for i, a in enumerate(tail):
-            for b in tail[i + 1:]:
-                ca, cb = returned_chain(a), returned_chain(b)
-                if not ca or not cb:
+        after = [i for i, o in enumerate(last) if h.po(r.response, o.response)]
+        for k, i in enumerate(after):
+            if not chains[i]:
+                continue
+            for j in after[k + 1:]:
+                if not chains[j]:
                     continue
-                if mcps(ca, cb, score) < s:
+                m = agree.get((i, j))
+                if m is None:
+                    m = agree[(i, j)] = mcps(chains[i], chains[j], score)
+                if m < s:
                     status = Status.FAIL if h.complete else Status.INCONCLUSIVE
                     return Verdict(
                         "eventual-prefix", status,
-                        (r.response.event_id, a.response.event_id, b.response.event_id),
+                        (r.response.event_id, last[i].response.event_id,
+                         last[j].response.event_id),
                         f"window reads agree only below score {s}")
     return Verdict("eventual-prefix", Status.PASS)
 
@@ -192,6 +211,10 @@ def check_eventual_prefix(h: History, window: EventualityWindow = DEFAULT_WINDOW
 def _comm_events(h: History, op: str) -> List[Event]:
     kind = EventKind(op)
     return [e for e in h.events if e.kind is kind and len(e.args) >= 2]
+
+
+def _key(e: Event) -> Tuple[str, str, str]:
+    return (e.process, str(e.args[0]), str(e.args[1]))
 
 
 def _block_owner(h: History) -> Dict[str, str]:
@@ -206,39 +229,33 @@ def _block_owner(h: History) -> Dict[str, str]:
 def check_update_agreement(h: History) -> Verdict:
     """R1: own updates are broadcast. R2: foreign updates follow a local
     receive. R3: an updated block is eventually received everywhere."""
-    sends = _comm_events(h, "send")
-    receives = _comm_events(h, "receive")
+    sent = {_key(e) for e in _comm_events(h, "send")}
+    received: Dict[Tuple[str, str, str], int] = {}   # key -> position of first receive
+    for e in _comm_events(h, "receive"):
+        received.setdefault(_key(e), h.seq(e))
     updates = _comm_events(h, "update")
     owner = _block_owner(h)
-
-    def has(events: List[Event], process: Optional[str], parent: str, block: str):
-        return [e for e in events
-                if (process is None or e.process == process)
-                and str(e.args[0]) == parent and str(e.args[1]) == block]
+    correct = sorted(h.correct)
 
     for u in updates:                                              # R2 (safety) first
-        parent, block = str(u.args[0]), str(u.args[1])
-        if owner.get(block) == u.process:
+        key = _key(u)
+        if owner.get(key[2]) == u.process:
             continue
-        prior = [e for e in has(receives, u.process, parent, block)
-                 if h.seq(e) < h.seq(u)]
-        if not prior:
+        first = received.get(key)
+        if first is None or first > h.seq(u):
             return Verdict("update-agreement", Status.FAIL, (u.event_id,),
-                           f"R2: {u.process} updated {block!r} without a "
+                           f"R2: {u.process} updated {key[2]!r} without a "
                            "prior local receive")
     for u in updates:                                              # R1 (eventual)
-        parent, block = str(u.args[0]), str(u.args[1])
-        if owner.get(block) != u.process:
-            continue
-        if not has(sends, u.process, parent, block):
+        key = _key(u)
+        if owner.get(key[2]) == u.process and key not in sent:
             status = Status.FAIL if h.complete else Status.INCONCLUSIVE
             return Verdict("update-agreement", status, (u.event_id,),
-                           f"R1: {u.process} updated own block {block!r} "
+                           f"R1: {u.process} updated own block {key[2]!r} "
                            "without ever broadcasting it")
     for u in updates:                                              # R3 (eventual)
-        parent, block = str(u.args[0]), str(u.args[1])
-        missing = [p for p in sorted(h.correct)
-                   if not has(receives, p, parent, block)]
+        _, parent, block = _key(u)
+        missing = [p for p in correct if (p, parent, block) not in received]
         if missing:
             status = Status.FAIL if h.complete else Status.INCONCLUSIVE
             return Verdict("update-agreement", status, (u.event_id,),
@@ -254,21 +271,21 @@ def check_lrc(h: History) -> Verdict:
     """Broadcast contract: a sender delivers to itself, and a message
     received anywhere correct is received everywhere correct."""
     receives = _comm_events(h, "receive")
-    got: Set[Tuple[str, str, str]] = {
-        (e.process, str(e.args[0]), str(e.args[1])) for e in receives}
+    got: Set[Tuple[str, str, str]] = {_key(e) for e in receives}
     for e in _comm_events(h, "send"):
         if e.process not in h.correct:
             continue
-        if (e.process, str(e.args[0]), str(e.args[1])) not in got:
+        if _key(e) not in got:
             status = Status.FAIL if h.complete else Status.INCONCLUSIVE
             return Verdict("lrc", status, (e.event_id,),
                            f"validity: {e.process} never delivered its own "
                            f"broadcast of {e.args[1]!r}")
+    correct = sorted(h.correct)
     for e in receives:
         if e.process not in h.correct:
             continue
-        parent, block = str(e.args[0]), str(e.args[1])
-        missing = [p for p in sorted(h.correct) if (p, parent, block) not in got]
+        _, parent, block = _key(e)
+        missing = [p for p in correct if (p, parent, block) not in got]
         if missing:
             status = Status.FAIL if h.complete else Status.INCONCLUSIVE
             return Verdict("lrc", status, (e.event_id,),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -94,7 +95,29 @@ class History:
             lst = self._proc_events[e.process]
             self._seq[e.event_id] = len(lst)
             lst.append(e)
+        # event_id -> time of the first response-like event at or after it on
+        # its process (inf if none), and of the last invocation-like event at
+        # or before it (-inf if none): the two ends of a cross-process edge
+        self._out: Dict[int, float] = {}
+        self._in: Dict[int, float] = {}
+        for lst in self._proc_events.values():
+            t: float = -math.inf
+            for e in lst:
+                if e.kind in _INVOCATION_LIKE:
+                    t = e.logical_time
+                self._in[e.event_id] = t
+            t = math.inf
+            for e in reversed(lst):
+                if e.kind in _RESPONSE_LIKE:
+                    t = e.logical_time
+                self._out[e.event_id] = t
         self.operations: List[Operation] = self._match_operations()
+        self._reads: List[Operation] = sorted(
+            (o for o in self.operations if o.op == "read" and o.complete),
+            key=lambda o: o.response.sort_key())
+        self._reads_of: Dict[str, List[Operation]] = {p: [] for p in self.processes}
+        for o in self._reads:
+            self._reads_of[o.process].append(o)
 
     # -- construction ------------------------------------------------------
 
@@ -135,27 +158,11 @@ class History:
         precedes an invocation-like event before b on b's process; since
         per-process streams are time ordered and operations are sequential,
         this reduces to comparing a's earliest response-like follow-up with
-        b's latest invocation-like lead-in.
+        b's latest invocation-like lead-in, both indexed at construction.
         """
-        if a.event_id == b.event_id:
-            return False
         if a.process == b.process:
-            return self.seq(a) < self.seq(b)
-        t_out = self._first_response_like_time(a)
-        t_in = self._last_invocation_like_time(b)
-        return t_out is not None and t_in is not None and t_out < t_in
-
-    def _first_response_like_time(self, e: Event) -> Optional[int]:
-        for ev in self._proc_events[e.process][self.seq(e):]:
-            if ev.kind in _RESPONSE_LIKE:
-                return ev.logical_time
-        return None
-
-    def _last_invocation_like_time(self, e: Event) -> Optional[int]:
-        for ev in reversed(self._proc_events[e.process][: self.seq(e) + 1]):
-            if ev.kind in _INVOCATION_LIKE:
-                return ev.logical_time
-        return None
+            return self._seq[a.event_id] < self._seq[b.event_id]
+        return self._out[a.event_id] < self._in[b.event_id]
 
     def program_order(self) -> Set[Tuple[int, int]]:
         """All ordered pairs (by id). Quadratic; meant for desk-scale histories."""
@@ -170,11 +177,10 @@ class History:
 
     def reads(self) -> List[Operation]:
         """Completed reads, ordered by response time."""
-        done = [o for o in self.operations if o.op == "read" and o.complete]
-        return sorted(done, key=lambda o: o.response.sort_key())
+        return list(self._reads)
 
     def reads_of(self, process: str) -> List[Operation]:
-        return [o for o in self.reads() if o.process == process]
+        return list(self._reads_of.get(process, ()))
 
     def reads_after(self, read: Operation) -> List[Operation]:
         """E_r: other completed reads whose response follows read's response."""
@@ -240,14 +246,28 @@ class History:
                 kind = EventKind(doc["kind"])
             except ValueError as exc:
                 raise TraceError(f"line {n}: unknown kind {doc['kind']!r}") from exc
+            for key in ("event_id", "logical_time"):
+                if not _is_int(doc[key]):
+                    raise TraceError(f"line {n}: {key} must be an integer, got {doc[key]!r}")
+            if not isinstance(doc["args"], list):
+                raise TraceError(f"line {n}: args must be a list, got {doc['args']!r}")
             returned = doc["returned"]
+            if kind is EventKind.RESPONSE and doc["op"] == "read" and not (
+                    returned is None or (isinstance(returned, list)
+                                         and all(isinstance(b, str) for b in returned))):
+                raise TraceError(f"line {n}: a read's returned must be null or a "
+                                 f"list of block ids, got {returned!r}")
             if isinstance(returned, list):
                 returned = tuple(returned)
             events.append(Event(
-                event_id=int(doc["event_id"]), kind=kind, op=str(doc["op"]),
+                event_id=doc["event_id"], kind=kind, op=str(doc["op"]),
                 args=tuple(doc["args"]), process=str(doc["process"]),
-                logical_time=int(doc["logical_time"]), returned=returned))
+                logical_time=doc["logical_time"], returned=returned))
         return cls(events, correct=correct, complete=complete)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _append_is_valid(e: Event) -> bool:

@@ -1,0 +1,255 @@
+"""Reference oracles: the straightforward, quadratic checkers.
+
+These are the definitions the indexed checkers in btlab.checkers must agree
+with, verdict for verdict: the same status, witness, detail and parts. Each
+function recomputes what it needs from the event lists on every call (program
+order scans a process's events, `reads` sorts every time), so they are slow
+but short enough to read against the paper's definitions.
+"""
+
+from typing import Dict, List, Optional, Set
+
+from btlab.blocktree import length_score, mcps, prefix_comparable
+from btlab.checkers import (DEFAULT_WINDOW, EventualityWindow, Status, Verdict,
+                            _block_owner, _comm_events, _conjunction)
+from btlab.history import (_INVOCATION_LIKE, _RESPONSE_LIKE, Event, EventKind, History,
+                           Operation, returned_chain)
+
+
+# -- orders and reads -----------------------------------------------------------
+
+
+def _first_response_like_time(h: History, e: Event) -> Optional[int]:
+    for ev in h.process_events(e.process)[h.seq(e):]:
+        if ev.kind in _RESPONSE_LIKE:
+            return ev.logical_time
+    return None
+
+
+def _last_invocation_like_time(h: History, e: Event) -> Optional[int]:
+    for ev in reversed(h.process_events(e.process)[: h.seq(e) + 1]):
+        if ev.kind in _INVOCATION_LIKE:
+            return ev.logical_time
+    return None
+
+
+def po(h: History, a: Event, b: Event) -> bool:
+    if a.event_id == b.event_id:
+        return False
+    if a.process == b.process:
+        return h.seq(a) < h.seq(b)
+    t_out = _first_response_like_time(h, a)
+    t_in = _last_invocation_like_time(h, b)
+    return t_out is not None and t_in is not None and t_out < t_in
+
+
+def reads(h: History) -> List[Operation]:
+    done = [o for o in h.operations if o.op == "read" and o.complete]
+    return sorted(done, key=lambda o: o.response.sort_key())
+
+
+def reads_of(h: History, process: str) -> List[Operation]:
+    return [o for o in reads(h) if o.process == process]
+
+
+def reads_after(h: History, read: Operation) -> List[Operation]:
+    return [o for o in reads(h) if o is not read and po(h, read.response, o.response)]
+
+
+def _split_window(h: History, window: EventualityWindow):
+    in_window: Set[int] = set()
+    for p in h.processes:
+        for op in reads_of(h, p)[-window.stabilization_suffix:]:
+            in_window.add(op.response.event_id)
+    refs = [r for r in reads(h) if r.response.event_id not in in_window]
+    return refs, in_window
+
+
+# -- criteria ------------------------------------------------------------------------
+
+
+def check_block_validity(h: History, genesis_id: str = "b0") -> Verdict:
+    appends: Dict[str, List[Event]] = {}
+    for e in h.events:
+        if e.op == "append" and e.kind is EventKind.INVOCATION and e.args:
+            appends.setdefault(str(e.args[0]), []).append(e)
+    for read in reads(h):
+        rsp = read.response
+        for block_id in returned_chain(read):
+            if block_id == genesis_id:
+                continue
+            ok = any(
+                inv.logical_time < rsp.logical_time
+                or (inv.process == rsp.process and h.seq(inv) < h.seq(rsp))
+                for inv in appends.get(block_id, [])
+            )
+            if not ok:
+                return Verdict(
+                    "block-validity", Status.FAIL, (rsp.event_id,),
+                    f"read returned {block_id!r} with no prior append")
+    return Verdict("block-validity", Status.PASS)
+
+
+def check_local_monotonic_read(h: History, score=length_score) -> Verdict:
+    for p in h.processes:
+        per = reads_of(h, p)
+        for earlier, later in zip(per, per[1:]):
+            if score(returned_chain(later)) < score(returned_chain(earlier)):
+                return Verdict(
+                    "local-monotonic-read", Status.FAIL,
+                    (earlier.response.event_id, later.response.event_id),
+                    f"score fell at {p}: "
+                    f"{score(returned_chain(earlier))} -> {score(returned_chain(later))}")
+    return Verdict("local-monotonic-read", Status.PASS)
+
+
+def check_strong_prefix(h: History) -> Verdict:
+    rs = reads(h)
+    for i, a in enumerate(rs):
+        for b in rs[i + 1:]:
+            ca, cb = returned_chain(a), returned_chain(b)
+            if not ca or not cb:
+                continue
+            if not prefix_comparable(ca, cb):
+                return Verdict(
+                    "strong-prefix", Status.FAIL,
+                    (a.response.event_id, b.response.event_id),
+                    f"{'/'.join(ca)} vs {'/'.join(cb)}")
+    return Verdict("strong-prefix", Status.PASS)
+
+
+def check_ever_growing_tree(h: History, window: EventualityWindow = DEFAULT_WINDOW,
+                            score=length_score) -> Verdict:
+    refs, in_window = _split_window(h, window)
+    for r in refs:
+        s = score(returned_chain(r))
+        for later in reads(h):
+            if later is r or later.response.event_id not in in_window:
+                continue
+            if not po(h, r.response, later.invocation):
+                continue
+            if score(returned_chain(later)) <= s:
+                return Verdict(
+                    "ever-growing-tree", Status.INCONCLUSIVE,
+                    (r.response.event_id, later.response.event_id),
+                    f"window read score {score(returned_chain(later))} <= {s}")
+    return Verdict("ever-growing-tree", Status.PASS)
+
+
+def check_eventual_prefix(h: History, window: EventualityWindow = DEFAULT_WINDOW,
+                          score=length_score) -> Verdict:
+    refs, in_window = _split_window(h, window)
+    for r in refs:
+        s = score(returned_chain(r))
+        tail = [o for o in reads_after(h, r) if o.response.event_id in in_window]
+        for i, a in enumerate(tail):
+            for b in tail[i + 1:]:
+                ca, cb = returned_chain(a), returned_chain(b)
+                if not ca or not cb:
+                    continue
+                if mcps(ca, cb, score) < s:
+                    status = Status.FAIL if h.complete else Status.INCONCLUSIVE
+                    return Verdict(
+                        "eventual-prefix", status,
+                        (r.response.event_id, a.response.event_id, b.response.event_id),
+                        f"window reads agree only below score {s}")
+    return Verdict("eventual-prefix", Status.PASS)
+
+
+def check_update_agreement(h: History) -> Verdict:
+    sends = _comm_events(h, "send")
+    receives = _comm_events(h, "receive")
+    updates = _comm_events(h, "update")
+    owner = _block_owner(h)
+
+    def has(events: List[Event], process: Optional[str], parent: str, block: str):
+        return [e for e in events
+                if (process is None or e.process == process)
+                and str(e.args[0]) == parent and str(e.args[1]) == block]
+
+    for u in updates:
+        parent, block = str(u.args[0]), str(u.args[1])
+        if owner.get(block) == u.process:
+            continue
+        prior = [e for e in has(receives, u.process, parent, block)
+                 if h.seq(e) < h.seq(u)]
+        if not prior:
+            return Verdict("update-agreement", Status.FAIL, (u.event_id,),
+                           f"R2: {u.process} updated {block!r} without a "
+                           "prior local receive")
+    for u in updates:
+        parent, block = str(u.args[0]), str(u.args[1])
+        if owner.get(block) != u.process:
+            continue
+        if not has(sends, u.process, parent, block):
+            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
+            return Verdict("update-agreement", status, (u.event_id,),
+                           f"R1: {u.process} updated own block {block!r} "
+                           "without ever broadcasting it")
+    for u in updates:
+        parent, block = str(u.args[0]), str(u.args[1])
+        missing = [p for p in sorted(h.correct)
+                   if not has(receives, p, parent, block)]
+        if missing:
+            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
+            return Verdict("update-agreement", status, (u.event_id,),
+                           f"R3: {block!r} was updated but never received at "
+                           f"{', '.join(missing)}")
+    return Verdict("update-agreement", Status.PASS)
+
+
+def check_lrc(h: History) -> Verdict:
+    receives = _comm_events(h, "receive")
+    got = {(e.process, str(e.args[0]), str(e.args[1])) for e in receives}
+    for e in _comm_events(h, "send"):
+        if e.process not in h.correct:
+            continue
+        if (e.process, str(e.args[0]), str(e.args[1])) not in got:
+            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
+            return Verdict("lrc", status, (e.event_id,),
+                           f"validity: {e.process} never delivered its own "
+                           f"broadcast of {e.args[1]!r}")
+    for e in receives:
+        if e.process not in h.correct:
+            continue
+        parent, block = str(e.args[0]), str(e.args[1])
+        missing = [p for p in sorted(h.correct) if (p, parent, block) not in got]
+        if missing:
+            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
+            return Verdict("lrc", status, (e.event_id,),
+                           f"agreement: {block!r} reached {e.process} but not "
+                           f"{', '.join(missing)}")
+    return Verdict("lrc", Status.PASS)
+
+
+def check_sc(h: History, window: EventualityWindow = DEFAULT_WINDOW,
+             score=length_score) -> Verdict:
+    return _conjunction("sc", [
+        check_block_validity(h),
+        check_local_monotonic_read(h, score),
+        check_strong_prefix(h),
+        check_ever_growing_tree(h, window, score),
+    ])
+
+
+def check_ec(h: History, window: EventualityWindow = DEFAULT_WINDOW,
+             score=length_score) -> Verdict:
+    return _conjunction("ec", [
+        check_block_validity(h),
+        check_local_monotonic_read(h, score),
+        check_ever_growing_tree(h, window, score),
+        check_eventual_prefix(h, window, score),
+    ])
+
+
+CHECKERS = {
+    "block-validity": lambda h, window, score: check_block_validity(h),
+    "local-monotonic-read": lambda h, window, score: check_local_monotonic_read(h, score),
+    "strong-prefix": lambda h, window, score: check_strong_prefix(h),
+    "ever-growing-tree": check_ever_growing_tree,
+    "eventual-prefix": check_eventual_prefix,
+    "update-agreement": lambda h, window, score: check_update_agreement(h),
+    "lrc": lambda h, window, score: check_lrc(h),
+    "sc": check_sc,
+    "ec": check_ec,
+}

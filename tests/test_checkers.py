@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from btlab import checkers
 from btlab.checkers import (DEFAULT_WINDOW, EventualityWindow, Status,
                             check_block_validity, check_ec,
                             check_eventual_prefix, check_ever_growing_tree,
@@ -11,6 +12,7 @@ from btlab.checkers import (DEFAULT_WINDOW, EventualityWindow, Status,
                             check_strong_prefix, check_update_agreement,
                             run_checker)
 from btlab.history import EventKind, History, Recorder, make_event
+from btlab.netsim import run_scenario, scenario_from_dict
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
 SEND, RECV, UPD = EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE
@@ -378,3 +380,52 @@ def test_strong_pass_implies_eventual_not_fail_on_random_read_patterns():
             seen_sc_pass += 1
             assert ec.status == Status.PASS
     assert seen_sc_pass > 0
+
+
+# -- cost bounds of the indexed checkers ------------------------------------------------
+
+
+def cap1_history():
+    """A single-chain run, as `btlab check --complete` sees it: every pair of
+    reads is prefix-comparable, so strong and eventual prefix scan to the end."""
+    doc = {"version": 1, "name": "cap1-4p",
+           "processes": [{"id": f"p{i}", "merit": 1.0, "block_interval": 10,
+                          "read_interval": 7} for i in range(4)],
+           "channel": {"kind": "synchronous", "delta": 3},
+           "oracle": {"capacity": 1, "seed": 5}, "seed": 6, "duration": 250}
+    full = run_scenario(scenario_from_dict(doc)).full_history
+    return History(full.events, correct=set(full.processes), complete=True).restricted()
+
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_indexed_checkers_stay_within_their_call_bounds(monkeypatch):
+    h = cap1_history()
+    reads = h.reads()
+    window = DEFAULT_WINDOW
+    w = sum(min(len(h.reads_of(p)), window.stabilization_suffix) for p in h.processes)
+    refs = len(reads) - w
+    assert refs > 10 * w                          # the bounds below are not vacuous
+    mcps_calls = counting(monkeypatch, checkers, "mcps")
+    comparable_calls = counting(monkeypatch, checkers, "prefix_comparable")
+    po_calls = counting(monkeypatch, History, "po")
+
+    assert check_eventual_prefix(h, window).status == Status.PASS
+    assert len(mcps_calls) <= w * (w - 1) // 2    # once per unordered window pair
+    assert len(po_calls) <= refs * w
+
+    po_calls.clear()
+    check_ever_growing_tree(h, window)
+    assert len(po_calls) <= refs * w
+
+    assert check_strong_prefix(h).status == Status.PASS
+    assert len(comparable_calls) <= len(reads)

@@ -139,10 +139,28 @@ def test_check_rejects_unknown_criteria_and_missing_files(figure_traces):
     assert run_cli("check", str(figure_traces / "nope.jsonl")) == 2
 
 
-def test_check_rejects_malformed_traces(tmp_path):
+READ_INVOCATION = {"args": [], "event_id": 0, "kind": "invocation", "logical_time": 0,
+                   "op": "read", "process": "p", "returned": None}
+READ_RESPONSE = {"args": [], "event_id": 1, "kind": "response", "logical_time": 1,
+                 "op": "read", "process": "p", "returned": ["b0"]}
+
+
+def test_check_rejects_malformed_traces(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"event_id": 1}\n')
     assert run_cli("check", str(bad)) == 2
+    good = tmp_path / "good.jsonl"
+    good.write_text(json.dumps(READ_INVOCATION) + "\n" + json.dumps(READ_RESPONSE) + "\n")
+    assert run_cli("check", str(good)) == 0
+    for field, value in [("returned", 5), ("returned", [1, 2]), ("returned", "b0"),
+                         ("args", 5), ("event_id", "x"), ("event_id", 1.5),
+                         ("logical_time", "x"), ("logical_time", True)]:
+        capsys.readouterr()
+        bad.write_text(json.dumps(READ_INVOCATION) + "\n"
+                       + json.dumps({**READ_RESPONSE, field: value}) + "\n")
+        assert run_cli("check", str(bad)) == 2, (field, value)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err, (field, value, err)
 
 
 # -- replay --------------------------------------------------------------------------------

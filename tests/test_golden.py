@@ -1,6 +1,6 @@
 """Golden trace digests: the simulator's output bytes, pinned.
 
-Every preset, plus two larger forked runs, is simulated and both of its
+Every preset, plus three larger forked runs, is simulated and both of its
 traces are hashed. A change that alters a single byte of a trace fails
 here; a change meant to alter traces re-records the digests and says why.
 
@@ -36,6 +36,7 @@ def _forked(name, processes, merit, duration, seed):
 GENERATED = {
     "forked-4p-merit0.02-d1000": _forked("forked-4p-merit0.02-d1000", 4, 0.02, 1000, 41),
     "forked-8p-merit1.0-d2000": _forked("forked-8p-merit1.0-d2000", 8, 1.0, 2000, 83),
+    "forked-4p-merit0.02-d2000": _forked("forked-4p-merit0.02-d2000", 4, 0.02, 2000, 47),
 }
 
 

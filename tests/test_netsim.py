@@ -1,7 +1,9 @@
 """Simulator: scenario schema, channels, presets, invariants, determinism."""
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from btlab.history import EventKind
 from btlab.netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                           Scenario, ScenarioError, evaluate_run, preset,
                           preset_names, run_scenario, scenario_from_dict)
+
+PRESETS_DIR = Path(__file__).resolve().parent.parent / "presets"
 
 EXPECTED_PRESET_VERDICTS = {
     "figure-3": {"sc": "PASS", "ec": "PASS"},
@@ -139,6 +143,17 @@ def test_preset_verdicts_match_their_stated_expectations(name):
     assert sc.expected_verdicts == EXPECTED_PRESET_VERDICTS[name]
     report = evaluate_run(run_scenario(sc))
     assert report["ok"], report["verdicts"]
+
+
+def test_preset_files_cover_every_builtin():
+    assert sorted(path.stem for path in PRESETS_DIR.glob("*.json")) == preset_names()
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_file_equals_its_builtin(name):
+    doc = json.loads((PRESETS_DIR / f"{name}.json").read_text())
+    assert doc == preset(name).to_dict()
+    assert scenario_from_dict(doc) == preset(name)
 
 
 def test_unknown_preset_is_a_scenario_error():
