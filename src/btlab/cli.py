@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .blocktree import DomainError
 from .campaigns import CAMPAIGNS, tape_statistics
 from .checkers import CHECKERS, DEFAULT_WINDOW, EventualityWindow, Status, run_checker
 from .history import History, TraceError
@@ -209,7 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ScenarioError, TraceError) as exc:
+    except (ScenarioError, TraceError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SCHEMA
     except FileNotFoundError as exc:

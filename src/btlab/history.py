@@ -12,6 +12,10 @@ orders matter:
 Histories are recorded from a single global logical clock; two events may
 share a tick (they are then concurrent across processes). Traces serialize
 one event per line as JSON, canonically ordered by (logical_time, event_id).
+
+A History validates and sorts its events when it is built; the indexes that
+program order and the read queries use are built on first use, so a history
+that is only parsed, re-wrapped or written out never pays for them.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter, itemgetter
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 
 class TraceError(ValueError):
@@ -35,15 +41,24 @@ class EventKind(enum.Enum):
     UPDATE = "update"
 
 
-# single events both close and open happens-before edges
-_RESPONSE_LIKE = {EventKind.RESPONSE, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE}
-_INVOCATION_LIKE = {EventKind.INVOCATION, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE}
+# single events both close and open happens-before edges; tuples, because a
+# set lookup would call Enum.__hash__, a Python function, on every test
+_RESPONSE_LIKE = (EventKind.RESPONSE, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
+_INVOCATION_LIKE = (EventKind.INVOCATION, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
+_COMMUNICATION = (EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
 
 TRACE_FIELDS = ("event_id", "kind", "op", "args", "process", "logical_time", "returned")
+_FIELD_SET = frozenset(TRACE_FIELDS)
+_fields_of = itemgetter(*TRACE_FIELDS)
+_KINDS = {k.value: k for k in EventKind}
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_BOUNDARY = '},{"args":'              # between two encoded events: see to_jsonl
+_LINE_BREAK = '}\n{"args":'
+_raw_decode = json.JSONDecoder().raw_decode
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     event_id: int
     kind: EventKind
     op: str                       # append | read | send | receive | update | ...
@@ -71,8 +86,10 @@ class Operation:
 
 
 def make_event(event_id, kind, op, args=(), process="", logical_time=0, returned=None):
-    return Event(event_id=event_id, kind=kind, op=op, args=tuple(args),
-                 process=process, logical_time=logical_time, returned=returned)
+    return Event(event_id, kind, op, tuple(args), process, logical_time, returned)
+
+
+_canonical_order = attrgetter("logical_time", "event_id")    # == Event.sort_key
 
 
 class History:
@@ -80,44 +97,73 @@ class History:
 
     def __init__(self, events: Iterable[Event], correct: Optional[Set[str]] = None,
                  complete: bool = False):
-        self.events: List[Event] = sorted(events, key=Event.sort_key)
+        self.events: List[Event] = sorted(events, key=_canonical_order)
         self.complete = complete
         self.processes: List[str] = sorted({e.process for e in self.events})
         self.correct: Set[str] = set(self.processes) if correct is None else set(correct)
-        self._by_id = {}
+        self._by_id = {e.event_id: e for e in self.events}
+        if len(self._by_id) != len(self.events):
+            seen = set()
+            for e in self.events:
+                if e.event_id in seen:
+                    raise TraceError(f"duplicate event_id {e.event_id}")
+                seen.add(e.event_id)
+        self.operations: List[Operation] = self._match_operations()
+
+    # -- indexes, built on first use; they depend on `events` alone --------------
+
+    @cached_property
+    def _proc_events(self) -> Dict[str, List[Event]]:
+        """process -> its events, in canonical order."""
+        out: Dict[str, List[Event]] = {p: [] for p in self.processes}
         for e in self.events:
-            if e.event_id in self._by_id:
-                raise TraceError(f"duplicate event_id {e.event_id}")
-            self._by_id[e.event_id] = e
-        self._seq: Dict[int, int] = {}        # event_id -> per-process position
-        self._proc_events: Dict[str, List[Event]] = {p: [] for p in self.processes}
-        for e in self.events:  # canonical order, so per-process times never regress
-            lst = self._proc_events[e.process]
-            self._seq[e.event_id] = len(lst)
-            lst.append(e)
-        # event_id -> time of the first response-like event at or after it on
-        # its process (inf if none), and of the last invocation-like event at
-        # or before it (-inf if none): the two ends of a cross-process edge
-        self._out: Dict[int, float] = {}
-        self._in: Dict[int, float] = {}
+            out[e.process].append(e)
+        return out
+
+    @cached_property
+    def _seq(self) -> Dict[int, int]:
+        """event_id -> position on its process."""
+        return {e.event_id: i for lst in self._proc_events.values()
+                for i, e in enumerate(lst)}
+
+    @cached_property
+    def _out(self) -> Dict[int, float]:
+        """event_id -> time of the first response-like event at or after it on
+        its process (inf if none): the tail of a cross-process edge."""
+        out: Dict[int, float] = {}
+        for lst in self._proc_events.values():   # per-process times never regress
+            t: float = math.inf
+            for e in reversed(lst):
+                if e.kind in _RESPONSE_LIKE:
+                    t = e.logical_time
+                out[e.event_id] = t
+        return out
+
+    @cached_property
+    def _in(self) -> Dict[int, float]:
+        """event_id -> time of the last invocation-like event at or before it on
+        its process (-inf if none): the head of a cross-process edge."""
+        out: Dict[int, float] = {}
         for lst in self._proc_events.values():
             t: float = -math.inf
             for e in lst:
                 if e.kind in _INVOCATION_LIKE:
                     t = e.logical_time
-                self._in[e.event_id] = t
-            t = math.inf
-            for e in reversed(lst):
-                if e.kind in _RESPONSE_LIKE:
-                    t = e.logical_time
-                self._out[e.event_id] = t
-        self.operations: List[Operation] = self._match_operations()
-        self._reads: List[Operation] = sorted(
-            (o for o in self.operations if o.op == "read" and o.complete),
-            key=lambda o: o.response.sort_key())
-        self._reads_of: Dict[str, List[Operation]] = {p: [] for p in self.processes}
+                out[e.event_id] = t
+        return out
+
+    @cached_property
+    def _reads(self) -> List[Operation]:
+        """Completed reads, sorted by response."""
+        return sorted((o for o in self.operations if o.op == "read" and o.complete),
+                      key=lambda o: _canonical_order(o.response))
+
+    @cached_property
+    def _reads_of(self) -> Dict[str, List[Operation]]:
+        out: Dict[str, List[Operation]] = {p: [] for p in self.processes}
         for o in self._reads:
-            self._reads_of[o.process].append(o)
+            out[o.process].append(o)
+        return out
 
     # -- construction ------------------------------------------------------
 
@@ -127,11 +173,15 @@ class History:
         out: List[Operation] = []
         for e in self.events:
             if e.kind is EventKind.INVOCATION:
-                op = Operation(process=e.process, op=e.op, invocation=e)
-                open_ops.setdefault((e.process, e.op), []).append(op)
+                op = Operation(e.process, e.op, e)
+                queue = open_ops.get((e.process, e.op))
+                if queue is None:
+                    open_ops[e.process, e.op] = [op]
+                else:
+                    queue.append(op)
                 out.append(op)
             elif e.kind is EventKind.RESPONSE:
-                queue = open_ops.get((e.process, e.op), [])
+                queue = open_ops.get((e.process, e.op))
                 if not queue:
                     raise TraceError(
                         f"response without invocation: {e.op} at {e.process} "
@@ -158,7 +208,7 @@ class History:
         precedes an invocation-like event before b on b's process; since
         per-process streams are time ordered and operations are sequential,
         this reduces to comparing a's earliest response-like follow-up with
-        b's latest invocation-like lead-in, both indexed at construction.
+        b's latest invocation-like lead-in, both indexed on first use.
         """
         if a.process == b.process:
             return self._seq[a.event_id] < self._seq[b.event_id]
@@ -182,13 +232,6 @@ class History:
     def reads_of(self, process: str) -> List[Operation]:
         return list(self._reads_of.get(process, ()))
 
-    def reads_after(self, read: Operation) -> List[Operation]:
-        """E_r: other completed reads whose response follows read's response."""
-        return [
-            o for o in self.reads()
-            if o is not read and self.po(read.response, o.response)
-        ]
-
     # -- restriction -------------------------------------------------------------
 
     def restricted(self) -> "History":
@@ -199,34 +242,41 @@ class History:
         processes. Everything else (append responses, oracle chatter,
         Byzantine communication) drops out. Idempotent.
         """
+        correct = self.correct
         kept = []
         for e in self.events:
-            if e.op == "read" and e.process in self.correct:
+            if e.op == "read" and e.process in correct:
                 kept.append(e)
             elif e.op == "append" and e.kind is EventKind.INVOCATION:
                 if _append_is_valid(e):
                     kept.append(e)
-            elif e.kind in (EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE):
-                if e.process in self.correct:
+            elif e.kind in _COMMUNICATION:
+                if e.process in correct:
                     kept.append(e)
-        return History(kept, correct=self.correct, complete=self.complete)
+        return History(kept, correct=correct, complete=self.complete)
 
     # -- serialization --------------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        lines = []
-        for e in self.events:
-            doc = {
-                "event_id": e.event_id,
-                "kind": e.kind.value,
-                "op": e.op,
-                "args": list(e.args),
-                "process": e.process,
-                "logical_time": e.logical_time,
-                "returned": e.returned,
-            }
-            lines.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One canonical JSON object per line, encoded with one encoder call.
+
+        Every event object starts with "args", its first sorted key, and a
+        JSON string cannot hold an unescaped quote, so in the encoded list
+        each boundary between two events reads `},{"args":`. When that text
+        occurs exactly once per boundary, every occurrence is one and becomes
+        a line break. Otherwise a nested object in some `args` or `returned`
+        produced it too, and the events are encoded one by one.
+        """
+        docs = [{"args": list(args), "event_id": event_id, "kind": kind.value,
+                 "logical_time": logical_time, "op": op, "process": process,
+                 "returned": returned}
+                for event_id, kind, op, args, process, logical_time, returned in self.events]
+        if not docs:
+            return ""
+        body = _ENCODER.encode(docs)[1:-1]
+        if body.count(_BOUNDARY) == len(docs) - 1:
+            return body.replace(_BOUNDARY, _LINE_BREAK) + "\n"
+        return "\n".join(map(_ENCODER.encode, docs)) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str, correct: Optional[Set[str]] = None,
@@ -237,37 +287,39 @@ class History:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"line {n}: not JSON ({exc})") from exc
-            if not isinstance(doc, dict) or set(doc) != set(TRACE_FIELDS):
+                doc, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):        # let json.loads word the error, as it always has
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceError(f"line {n}: not JSON ({exc})") from exc
+            if type(doc) is not dict or doc.keys() != _FIELD_SET:
                 raise TraceError(f"line {n}: fields must be exactly {TRACE_FIELDS}")
+            event_id, kind, op, args, process, logical_time, returned = _fields_of(doc)
             try:
-                kind = EventKind(doc["kind"])
-            except ValueError as exc:
-                raise TraceError(f"line {n}: unknown kind {doc['kind']!r}") from exc
-            for key in ("event_id", "logical_time"):
-                if not _is_int(doc[key]):
-                    raise TraceError(f"line {n}: {key} must be an integer, got {doc[key]!r}")
-            if not isinstance(doc["args"], list):
-                raise TraceError(f"line {n}: args must be a list, got {doc['args']!r}")
-            returned = doc["returned"]
-            if kind is EventKind.RESPONSE and doc["op"] == "read" and not (
-                    returned is None or (isinstance(returned, list)
-                                         and all(isinstance(b, str) for b in returned))):
+                kind = _KINDS[kind]
+            except (KeyError, TypeError):   # TypeError: an unhashable kind
+                raise TraceError(f"line {n}: unknown kind {kind!r}") from None
+            # JSON yields no int subclass but bool, which `type(...) is int` excludes
+            if type(event_id) is not int:
+                raise TraceError(f"line {n}: event_id must be an integer, got {event_id!r}")
+            if type(logical_time) is not int:
+                raise TraceError(
+                    f"line {n}: logical_time must be an integer, got {logical_time!r}")
+            if type(args) is not list:
+                raise TraceError(f"line {n}: args must be a list, got {args!r}")
+            if kind is EventKind.RESPONSE and op == "read" and not (
+                    returned is None or (type(returned) is list
+                                         and all(type(b) is str for b in returned))):
                 raise TraceError(f"line {n}: a read's returned must be null or a "
                                  f"list of block ids, got {returned!r}")
-            if isinstance(returned, list):
+            if type(returned) is list:
                 returned = tuple(returned)
-            events.append(Event(
-                event_id=doc["event_id"], kind=kind, op=str(doc["op"]),
-                args=tuple(doc["args"]), process=str(doc["process"]),
-                logical_time=doc["logical_time"], returned=returned))
+            events.append(Event(event_id, kind, str(op), tuple(args), str(process),
+                                logical_time, returned))
         return cls(events, correct=correct, complete=complete)
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _append_is_valid(e: Event) -> bool:
@@ -295,8 +347,7 @@ class Recorder:
 
     def emit(self, kind: EventKind, op: str, process: str, logical_time: int,
              args: Sequence[Any] = (), returned: Any = None) -> Event:
-        e = Event(event_id=self._next_id, kind=kind, op=op, args=tuple(args),
-                  process=process, logical_time=logical_time, returned=returned)
+        e = Event(self._next_id, kind, op, tuple(args), process, logical_time, returned)
         self._next_id += 1
         self._events.append(e)
         return e

@@ -1,19 +1,23 @@
-"""Reference oracles: the straightforward, quadratic checkers.
+"""Reference oracles: the straightforward, quadratic checkers and trace codec.
 
 These are the definitions the indexed checkers in btlab.checkers must agree
 with, verdict for verdict: the same status, witness, detail and parts. Each
 function recomputes what it needs from the event lists on every call (program
 order scans a process's events, `reads` sorts every time), so they are slow
-but short enough to read against the paper's definitions.
+but short enough to read against the paper's definitions. The trace codec at
+the end encodes one event per `json.dumps` call and decodes one line per
+`json.loads` call; History.to_jsonl and History.from_jsonl must give the same
+bytes, the same events and the same errors.
 """
 
-from typing import Dict, List, Optional, Set
+import json
+from typing import Any, Dict, List, Optional, Set
 
 from btlab.blocktree import length_score, mcps, prefix_comparable
 from btlab.checkers import (DEFAULT_WINDOW, EventualityWindow, Status, Verdict,
                             _block_owner, _comm_events, _conjunction)
-from btlab.history import (_INVOCATION_LIKE, _RESPONSE_LIKE, Event, EventKind, History,
-                           Operation, returned_chain)
+from btlab.history import (_INVOCATION_LIKE, _RESPONSE_LIKE, TRACE_FIELDS, Event,
+                           EventKind, History, Operation, TraceError, returned_chain)
 
 
 # -- orders and reads -----------------------------------------------------------
@@ -253,3 +257,63 @@ CHECKERS = {
     "sc": check_sc,
     "ec": check_ec,
 }
+
+
+# -- trace codec -----------------------------------------------------------------------
+
+
+def to_jsonl(h: History) -> str:
+    lines = []
+    for e in h.events:
+        doc = {
+            "event_id": e.event_id,
+            "kind": e.kind.value,
+            "op": e.op,
+            "args": list(e.args),
+            "process": e.process,
+            "logical_time": e.logical_time,
+            "returned": e.returned,
+        }
+        lines.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def from_jsonl(text: str, correct: Optional[Set[str]] = None,
+               complete: bool = False) -> History:
+    events = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"line {n}: not JSON ({exc})") from exc
+        if not isinstance(doc, dict) or set(doc) != set(TRACE_FIELDS):
+            raise TraceError(f"line {n}: fields must be exactly {TRACE_FIELDS}")
+        try:
+            kind = EventKind(doc["kind"])
+        except ValueError as exc:
+            raise TraceError(f"line {n}: unknown kind {doc['kind']!r}") from exc
+        for key in ("event_id", "logical_time"):
+            if not _is_int(doc[key]):
+                raise TraceError(f"line {n}: {key} must be an integer, got {doc[key]!r}")
+        if not isinstance(doc["args"], list):
+            raise TraceError(f"line {n}: args must be a list, got {doc['args']!r}")
+        returned = doc["returned"]
+        if kind is EventKind.RESPONSE and doc["op"] == "read" and not (
+                returned is None or (isinstance(returned, list)
+                                     and all(isinstance(b, str) for b in returned))):
+            raise TraceError(f"line {n}: a read's returned must be null or a "
+                             f"list of block ids, got {returned!r}")
+        if isinstance(returned, list):
+            returned = tuple(returned)
+        events.append(Event(
+            event_id=doc["event_id"], kind=kind, op=str(doc["op"]),
+            args=tuple(doc["args"]), process=str(doc["process"]),
+            logical_time=doc["logical_time"], returned=returned))
+    return History(events, correct=correct, complete=complete)

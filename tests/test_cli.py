@@ -145,6 +145,23 @@ READ_RESPONSE = {"args": [], "event_id": 1, "kind": "response", "logical_time": 
                  "op": "read", "process": "p", "returned": ["b0"]}
 
 
+def _read(event_id, process, invoked, chain):
+    return [{**READ_INVOCATION, "event_id": event_id, "process": process,
+             "logical_time": invoked},
+            {**READ_RESPONSE, "event_id": event_id + 1, "process": process,
+             "logical_time": invoked + 1, "returned": chain}]
+
+
+# Three reads, one of them of a chain rooted at another genesis: the window
+# reads ["b0", "a"] and ["x0"] share no genesis block to take a common prefix of.
+FOREIGN_GENESIS = [
+    {**READ_INVOCATION, "event_id": 10, "op": "append", "args": ["a", "b0", True]},
+    {**READ_INVOCATION, "event_id": 11, "op": "append", "args": ["x0", "b0", True],
+     "process": "q"},
+    *_read(0, "p", 0, ["b0"]), *_read(2, "p", 2, ["b0", "a"]), *_read(4, "q", 2, ["x0"]),
+]
+
+
 def test_check_rejects_malformed_traces(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"event_id": 1}\n')
@@ -161,6 +178,12 @@ def test_check_rejects_malformed_traces(tmp_path, capsys):
         assert run_cli("check", str(bad)) == 2, (field, value)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err, (field, value, err)
+    bad.write_text("".join(json.dumps(e) + "\n" for e in FOREIGN_GENESIS))
+    for flags in (["--criterion", "eventual-prefix", "--window", "1"], ["--window", "1"]):
+        capsys.readouterr()
+        assert run_cli("check", str(bad), *flags) == 2, flags
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "genesis" in err, (flags, err)
 
 
 # -- replay --------------------------------------------------------------------------------

@@ -1,0 +1,154 @@
+"""History.to_jsonl and History.from_jsonl agree with the reference codec.
+
+The reference encodes one event per json.dumps call and decodes one line per
+json.loads call. Encoding must give the same bytes on any history, including
+strings that hold quotes, braces, newlines, non-ASCII text or the literal
+event boundary `},{"args":`, and nested objects in `args` or `returned`, which
+send to_jsonl down its event-by-event path. Decoding must give the same
+events, or fail with the same error message, on valid and mutated traces.
+"""
+
+import json
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import reference_checkers as reference  # noqa: E402
+from btlab.history import TRACE_FIELDS, EventKind, History, make_event  # noqa: E402
+
+INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
+
+TRICKY = ['},{"args":', '}\n{"args":', '"', "\\", "{", "}", "\n", "\r\n", "é", "✓",
+          " ", "args", ""]
+texts = st.one_of(st.text(max_size=8), st.sampled_from(TRICKY),
+                  st.lists(st.sampled_from(TRICKY) | st.text(max_size=2),
+                           max_size=4).map("".join))
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | texts
+values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["args", "event_id"]) | texts,
+                                     inner, max_size=3)),
+    max_leaves=6)
+flat = st.lists(st.sampled_from(["b0", "a", "x0"]) | texts, max_size=4)
+
+
+@st.composite
+def histories(draw, nested=True):
+    """Random events; every response follows an invocation of its own."""
+    value = values if nested else (st.none() | flat | scalars)
+    events = []
+    for i in range(draw(st.integers(0, 6))):
+        process = draw(st.sampled_from(["p", "q"]) | texts)
+        op = draw(st.sampled_from(["read", "append", "send"]) | texts)
+        t = draw(st.integers(0, 6))
+        kind = draw(st.sampled_from([INV, EventKind.SEND, EventKind.RECEIVE,
+                                     EventKind.UPDATE]))
+        args = draw(st.lists(value, max_size=3))
+        events.append(make_event(2 * i, kind, op, args, process, t, draw(value)))
+        if kind is INV and draw(st.booleans()):
+            returned = draw(flat) if op == "read" else draw(value)
+            events.append(make_event(2 * i + 1, RSP, op, draw(st.lists(value, max_size=2)),
+                                     process, t + draw(st.integers(0, 2)), returned))
+    return History(events)
+
+
+# -- encoding ---------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=histories())
+def test_to_jsonl_matches_per_event_encoding(h):
+    assert h.to_jsonl() == reference.to_jsonl(h)
+
+
+@pytest.mark.parametrize("args, returned", [
+    ([{"x": 1}, {"args": 2}], None),                 # nested boundary text in args
+    ([], [{"b": 1}, {"args": [], "z": 0}]),          # ... and in returned
+    (['},{"args":', '"}\n{"args":'], '},{"args":'),  # the same text inside strings
+])
+def test_to_jsonl_matches_on_boundary_look_alikes(args, returned):
+    h = History([make_event(0, INV, "append", args, "p", 0, returned),
+                 make_event(1, EventKind.SEND, "send", args, "p", 1, returned),
+                 make_event(2, INV, "read", (), "q", 1)])
+    text = h.to_jsonl()
+    assert text == reference.to_jsonl(h)
+    assert len(text.splitlines()) == 3
+
+
+def test_to_jsonl_of_the_empty_history_is_empty():
+    assert History([]).to_jsonl() == reference.to_jsonl(History([])) == ""
+
+
+# -- decoding ---------------------------------------------------------------------
+
+
+def outcome(parse, text):
+    try:
+        return ("ok", repr(parse(text).events))
+    except Exception as exc:         # both sides must fail the same way, too
+        return ("raises", type(exc), str(exc))
+
+
+EXTRA = [" x", "}", "\t1", "{}", ",", " ]", "  "]
+FIELD_VALUES = (st.sampled_from(["invocation", "response", "read", "banana", "b0",
+                                 ["b0", "a"], ["b0", 1], True, 1.5, -3])
+                | values)
+
+
+@st.composite
+def mutated_traces(draw):
+    lines = reference.to_jsonl(draw(histories(nested=False))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            lines.append(draw(texts))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["field", "drop", "add", "extra", "prefix",
+                                    "truncate", "replace", "spaces", "blank"]))
+        if how in ("field", "drop", "add", "spaces"):
+            try:
+                doc = json.loads(lines[i])
+            except ValueError:           # an earlier mutation broke this line
+                continue
+            if not isinstance(doc, dict) or not set(TRACE_FIELDS) <= set(doc):
+                continue
+            if how == "field":
+                doc[draw(st.sampled_from(TRACE_FIELDS))] = draw(FIELD_VALUES)
+            elif how == "drop":
+                del doc[draw(st.sampled_from(TRACE_FIELDS))]
+            elif how == "add":
+                doc[draw(texts)] = draw(FIELD_VALUES)
+            lines[i] = json.dumps(doc, sort_keys=draw(st.booleans()))
+        elif how == "extra":
+            lines[i] += draw(st.sampled_from(EXTRA))
+        elif how == "prefix":
+            lines[i] = draw(st.sampled_from(["\ufeff", " ", "\t", "[", "x"])) + lines[i]
+        elif how == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif how == "replace":
+            lines[i] = draw(texts)
+        else:
+            lines.insert(i, draw(st.sampled_from(["", "   ", "\t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(
+        st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_traces())
+@example(text='{"args":[],"event_id":0,"kind":[],"logical_time":0,'
+              '"op":"read","process":"p","returned":null}')
+@example(text="\ufeff{}")
+@example(text='{"args":[],"event_id":true,"kind":"invocation","logical_time":0,'
+              '"op":"read","process":"p","returned":null}')
+def test_from_jsonl_matches_per_line_decoding(text):
+    assert outcome(History.from_jsonl, text) == outcome(reference.from_jsonl, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.text(alphabet='{}[]":, \n\tabdeglnorstu0123456789-.', max_size=60))
+def test_from_jsonl_matches_on_random_text(text):
+    assert outcome(History.from_jsonl, text) == outcome(reference.from_jsonl, text)

@@ -1,11 +1,14 @@
 """Histories: event ordering, operation matching, program order, traces."""
 
+import functools
 import random
 
 import pytest
 
+from btlab.cli import main
 from btlab.history import (Event, EventKind, History, Recorder, TraceError,
                            make_event, returned_chain)
+from btlab.netsim import preset, run_scenario
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
 SEND, RECV, UPD = EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE
@@ -29,11 +32,16 @@ def test_events_sort_canonically_by_time_then_id():
         ev(2, INV, "read", "q", 1),
     ])
     assert [e.event_id for e in h.events] == [2, 1, 3]
+    with pytest.raises(AttributeError):      # events are immutable
+        h.events[0].logical_time = 9
 
 
 def test_duplicate_event_ids_rejected():
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match="duplicate event_id 1$"):
         History([ev(1, INV, "read", "p", 0), ev(1, RSP, "read", "p", 1)])
+    with pytest.raises(TraceError, match="duplicate event_id 2$"):   # first in time order
+        History([ev(3, INV, "read", "p", 5), ev(2, INV, "read", "q", 0),
+                 ev(3, RSP, "read", "p", 6), ev(2, RSP, "read", "q", 1)])
 
 
 def test_operations_match_fifo_per_process_and_op():
@@ -54,6 +62,38 @@ def test_open_invocations_are_allowed_but_responses_need_invocations():
     assert len(h.operations) == 1 and not h.operations[0].complete
     with pytest.raises(TraceError):
         History([ev(0, RSP, "read", "p", 0)])
+
+
+# -- indexes ------------------------------------------------------------------------
+
+INDEXES = ("_proc_events", "_seq", "_out", "_in", "_reads", "_reads_of")
+
+
+@pytest.fixture()
+def index_builds(monkeypatch):
+    """The History behind every index build, in build order."""
+    built = []
+    for name in INDEXES:
+        def counting(self, build=vars(History)[name].func):
+            built.append(self)
+            return build(self)
+        prop = functools.cached_property(counting)
+        prop.__set_name__(History, name)
+        monkeypatch.setattr(History, name, prop)
+    return built
+
+
+def test_indexes_are_built_on_first_use(index_builds, tmp_path, capsys):
+    run = run_scenario(preset("bitcoin-like"))
+    text = run.full_history.to_jsonl()
+    run.history.to_jsonl()
+    assert index_builds == []                # simulating and writing build none
+    trace = tmp_path / "raw.jsonl"
+    trace.write_text(text)
+    # btlab check parses, re-wraps and restricts: only the last one is judged
+    assert main(["check", str(trace), "--criterion", "sc"]) in (0, 1)
+    assert len({id(h) for h in index_builds}) == 1
+    assert {e.op for e in index_builds[0].events} < {e.op for e in run.full_history.events}
 
 
 # -- program order -----------------------------------------------------------------
@@ -175,18 +215,6 @@ def test_reads_are_ordered_by_response_and_filtered_by_process():
     ])
     assert [r.response.event_id for r in h.reads()] == [3, 1]
     assert [r.response.event_id for r in h.reads_of("p")] == [1]
-
-
-def test_reads_after_excludes_self_and_concurrent_reads():
-    h = History([
-        ev(0, INV, "read", "p", 0), ev(1, RSP, "read", "p", 2, returned=("b0",)),
-        ev(2, INV, "read", "q", 1), ev(3, RSP, "read", "q", 5, returned=("b0",)),
-        ev(4, INV, "read", "q", 7), ev(5, RSP, "read", "q", 8, returned=("b0",)),
-    ])
-    first = h.reads()[0]
-    after = h.reads_after(first)
-    # q's first read overlaps p's (invoked at 1 < response 2): not after
-    assert [r.response.event_id for r in after] == [5]
 
 
 # -- restriction ---------------------------------------------------------------------------
