@@ -12,7 +12,7 @@ by exhaustive interleaving.
 """
 
 from btlab import (Block, CrashSchedule, RegisterSpace, cas_equivalence_suite,
-                   cas_via_consume, interleavings, prodigal_oracle,
+                   cas_via_consume, frugal_oracle, interleavings,
                    run_consensus, snapshot_equivalence_suite, Merit)
 
 print("-- consensus from a capacity-1 oracle --")
@@ -26,10 +26,10 @@ print("  agreement:", len(ids) == 1, "| decided value is a proposal:",
       all(i.startswith("v-p") for i in ids))
 
 print("\n-- one-shot CAS from consume --")
-oracle = prodigal_oracle({"x": Merit(1.0), "y": Merit(1.0)}, seed=1)
+# one slot: both hold a token for b0, only one consume wins
+oracle = frugal_oracle({"x": Merit(1.0), "y": Merit(1.0)}, k=1, seed=1)
 first = oracle.get_token("b0", Block("x-val"), "x")
 second = oracle.get_token("b0", Block("y-val"), "y")
-oracle.capacity = 1                      # one slot: only one consume wins
 print("  x swaps:", cas_via_consume(oracle, first), "(empty = x won the slot)")
 print("  y swaps:", sorted(b.id for b in cas_via_consume(oracle, second)),
       "(y sees the winner instead)")

@@ -15,7 +15,7 @@ from .checkers import Status, check_ec, check_sc
 from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                      Scenario, preset, run_scenario)
 from .oracle import Merit, OracleState, frugal_oracle, prodigal_oracle
-from .refinement import RefinedLedger
+from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS, RefinedLedger
 from .shm import (CrashSchedule, RegisterSpace, cas_via_consume_steps,
                   consume_via_snapshot_steps, interleavings, run_consensus,
                   run_interleaving)
@@ -140,11 +140,8 @@ def _replay_successes(record: ScheduleRecord, capacity: Optional[int],
                          seed=seed + 1)
     tree = BlockTree()
     for caller, block_id, parent_id in record.successes:
-        stamped = None
-        for _ in range(10**6):
-            stamped = oracle.get_token(parent_id, Block(id=block_id), caller)
-            if stamped is not None:
-                break
+        stamped, _ = oracle.draw_token(parent_id, Block(id=block_id), caller,
+                                       DEFAULT_MAX_GRANT_ATTEMPTS)
         if stamped is None:
             return False, f"no grant for {block_id}"
         consumed = oracle.consume_token(stamped)
@@ -281,15 +278,15 @@ def cas_equivalence_suite() -> CampaignResult:
     for n_callers in (1, 2, 3):
         for order in interleavings([2] * n_callers):
             out.runs += 1
-            oracle = prodigal_oracle({f"c{i}": Merit(1.0) for i in range(n_callers)},
-                                     seed=0)
+            # the contended register: one consume of b0 can win
+            oracle = frugal_oracle({f"c{i}": Merit(1.0) for i in range(n_callers)},
+                                   k=1, seed=0)
             # every caller holds a granted token for the same parent
             stamped = {}
             for i in range(n_callers):
                 s = oracle.get_token("b0", Block(id=f"x{i}"), f"c{i}")
                 assert s is not None
                 stamped[i] = s
-            oracle.capacity = 1                     # the contended register
             returns: Dict[str, Any] = {}
             consume_order: List[int] = []
             steps = []

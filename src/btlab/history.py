@@ -282,6 +282,7 @@ class History:
     def from_jsonl(cls, text: str, correct: Optional[Set[str]] = None,
                    complete: bool = False) -> "History":
         events = []
+        genesis = None              # the first block of the first non-empty read chain
         for n, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -310,11 +311,18 @@ class History:
                     f"line {n}: logical_time must be an integer, got {logical_time!r}")
             if type(args) is not list:
                 raise TraceError(f"line {n}: args must be a list, got {args!r}")
-            if kind is EventKind.RESPONSE and op == "read" and not (
-                    returned is None or (type(returned) is list
-                                         and all(type(b) is str for b in returned))):
-                raise TraceError(f"line {n}: a read's returned must be null or a "
-                                 f"list of block ids, got {returned!r}")
+            if kind is EventKind.RESPONSE and op == "read":
+                if not (returned is None or (type(returned) is list
+                                             and all(type(b) is str for b in returned))):
+                    raise TraceError(f"line {n}: a read's returned must be null or a "
+                                     f"list of block ids, got {returned!r}")
+                if returned:
+                    if genesis is None:
+                        genesis = returned[0]
+                    elif returned[0] != genesis:
+                        raise TraceError(
+                            f"line {n}: a read's returned must start at genesis "
+                            f"{genesis!r} like every read before it, got {returned!r}")
             if type(returned) is list:
                 returned = tuple(returned)
             events.append(Event(event_id, kind, str(op), tuple(args), str(process),

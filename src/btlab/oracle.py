@@ -14,9 +14,10 @@ sequences on any platform.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .blocktree import Block
 
@@ -44,35 +45,80 @@ class Token:
     nonce: int
 
 
-def _cell(seed: int, holder: str, index: int) -> float:
-    h = hashlib.sha256(f"{seed}:{holder}:{index}".encode()).digest()
-    return int.from_bytes(h[:8], "big") / 2**64
+@functools.lru_cache(maxsize=None)
+def _grant_bound(p: float) -> bytes:
+    """The smallest integer x with x / 2**64 >= p, as 8 big-endian bytes.
+
+    A cell whose hash starts with h grants iff int(h) / 2**64 < p. Since
+    x -> x / 2**64 is monotone, that holds iff int(h) < X for this X, and
+    comparing equal-length big-endian bytes compares the integers. The
+    bisection tests that same float expression, so bound and rule agree on
+    every x, also where x / 2**64 rounds (p = 1.0, p < 2**-64).
+    """
+    lo, hi = 0, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**64 >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo.to_bytes(8, "big")
+
+
+def _grants(prefix: bytes, bound: bytes, index: int) -> bool:
+    """Whether the cell at `index` of the tape with this prefix and bound grants."""
+    return hashlib.sha256(prefix % index).digest()[:8] < bound
 
 
 @dataclass
 class Tape:
-    """One holder's grant tape. pop() advances the cursor by one cell."""
+    """One holder's grant tape. pop() advances the cursor by one cell.
+
+    Cell i grants iff the first 8 bytes of sha256(b"seed:holder:i") fall
+    below the merit's grant bound; the message prefix and the bound are
+    computed once per tape.
+    """
 
     seed: int
     holder: str
     merit: Merit
     cursor: int = 0
+    _prefix: bytes = field(init=False, repr=False, compare=False)
+    _bound: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._prefix = f"{self.seed}:{self.holder}:".replace("%", "%%").encode() + b"%d"
+        self._bound = _grant_bound(self.merit.grant_probability)
 
     def peek(self, index: int) -> bool:
-        return _cell(self.seed, self.holder, index) < self.merit.grant_probability
+        return _grants(self._prefix, self._bound, index)
+
+    def draw(self, limit: int) -> Tuple[bool, int]:
+        """Pop up to `limit` cells, stopping right after the first grant.
+
+        Returns (granted, cells popped); on exhaustion the cursor has moved
+        by exactly `limit` (by nothing if `limit` < 1).
+        """
+        prefix, bound, start = self._prefix, self._bound, self.cursor
+        stop = start + max(limit, 0)
+        for i in range(start, stop):
+            if _grants(prefix, bound, i):
+                self.cursor = i + 1
+                return True, i + 1 - start
+        self.cursor = stop
+        return False, stop - start
 
     def pop(self) -> bool:
-        granted = self.peek(self.cursor)
-        self.cursor += 1
-        return granted
+        return self.draw(1)[0]
 
 
 class OracleState:
     """Frugal capacity-k oracle; capacity=None is the prodigal oracle.
 
-    get_token pops the caller's tape; on a grant it returns the candidate
-    stamped with a fresh token bound to `parent_id` (the stamped block is
-    thereby valid). consume_token spends a stamped block's token: if the token
+    draw_token pops the caller's tape until a grant or `limit` pops; on a
+    grant it returns the candidate stamped with a fresh token bound to
+    `parent_id` (the stamped block is thereby valid). get_token is the
+    one-pop draw. consume_token spends a stamped block's token: if the token
     is genuine, unconsumed, and the parent still has room, the block joins the
     parent's consumed set. It always returns the current consumed set for the
     parent, so a loser learns who won. A capacity rejection does not burn the
@@ -110,18 +156,27 @@ class OracleState:
 
     # -- operations --------------------------------------------------------
 
-    def get_token(self, parent_id: str, candidate: Block, caller: str) -> Optional[Block]:
-        """Pop the caller's tape; return the stamped candidate on a grant."""
+    def draw_token(self, parent_id: str, candidate: Block, caller: str,
+                   limit: int) -> Tuple[Optional[Block], int]:
+        """Pop the caller's tape up to `limit` times, stopping at the first grant.
+
+        Returns (the stamped candidate, or None if no cell granted; pops spent).
+        """
         tape = self.tapes.get(caller)
         if tape is None:
             raise ConfigError(f"unregistered caller {caller!r}")
-        if not tape.pop():
-            return None
+        granted, popped = tape.draw(limit)
+        if not granted:
+            return None, popped
         self._nonce += 1
         token = Token(tag=f"tkn{self._nonce}", parent_id=parent_id,
                       bearer=caller, nonce=self._nonce)
         self.issued[token.tag] = token
-        return replace(candidate, parent_id=parent_id, token_tag=token.tag)
+        return replace(candidate, parent_id=parent_id, token_tag=token.tag), popped
+
+    def get_token(self, parent_id: str, candidate: Block, caller: str) -> Optional[Block]:
+        """Pop the caller's tape once; return the stamped candidate on a grant."""
+        return self.draw_token(parent_id, candidate, caller, 1)[0]
 
     def consume_token(self, stamped: Block) -> FrozenSet[Block]:
         token = self.issued.get(stamped.token_tag) if stamped.token_tag else None

@@ -1,11 +1,12 @@
 """Oracle-refined ledger: the block tree with appends gated by a token oracle.
 
-A refined append loops on get_token against the leaf of the currently
-selected chain, then consumes the granted token. The leaf is computed once
-per call, because nothing changes the local tree inside one sequential
-grant loop. It appended iff its own stamped block is in the consumed set
-the oracle returns; a capacity loss is a rejection, running out of grant
-attempts is exhaustion, and the two are distinguishable.
+A refined append draws a token against the leaf of the currently selected
+chain, in one oracle call of up to max_grant_attempts tape pops, then
+consumes the granted token. The leaf is selected once per call, before the
+draw, because nothing changes the local tree during it. It appended iff its
+own stamped block is in the consumed set the oracle returns; a capacity loss
+is a rejection, running out of grant attempts is exhaustion, and the two are
+distinguishable.
 """
 
 from __future__ import annotations
@@ -50,23 +51,19 @@ class RefinedLedger:
         return self.tree.read(self.policy)[-1]
 
     def acquire(self, candidate: Block, caller: str) -> AppendResult:
-        """Oracle side of an append: grant loop + consume, no tree change.
+        """Oracle side of an append: draw a token + consume, no tree change.
 
         Used directly by replicated settings where the local tree is updated
         by a separate (possibly delayed) update event.
         """
-        leaf_id = self.selected_leaf().id
-        attempts = 0
-        while attempts < self.max_grant_attempts:
-            attempts += 1
-            stamped = self.oracle.get_token(leaf_id, candidate, caller)
-            if stamped is None:
-                continue
-            consumed = self.oracle.consume_token(stamped)
-            if stamped in consumed:
-                return AppendResult(AppendStatus.APPENDED, stamped, consumed, attempts)
-            return AppendResult(AppendStatus.REJECTED, stamped, consumed, attempts)
-        return AppendResult(AppendStatus.EXHAUSTED, candidate, frozenset(), attempts)
+        stamped, attempts = self.oracle.draw_token(self.selected_leaf().id, candidate,
+                                                   caller, self.max_grant_attempts)
+        if stamped is None:
+            return AppendResult(AppendStatus.EXHAUSTED, candidate, frozenset(), attempts)
+        consumed = self.oracle.consume_token(stamped)
+        if stamped in consumed:
+            return AppendResult(AppendStatus.APPENDED, stamped, consumed, attempts)
+        return AppendResult(AppendStatus.REJECTED, stamped, consumed, attempts)
 
     def refined_append(self, candidate: Block, caller: str) -> AppendResult:
         """Atomic append: acquire and, on success, concatenate locally."""

@@ -179,11 +179,12 @@ def test_check_rejects_malformed_traces(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err, (field, value, err)
     bad.write_text("".join(json.dumps(e) + "\n" for e in FOREIGN_GENESIS))
-    for flags in (["--criterion", "eventual-prefix", "--window", "1"], ["--window", "1"]):
+    for flags in (["--criterion", "eventual-prefix", "--window", "1"], ["--window", "1"],
+                  [], ["--criterion", "sc"]):
         capsys.readouterr()
         assert run_cli("check", str(bad), *flags) == 2, flags
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "genesis" in err, (flags, err)
+        assert err.count("\n") == 1 and "genesis" in err and "returned" in err, (flags, err)
 
 
 # -- replay --------------------------------------------------------------------------------

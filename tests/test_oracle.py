@@ -6,8 +6,9 @@ import random
 import pytest
 
 from btlab.blocktree import Block
-from btlab.oracle import (ConfigError, Merit, OracleState, Tape, Token,
+from btlab.oracle import (ConfigError, Merit, OracleState, Tape, Token, _grant_bound,
                           frugal_oracle, prodigal_oracle)
+from btlab.refinement import AppendStatus, RefinedLedger
 
 
 def reference_cell(seed, holder, index):
@@ -74,6 +75,69 @@ def test_grant_rate_tracks_merit():
     assert 4850 <= grants <= 5150
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.3, 0.02, 1e-3, 2**-40, 2**-70])
+def test_grant_bound_is_the_smallest_granting_threshold(p):
+    bound = int.from_bytes(_grant_bound(p), "big")
+    # cell value x grants iff x / 2**64 < p, i.e. iff x < bound
+    assert (bound - 1) / 2**64 < p <= bound / 2**64
+    assert 1 <= bound < 2**64
+
+
+def reference_draw(seed, holder, p, start, limit):
+    """Pop cells one at a time from `start` until a grant or `limit` pops."""
+    for popped in range(1, limit + 1):
+        if reference_cell(seed, holder, start + popped - 1) < p:
+            return True, popped, start + popped
+    return False, limit, start + limit
+
+
+def test_draw_matches_popping_reference_cells_one_at_a_time():
+    rng = random.Random(5)
+    cases = 0
+    for _ in range(150):
+        seed = rng.randrange(10**6)
+        holder = rng.choice(["p0", "miner", "p%d", "100%", "%s%%"])
+        p = rng.choice([1.0, 0.5, 0.3, 0.02])
+        start = rng.randrange(500)
+        first = reference_draw(seed, holder, p, start, 10**6)[1]  # pops to the first grant
+        for limit in {1, first - 1, first, first + 1, rng.randrange(1, 200)}:
+            if limit < 1:
+                continue
+            tape = Tape(seed=seed, holder=holder, merit=Merit(p), cursor=start)
+            granted, popped = tape.draw(limit)
+            assert (granted, popped, tape.cursor) == reference_draw(
+                seed, holder, p, start, limit), (seed, holder, p, start, limit)
+            cases += 1
+    assert cases > 400
+
+
+def test_draw_exhaustion_advances_the_cursor_by_exactly_the_limit():
+    tape = Tape(seed=2026, holder="miner", merit=Merit(2**-70))
+    assert tape.draw(300) == (False, 300) and tape.cursor == 300
+    assert tape.draw(0) == (False, 0) and tape.cursor == 300
+    # seed 2026 / "miner" / p=0.5: cells 3, 4 blank, cell 5 grants (the last allowed)
+    tape = Tape(seed=2026, holder="miner", merit=Merit(0.5), cursor=3)
+    assert tape.draw(2) == (False, 2) and tape.cursor == 5
+    tape.cursor = 3
+    assert tape.draw(3) == (True, 3) and tape.cursor == 6
+
+
+def test_acquire_attempts_equal_the_tape_cursor_delta():
+    rng = random.Random(9)
+    statuses = set()
+    for _ in range(60):
+        oracle = frugal_oracle({"a": Merit(rng.choice([1.0, 0.3, 0.02])),
+                                "b": Merit(0.5)}, k=1, seed=rng.randrange(10**6))
+        ledger = RefinedLedger(oracle=oracle, max_grant_attempts=rng.randint(1, 60))
+        for i in range(8):
+            caller = rng.choice("ab")
+            before = oracle.tapes[caller].cursor
+            result = ledger.acquire(Block(id=f"x{i}"), caller)
+            assert result.attempts == oracle.tapes[caller].cursor - before
+            statuses.add(result.status)
+    assert statuses == set(AppendStatus)
+
+
 # -- token issue and consumption ----------------------------------------------
 
 
@@ -93,6 +157,19 @@ def test_get_token_returns_none_on_blank_cell():
     results = [oracle.get_token("b0", Block(id=f"x{i}"), "miner")
                for i in range(5)]
     assert [r is not None for r in results] == [True, True, True, False, False]
+
+
+def test_draw_token_stamps_after_the_pops_get_token_would_spend():
+    one_by_one = prodigal_oracle({"miner": Merit(0.5)}, seed=2026)
+    at_once = prodigal_oracle({"miner": Merit(0.5)}, seed=2026)
+    for i in range(12):
+        candidate = Block(id=f"x{i}")
+        pops, stamped = 1, one_by_one.get_token("b0", candidate, "miner")
+        while stamped is None:
+            pops, stamped = pops + 1, one_by_one.get_token("b0", candidate, "miner")
+        assert at_once.draw_token("b0", candidate, "miner", 10**6) == (stamped, pops)
+    assert at_once.draw_token("b0", Block(id="y"), "miner", 0) == (None, 0)
+    assert at_once.issued == one_by_one.issued
 
 
 def test_unregistered_caller_is_a_config_error():

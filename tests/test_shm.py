@@ -4,7 +4,7 @@ import math
 import random
 
 from btlab.blocktree import Block
-from btlab.oracle import Merit, frugal_oracle, prodigal_oracle
+from btlab.oracle import Merit, frugal_oracle
 from btlab.shm import (CrashSchedule, Proposer, ProposerPhase, RegisterSpace,
                        cas_via_consume, cas_via_consume_steps,
                        consume_via_snapshot_steps, interleavings,
@@ -58,10 +58,10 @@ def test_run_interleaving_steps_each_caller_in_its_own_order():
 
 
 def one_slot_oracle(n_callers):
-    oracle = prodigal_oracle({f"c{i}": Merit(1.0) for i in range(n_callers)})
+    # b0 is a single-winner slot that every caller holds a token for
+    oracle = frugal_oracle({f"c{i}": Merit(1.0) for i in range(n_callers)}, k=1)
     stamped = {i: oracle.get_token("b0", Block(id=f"x{i}"), f"c{i}")
                for i in range(n_callers)}
-    oracle.capacity = 1          # from here on, b0 is a single-winner slot
     return oracle, stamped
 
 
