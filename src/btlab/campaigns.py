@@ -194,12 +194,9 @@ def _random_scenario(seed: int) -> Scenario:
 
 
 def hierarchy_corpus(count: int, seed: int = 0):
-    """Yield (label, history, window) pairs: figures first, then random runs."""
-    for name in ("figure-3", "figure-4", "figure-5", "figure-6"):
-        sc = preset(name)
-        yield name, run_scenario(sc).history, sc.window()
-    for name in ("bitcoin-like", "consortium-like", "fork-strong-violation",
-                 "update-drop"):
+    """Yield (label, history, window) pairs: the eight presets, then random runs."""
+    for name in ("figure-3", "figure-4", "figure-5", "figure-6", "bitcoin-like",
+                 "consortium-like", "fork-strong-violation", "update-drop"):
         sc = preset(name)
         yield name, run_scenario(sc).history, sc.window()
     for i in range(max(0, count - 8)):

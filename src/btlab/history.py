@@ -214,15 +214,6 @@ class History:
             return self._seq[a.event_id] < self._seq[b.event_id]
         return self._out[a.event_id] < self._in[b.event_id]
 
-    def program_order(self) -> Set[Tuple[int, int]]:
-        """All ordered pairs (by id). Quadratic; meant for desk-scale histories."""
-        out = set()
-        for a in self.events:
-            for b in self.events:
-                if a.event_id != b.event_id and self.po(a, b):
-                    out.add((a.event_id, b.event_id))
-        return out
-
     # -- reads -----------------------------------------------------------------
 
     def reads(self) -> List[Operation]:
@@ -235,25 +226,9 @@ class History:
     # -- restriction -------------------------------------------------------------
 
     def restricted(self) -> "History":
-        """Keep only the checker-visible events.
-
-        Read invocations/responses at correct processes; append invocations
-        carrying valid blocks (any process); send/receive/update at correct
-        processes. Everything else (append responses, oracle chatter,
-        Byzantine communication) drops out. Idempotent.
-        """
-        correct = self.correct
-        kept = []
-        for e in self.events:
-            if e.op == "read" and e.process in correct:
-                kept.append(e)
-            elif e.op == "append" and e.kind is EventKind.INVOCATION:
-                if _append_is_valid(e):
-                    kept.append(e)
-            elif e.kind in _COMMUNICATION:
-                if e.process in correct:
-                    kept.append(e)
-        return History(kept, correct=correct, complete=self.complete)
+        """Keep only the checker-visible events (see `restrict`). Idempotent."""
+        return History(restrict(self.events, self.correct), correct=self.correct,
+                       complete=self.complete)
 
     # -- serialization --------------------------------------------------------------
 
@@ -330,6 +305,27 @@ class History:
         return cls(events, correct=correct, complete=complete)
 
 
+def restrict(events: Iterable[Event], correct: Set[str]) -> List[Event]:
+    """The checker-visible events, in their given order.
+
+    Read invocations/responses at correct processes; append invocations
+    carrying valid blocks (any process); send/receive/update at correct
+    processes. Everything else (append responses, oracle chatter,
+    Byzantine communication) drops out.
+    """
+    kept = []
+    for e in events:
+        if e.op == "read" and e.process in correct:
+            kept.append(e)
+        elif e.op == "append" and e.kind is EventKind.INVOCATION:
+            if _append_is_valid(e):
+                kept.append(e)
+        elif e.kind in _COMMUNICATION:
+            if e.process in correct:
+                kept.append(e)
+    return kept
+
+
 def _append_is_valid(e: Event) -> bool:
     # append invocation args: (block_id, parent_id, valid_flag); scripted
     # histories may omit the flag, which means valid.
@@ -350,15 +346,15 @@ class Recorder:
     """Accumulates events with fresh ids under a single logical clock."""
 
     def __init__(self):
-        self._events: List[Event] = []
+        self.events: List[Event] = []
         self._next_id = 0
 
     def emit(self, kind: EventKind, op: str, process: str, logical_time: int,
              args: Sequence[Any] = (), returned: Any = None) -> Event:
         e = Event(self._next_id, kind, op, tuple(args), process, logical_time, returned)
         self._next_id += 1
-        self._events.append(e)
+        self.events.append(e)
         return e
 
     def history(self, correct: Optional[Set[str]] = None, complete: bool = False) -> History:
-        return History(self._events, correct=correct, complete=complete)
+        return History(self.events, correct=correct, complete=complete)

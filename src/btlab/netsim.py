@@ -11,22 +11,25 @@ self-deliver. Blocks arriving before their parent wait in an orphan buffer.
 
 Everything runs on a single-threaded event loop keyed by
 (tick, action class, schedule order), so equal seeds give byte-identical
-traces. Scenarios come from JSON config files or the built-in presets; a
-scenario may instead carry a fixed event script, in which case running it
-just replays the script into a history.
+traces. Scenarios come from JSON config files, the presets among them
+(shipped in btlab/presets); a scenario may instead carry a fixed event
+script, in which case running it just replays the script into a history.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import json
 import random
 from dataclasses import dataclass, field, asdict
-from typing import Any, Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from pathlib import Path
+from typing import Any, Container, Dict, List, Optional, Set, Tuple
 
 from .blocktree import Block, BlockTree
 from .checkers import EventualityWindow, Verdict, run_checker
-from .history import EventKind, History, Recorder
+from .history import Event, EventKind, History, Recorder, restrict
 from .oracle import Merit, OracleState
 from .refinement import AppendStatus, RefinedLedger
 
@@ -143,10 +146,6 @@ class Scenario:
             "max_grant_attempts": self.max_grant_attempts,
         }
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Scenario":
-        return scenario_from_dict(doc)
-
 
 def _require(cond: bool, msg: str):
     if not cond:
@@ -245,11 +244,17 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
 class SimRun:
     scenario: Scenario
     history: History                  # checker-visible (restricted)
-    full_history: History             # everything, oracle chatter included
+    events: List[Event]               # everything, oracle chatter included
     oracle: Optional[OracleState]
     ledgers: Dict[str, RefinedLedger]
     undelivered: int = 0
     dropped: int = 0
+
+    @cached_property
+    def full_history(self) -> History:
+        """All recorded events as a History, built on first access."""
+        return History(self.events, correct=self.scenario.correct_set(),
+                       complete=self.scenario.declared_complete)
 
 
 class _Replica:
@@ -287,34 +292,17 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
     undelivered = 0
     dropped = 0
 
-    def broadcast(sender: str, block: Block, tick: int):
-        """One send event; per-destination deliveries follow channel delays."""
+    def send(sender: str, block: Block, tick: int, skip: Container[str], extra: int):
+        """Deliver block to every process not in skip, after channel delays
+        plus extra ticks."""
         nonlocal dropped, undelivered
-        spec = replicas[sender].spec
-        withheld = set(spec.script.get("withhold_from", []))
-        extra = int(spec.script.get("send_delay", 0))
         for dest in order:
-            if dest in withheld:
+            if dest in skip:
                 continue
             if scenario.channel.dropped(block.id, sender, dest):
                 dropped += 1
                 continue
             at = tick + extra + scenario.channel.delay(sender, dest, tick, rng)
-            if at > scenario.duration:
-                undelivered += 1
-                continue
-            push(at, _DELIVER, "deliver", (dest, block))
-
-    def forward(sender: str, block: Block, tick: int):
-        """Echo: a first receive re-forwards once to every other process."""
-        nonlocal dropped, undelivered
-        for dest in order:
-            if dest == sender:
-                continue
-            if scenario.channel.dropped(block.id, sender, dest):
-                dropped += 1
-                continue
-            at = tick + scenario.channel.delay(sender, dest, tick, rng)
             if at > scenario.duration:
                 undelivered += 1
                 continue
@@ -365,7 +353,9 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
             if res:
                 rec.emit(EventKind.SEND, "send", payload, tick,
                          args=(res.block.parent_id, res.block.id))
-                broadcast(payload, res.block, tick)
+                script = rep.spec.script      # Byzantine withholding and lag
+                send(payload, res.block, tick, set(script.get("withhold_from", [])),
+                     int(script.get("send_delay", 0)))
         elif action == "deliver":
             dest, block = payload
             rep = replicas[dest]
@@ -379,16 +369,17 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
                 rep.seen.add(block.id)
                 if rep.spec.correct:
                     integrate(rep, block, tick)
-                    forward(dest, block, tick)
+                    send(dest, block, tick, (dest,), 0)    # echo to every other process
         elif action == "read":
             rep = replicas[payload]
             chain = [b.id for b in rep.ledger.read()]
             rec.emit(EventKind.INVOCATION, "read", payload, tick)
             rec.emit(EventKind.RESPONSE, "read", payload, tick, returned=chain)
 
-    full = rec.history(correct=scenario.correct_set(),
-                       complete=scenario.declared_complete)
-    return SimRun(scenario=scenario, history=full.restricted(), full_history=full,
+    correct = scenario.correct_set()
+    history = History(restrict(rec.events, correct), correct=correct,
+                      complete=scenario.declared_complete)
+    return SimRun(scenario=scenario, history=history, events=rec.events,
                   oracle=oracle, ledgers={k: r.ledger for k, r in replicas.items()},
                   undelivered=undelivered, dropped=dropped)
 
@@ -402,10 +393,14 @@ def _replay_script(scenario: Scenario) -> SimRun:
                      args=tuple(ev.get("args", ())), returned=_tup(ev.get("returned")))
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"bad script event {ev!r}: {exc}") from exc
+    # a script comes from outside: building its full history now rejects a
+    # malformed one (a response without invocation, say) at run time
     full = rec.history(correct=scenario.correct_set(),
                        complete=scenario.declared_complete)
-    return SimRun(scenario=scenario, history=full.restricted(), full_history=full,
-                  oracle=None, ledgers={})
+    run = SimRun(scenario=scenario, history=full.restricted(), events=full.events,
+                 oracle=None, ledgers={})
+    run.full_history = full
+    return run
 
 
 def _tup(v):
@@ -440,201 +435,15 @@ def evaluate_run(run: SimRun) -> Dict[str, Any]:
 
 # -- presets ---------------------------------------------------------------------
 
-
-def _script_event(kind: str, op: str, args, process: str, t: int, returned=None):
-    return {"kind": kind, "op": op, "args": list(args), "process": process,
-            "logical_time": t, "returned": returned}
-
-
-def _reads(proc: str, spans):
-    out = []
-    for inv_t, rsp_t, chain in spans:
-        out.append(_script_event("invocation", "read", (), proc, inv_t))
-        out.append(_script_event("response", "read", (), proc, rsp_t, list(chain)))
-    return out
-
-
-def _appends(proc: str, blocks):
-    return [_script_event("invocation", "append", (blk, parent), proc, t)
-            for blk, parent, t in blocks]
-
-
-def _preset_figure_3() -> Scenario:
-    script = (
-        _appends("i", [("1", "b0", 0), ("2", "1", 0), ("3", "2", 5), ("4", "3", 10)])
-        + _reads("i", [(1, 2, ["b0", "1", "2"]),
-                       (6, 7, ["b0", "1", "2", "3"]),
-                       (11, 12, ["b0", "1", "2", "3", "4"])])
-        + _reads("j", [(3, 4, ["b0", "1"]),
-                       (8, 9, ["b0", "1", "2"]),
-                       (13, 14, ["b0", "1", "2", "3", "4"])])
-    )
-    return Scenario(
-        name="figure-3",
-        description="Scripted two-process history whose reads always observe "
-                    "nested chains: the strong criterion holds.",
-        processes=[ProcessSpec("i"), ProcessSpec("j")],
-        script=script, stabilization_suffix=1, declared_complete=True,
-        expected_verdicts={"sc": "PASS", "ec": "PASS"})
-
-
-def _preset_figure_4() -> Scenario:
-    script = (
-        _appends("i", [("1", "b0", 0), ("2", "b0", 0), ("4", "2", 1)])
-        + _appends("j", [("3", "1", 7), ("5", "3", 11)])
-        + _reads("i", [(2, 4, ["b0", "2", "4"]),
-                       (6, 9, ["b0", "2", "4"]),
-                       (12, 16, ["b0", "1", "3", "5"])])
-        + _reads("j", [(5, 6, ["b0", "1"]),
-                       (8, 10, ["b0", "1", "3"]),
-                       (14, 18, ["b0", "1", "3", "5"])])
-    )
-    return Scenario(
-        name="figure-4",
-        description="Scripted fork that heals: early reads disagree (strong "
-                    "prefix fails) but the tails converge, so the eventual "
-                    "criterion holds.",
-        processes=[ProcessSpec("i"), ProcessSpec("j")],
-        script=script, stabilization_suffix=1, declared_complete=True,
-        expected_verdicts={"sc": "FAIL", "ec": "PASS", "strong-prefix": "FAIL"})
-
-
-def _preset_figure_5() -> Scenario:
-    script = (
-        _appends("i", [("1", "b0", 0), ("2", "b0", 0), ("4", "2", 1), ("6", "4", 11)])
-        + _appends("j", [("3", "1", 7), ("5", "3", 11)])
-        + _reads("i", [(2, 4, ["b0", "2", "4"]),
-                       (6, 9, ["b0", "2", "4"]),
-                       (12, 16, ["b0", "2", "4", "6"])])
-        + _reads("j", [(5, 6, ["b0", "1"]),
-                       (8, 10, ["b0", "1", "3"]),
-                       (14, 18, ["b0", "1", "3", "5"])])
-    )
-    return Scenario(
-        name="figure-5",
-        description="Scripted permanent fork: the two processes keep growing "
-                    "disjoint branches, so even the eventual criterion fails.",
-        processes=[ProcessSpec("i"), ProcessSpec("j")],
-        script=script, stabilization_suffix=1, declared_complete=True,
-        expected_verdicts={"sc": "FAIL", "ec": "FAIL", "eventual-prefix": "FAIL"})
-
-
-def _preset_figure_6() -> Scenario:
-    script = [
-        _script_event("send", "send", ("b0", "1"), "i", 1),
-        _script_event("update", "update", ("b0", "1"), "i", 2),
-        _script_event("receive", "receive", ("b0", "1"), "i", 6),
-        _script_event("receive", "receive", ("b0", "1"), "j", 7),
-        _script_event("receive", "receive", ("b0", "1"), "k", 8),
-        _script_event("update", "update", ("b0", "1"), "j", 9),
-        _script_event("update", "update", ("b0", "1"), "k", 10),
-    ]
-    return Scenario(
-        name="figure-6",
-        description="Scripted broadcast round: the originator updates before "
-                    "its own delivery, everyone else receives then updates.",
-        processes=[ProcessSpec("i"), ProcessSpec("j"), ProcessSpec("k")],
-        script=script, stabilization_suffix=1, declared_complete=True,
-        expected_verdicts={"update-agreement": "PASS", "lrc": "PASS"})
-
-
-def _mesh_delays(procs: List[str], self_delay: int, cross_delay: int):
-    out = [{"from": p, "to": p, "delay": self_delay} for p in procs]
-    out += [{"from": a, "to": b, "delay": cross_delay}
-            for a in procs for b in procs if a != b]
-    return out
-
-
-def _preset_fork_strong_violation() -> Scenario:
-    procs = ["p0", "p1"]
-    return Scenario(
-        name="fork-strong-violation",
-        description="Two processes win tokens for the same parent (unbounded "
-                    "capacity) and each applies the other's block before its "
-                    "own; the concurrent reads are not prefix-comparable. "
-                    "Capacity 1 removes the fork and the violation.",
-        processes=[ProcessSpec(p, merit=1.0, block_interval=100, append_offset=10,
-                               read_interval=11, read_offset=0) for p in procs],
-        channel=ChannelModel(kind=ChannelKind.SYNCHRONOUS, delta=4,
-                             delays=_mesh_delays(procs, self_delay=3, cross_delay=1)),
-        oracle=OracleSpec(capacity=None, seed=7),
-        seed=7, duration=13, declared_complete=True, stabilization_suffix=1,
-        expected_verdicts={"strong-prefix": "FAIL", "sc": "FAIL", "ec": "PASS"})
-
-
-def _preset_update_drop() -> Scenario:
-    procs = ["p0", "p1", "p2"]
-    return Scenario(
-        name="update-drop",
-        description="One appender, three replicas; every copy of the first "
-                    "block toward p2 is lost, so p2 never updates and the "
-                    "replicas diverge forever. Removing the drop heals "
-                    "everything.",
-        processes=[
-            ProcessSpec("p0", merit=1.0, block_interval=10, append_offset=10,
-                        read_interval=7, read_offset=0),
-            ProcessSpec("p1", merit=1.0, read_interval=7, read_offset=0),
-            ProcessSpec("p2", merit=1.0, read_interval=7, read_offset=0),
-        ],
-        channel=ChannelModel(kind=ChannelKind.SYNCHRONOUS, delta=1,
-                             drops=[{"block": "p0-1", "to": "p2"}]),
-        oracle=OracleSpec(capacity=None, seed=11),
-        seed=11, duration=45, declared_complete=True, stabilization_suffix=1,
-        expected_verdicts={"update-agreement": "FAIL", "lrc": "FAIL", "ec": "FAIL"})
-
-
-def _preset_bitcoin_like() -> Scenario:
-    procs = [f"p{i}" for i in range(4)]
-    return Scenario(
-        name="bitcoin-like",
-        description="Unbounded-capacity oracle, longest chain, competing "
-                    "appenders every interval with delivery well under it: "
-                    "reads taken right after an append diverge at the tip "
-                    "(no strong prefix) but the chains heal every round.",
-        processes=[ProcessSpec(p, merit=0.5, block_interval=10, append_offset=10,
-                               read_interval=10, read_offset=1) for p in procs],
-        channel=ChannelModel(kind=ChannelKind.SYNCHRONOUS, delta=3,
-                             delays=_mesh_delays(procs, self_delay=1, cross_delay=2)),
-        oracle=OracleSpec(capacity=None, seed=3),
-        seed=3, duration=55, declared_complete=True, stabilization_suffix=1,
-        expected_verdicts={"sc": "FAIL", "ec": "PASS"})
-
-
-def _preset_consortium_like() -> Scenario:
-    procs = [f"p{i}" for i in range(4)]
-    return Scenario(
-        name="consortium-like",
-        description="Capacity-1 oracle: one token per parent ever, so the "
-                    "replicated tree is a single path and every read is a "
-                    "prefix of every later one.",
-        processes=[ProcessSpec(p, merit=1.0, block_interval=10, append_offset=10,
-                               read_interval=10, read_offset=3) for p in procs],
-        channel=ChannelModel(kind=ChannelKind.SYNCHRONOUS, delta=3,
-                             delays=_mesh_delays(procs, self_delay=1, cross_delay=2)),
-        oracle=OracleSpec(capacity=1, seed=5),
-        seed=5, duration=56, declared_complete=True, stabilization_suffix=1,
-        expected_verdicts={"sc": "PASS", "ec": "PASS"})
-
-
-PRESETS = {
-    "bitcoin-like": _preset_bitcoin_like,
-    "consortium-like": _preset_consortium_like,
-    "fork-strong-violation": _preset_fork_strong_violation,
-    "update-drop": _preset_update_drop,
-    "figure-3": _preset_figure_3,
-    "figure-4": _preset_figure_4,
-    "figure-5": _preset_figure_5,
-    "figure-6": _preset_figure_6,
-}
+_PRESETS_DIR = Path(__file__).resolve().parent / "presets"
 
 
 def preset_names() -> List[str]:
-    return sorted(PRESETS)
+    return sorted(path.stem for path in _PRESETS_DIR.glob("*.json"))
 
 
 def preset(name: str) -> Scenario:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise ScenarioError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    names = preset_names()
+    if name not in names:
+        raise ScenarioError(f"unknown preset {name!r}; available: {', '.join(names)}")
+    return scenario_from_dict(json.loads((_PRESETS_DIR / f"{name}.json").read_text()))

@@ -70,6 +70,17 @@ def test_run_rejects_unknown_names_and_bad_files(tmp_path, capsys):
     assert err.count("\n") == 1 and "merit" in err
 
 
+def test_run_rejects_a_script_response_without_invocation(tmp_path, capsys):
+    doc = preset("figure-3").to_dict()
+    doc["script"] = [{"kind": "response", "op": "read", "args": [], "process": "i",
+                      "logical_time": 1, "returned": ["b0"]}]
+    path = tmp_path / "orphan-response.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "response without invocation" in err
+
+
 def test_seed_flag_overrides_scenario_and_oracle_seed(tmp_path):
     assert run_cli("run", "bitcoin-like", "--seed", "4", "--out",
                    str(tmp_path)) in (0, 1)     # expectations may shift off-seed

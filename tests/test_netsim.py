@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 from btlab.checkers import Status, run_checker
-from btlab.history import EventKind
+from btlab.history import EventKind, History
 from btlab.netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                           Scenario, ScenarioError, evaluate_run, preset,
                           preset_names, run_scenario, scenario_from_dict)
 
-PRESETS_DIR = Path(__file__).resolve().parent.parent / "presets"
+PRESETS_DIR = Path(__file__).resolve().parent.parent / "src" / "btlab" / "presets"
 
 EXPECTED_PRESET_VERDICTS = {
     "figure-3": {"sc": "PASS", "ec": "PASS"},
@@ -145,12 +145,13 @@ def test_preset_verdicts_match_their_stated_expectations(name):
     assert report["ok"], report["verdicts"]
 
 
-def test_preset_files_cover_every_builtin():
-    assert sorted(path.stem for path in PRESETS_DIR.glob("*.json")) == preset_names()
+def test_preset_names_are_the_expected_presets():
+    assert preset_names() == sorted(EXPECTED_PRESET_VERDICTS)
 
 
 @pytest.mark.parametrize("name", preset_names())
 def test_preset_file_equals_its_builtin(name):
+    # the shipped file is in canonical form: loading and re-dumping changes nothing
     doc = json.loads((PRESETS_DIR / f"{name}.json").read_text())
     assert doc == preset(name).to_dict()
     assert scenario_from_dict(doc) == preset(name)
@@ -159,6 +160,12 @@ def test_preset_file_equals_its_builtin(name):
 def test_unknown_preset_is_a_scenario_error():
     with pytest.raises(ScenarioError):
         preset("no-such-thing")
+
+
+@pytest.mark.parametrize("name", ["../pyproject", "figure-3/../figure-4"])
+def test_preset_opens_only_listed_names(name):
+    with pytest.raises(ScenarioError, match="unknown preset"):
+        preset(name)
 
 
 def test_scripted_figure_replays_are_fixed_event_sequences():
@@ -295,6 +302,23 @@ def test_byzantine_processes_leave_only_append_invocations_in_the_trace():
     assert {e.kind for e in byz_events} == {EventKind.INVOCATION}
     full_byz_ops = {e.op for e in run.full_history.events if e.process == "p2"}
     assert "send" in full_byz_ops                  # it did broadcast underneath
+
+
+def test_a_run_builds_one_history_and_the_full_one_on_first_read(monkeypatch):
+    built = []
+    init = History.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(History, "__init__", counting)
+    run = run_scenario(small_scenario(9, byzantine=("p2",)))
+    assert len(built) == 1 and built[0] is run.history     # the restricted one only
+    full = run.full_history
+    assert len(built) == 2 and built[1] is full
+    assert run.full_history is full                         # built once
+    assert full.restricted().to_jsonl() == run.history.to_jsonl()
 
 
 def test_duplication_repeats_receives_but_never_updates():
