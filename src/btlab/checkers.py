@@ -11,15 +11,23 @@ depicted tail is forever).
 The trailing window holds the last `stabilization_suffix` completed reads of
 each process. Window reads are evidence, not references: an eventuality is
 judged for reads that still have a future inside the trace.
+
+A History is immutable, so each criterion is judged at most once per history
+and arguments: every `check_*` keeps its verdict in `History.verdict_cache`,
+and `sc`/`ec` compose the verdicts of the standalone criteria they contain.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from .blocktree import length_score, mcps, prefix_comparable
+from .blocktree import DomainError, length_score, mcps, prefix_comparable
 from .history import Event, EventKind, History, Operation, returned_chain
 
 ScoreFn = Callable[[Tuple[str, ...]], int]
@@ -31,13 +39,13 @@ class Status:
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     criterion: str
     status: str
     witness: Tuple[int, ...] = ()          # event ids pinning a violation
     detail: str = ""
-    parts: Dict[str, "Verdict"] = field(default_factory=dict)
+    parts: Mapping[str, "Verdict"] = field(default_factory=lambda: MappingProxyType({}))
 
     def __str__(self):
         tail = f" witness={list(self.witness)}" if self.witness else ""
@@ -59,6 +67,31 @@ class EventualityWindow:
 DEFAULT_WINDOW = EventualityWindow()
 
 
+def _judged_once(check: Callable[..., Verdict]) -> Callable[..., Verdict]:
+    """Memoise `check` in the history's `verdict_cache`, keyed by the criterion
+    and its arguments with the defaults filled in. A raised error is not kept.
+    """
+    criterion = check.__name__[len("check_"):].replace("_", "-")
+    arity = check.__code__.co_argcount - 1          # parameters after the history
+    defaults = check.__defaults__ or ()
+    signature = inspect.signature(check)
+
+    @functools.wraps(check)
+    def judged(h: History, *args, **kwargs) -> Verdict:
+        if kwargs:
+            bound = signature.bind(h, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        elif len(args) < arity:
+            args += defaults[len(args) - arity:]
+        key = (criterion, args)
+        verdict = h.verdict_cache.get(key)
+        if verdict is None:
+            verdict = h.verdict_cache[key] = check(h, *args)
+        return verdict
+    return judged
+
+
 def _split_window(h: History, window: EventualityWindow):
     """(reference reads, window reads), both in response order.
 
@@ -78,6 +111,7 @@ def _split_window(h: History, window: EventualityWindow):
 # -- block validity -------------------------------------------------------
 
 
+@_judged_once
 def check_block_validity(h: History, genesis_id: str = "b0") -> Verdict:
     """Every block a read returns must have been appended beforehand: at an
     earlier tick, or earlier on the reading process."""
@@ -104,6 +138,7 @@ def check_block_validity(h: History, genesis_id: str = "b0") -> Verdict:
 # -- local monotonic read -----------------------------------------------------
 
 
+@_judged_once
 def check_local_monotonic_read(h: History, score: ScoreFn = length_score) -> Verdict:
     """Per process, read scores never decrease."""
     for p in h.processes:
@@ -121,6 +156,7 @@ def check_local_monotonic_read(h: History, score: ScoreFn = length_score) -> Ver
 # -- strong prefix ---------------------------------------------------------------
 
 
+@_judged_once
 def check_strong_prefix(h: History) -> Verdict:
     """Any two returned chains, whoever read them, must be prefix-comparable.
 
@@ -148,6 +184,7 @@ def check_strong_prefix(h: History) -> Verdict:
 # -- ever growing tree -------------------------------------------------------------
 
 
+@_judged_once
 def check_ever_growing_tree(h: History, window: EventualityWindow = DEFAULT_WINDOW,
                             score: ScoreFn = length_score) -> Verdict:
     """Only finitely many later reads may score <= a read's score.
@@ -171,37 +208,75 @@ def check_ever_growing_tree(h: History, window: EventualityWindow = DEFAULT_WIND
 # -- eventual prefix ----------------------------------------------------------------
 
 
+# (pairs in visiting order, running minimum of their mcps, the error that ended the walk)
+_Walk = Tuple[List[Tuple[int, int]], List[int], Optional[DomainError]]
+
+
+def _walk_pairs(after: Tuple[int, ...], chains: List[Tuple[str, ...]],
+                agree: Dict[Tuple[int, int], int], score: ScoreFn) -> _Walk:
+    """Visit the pairs of non-empty chains of an after set, earlier read first,
+    and keep the running minimum of their common-prefix scores. Scores are
+    shared between walks through `agree`. A `DomainError` ends the walk: it is
+    raised only for a reference that finds no violation before it.
+    """
+    pairs: List[Tuple[int, int]] = []
+    lows: List[int] = []
+    low = math.inf
+    for k, i in enumerate(after):
+        if not chains[i]:
+            continue
+        for j in after[k + 1:]:
+            if not chains[j]:
+                continue
+            m = agree.get((i, j))
+            if m is None:
+                try:
+                    m = agree[(i, j)] = mcps(chains[i], chains[j], score)
+                except DomainError as exc:
+                    return pairs, lows, exc
+            if m < low:
+                low = m
+            pairs.append((i, j))
+            lows.append(low)
+    return pairs, lows, None
+
+
+@_judged_once
 def check_eventual_prefix(h: History, window: EventualityWindow = DEFAULT_WINDOW,
                           score: ScoreFn = length_score) -> Verdict:
     """For each reference read, later reads eventually agree up to its score.
 
     A violating pair inside the trailing window means the divergence has not
     healed by the end of the trace: INCONCLUSIVE, or FAIL when the history is
-    declared complete (the tail persists forever). The score of each window
-    pair's common prefix is computed once and shared by every reference.
+    declared complete (the tail persists forever).
+
+    A reference's after set is the window reads that follow it in program
+    order. Each distinct after set is walked once (see `_walk_pairs`); a
+    reference with score s violates iff the walk's running minimum falls
+    below s, first at the pair where it does. The running minimum never
+    rises, so a binary search finds that pair.
     """
     refs, last = _split_window(h, window)
     chains = [returned_chain(o) for o in last]
     agree: Dict[Tuple[int, int], int] = {}            # window pair -> mcps
+    walks: Dict[Tuple[int, ...], _Walk] = {}          # after set -> its walk
     for r in refs:
         s = score(returned_chain(r))
-        after = [i for i, o in enumerate(last) if h.po(r.response, o.response)]
-        for k, i in enumerate(after):
-            if not chains[i]:
-                continue
-            for j in after[k + 1:]:
-                if not chains[j]:
-                    continue
-                m = agree.get((i, j))
-                if m is None:
-                    m = agree[(i, j)] = mcps(chains[i], chains[j], score)
-                if m < s:
-                    status = Status.FAIL if h.complete else Status.INCONCLUSIVE
-                    return Verdict(
-                        "eventual-prefix", status,
-                        (r.response.event_id, last[i].response.event_id,
-                         last[j].response.event_id),
-                        f"window reads agree only below score {s}")
+        after = tuple(i for i, o in enumerate(last) if h.po(r.response, o.response))
+        walk = walks.get(after)
+        if walk is None:
+            walk = walks[after] = _walk_pairs(after, chains, agree, score)
+        pairs, lows, error = walk
+        if lows and lows[-1] < s:
+            i, j = pairs[bisect_left(lows, True, key=lambda low: low < s)]
+            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
+            return Verdict(
+                "eventual-prefix", status,
+                (r.response.event_id, last[i].response.event_id,
+                 last[j].response.event_id),
+                f"window reads agree only below score {s}")
+        if error is not None:       # the walk of this reference reaches it
+            raise error
     return Verdict("eventual-prefix", Status.PASS)
 
 
@@ -226,6 +301,7 @@ def _block_owner(h: History) -> Dict[str, str]:
     return owner
 
 
+@_judged_once
 def check_update_agreement(h: History) -> Verdict:
     """R1: own updates are broadcast. R2: foreign updates follow a local
     receive. R3: an updated block is eventually received everywhere."""
@@ -267,6 +343,7 @@ def check_update_agreement(h: History) -> Verdict:
 # -- reliable broadcast (validity + agreement) ------------------------------------------
 
 
+@_judged_once
 def check_lrc(h: History) -> Verdict:
     """Broadcast contract: a sender delivers to itself, and a message
     received anywhere correct is received everywhere correct."""
@@ -298,7 +375,7 @@ def check_lrc(h: History) -> Verdict:
 
 
 def _conjunction(name: str, parts: List[Verdict]) -> Verdict:
-    by_name = {v.criterion: v for v in parts}
+    by_name = MappingProxyType({v.criterion: v for v in parts})
     for v in parts:
         if v.status == Status.FAIL:
             return Verdict(name, Status.FAIL, v.witness,
@@ -310,6 +387,7 @@ def _conjunction(name: str, parts: List[Verdict]) -> Verdict:
     return Verdict(name, Status.PASS, (), "", by_name)
 
 
+@_judged_once
 def check_sc(h: History, window: EventualityWindow = DEFAULT_WINDOW,
              score: ScoreFn = length_score) -> Verdict:
     """Strong consistency: validity + monotonic reads + strong prefix +
@@ -322,6 +400,7 @@ def check_sc(h: History, window: EventualityWindow = DEFAULT_WINDOW,
     ])
 
 
+@_judged_once
 def check_ec(h: History, window: EventualityWindow = DEFAULT_WINDOW,
              score: ScoreFn = length_score) -> Verdict:
     """Eventual consistency: validity + monotonic reads + ever growing tree +

@@ -24,7 +24,7 @@ from typing import List, Optional
 from .blocktree import DomainError
 from .campaigns import CAMPAIGNS, tape_statistics
 from .checkers import CHECKERS, DEFAULT_WINDOW, EventualityWindow, Status, run_checker
-from .history import History, TraceError
+from .history import History, TraceError, restrict
 from .netsim import (Scenario, ScenarioError, evaluate_run, preset,
                      preset_names, run_scenario, scenario_from_dict)
 
@@ -98,10 +98,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     path = Path(args.trace)
     if not path.exists():
         raise TraceError(f"no such trace: {args.trace}")
-    history = History.from_jsonl(path.read_text())
-    correct = set(history.processes) - set(args.byzantine or [])
-    history = History(history.events, correct=correct, complete=args.complete)
-    history = history.restricted()
+    parsed = History.from_jsonl(path.read_text())
+    for name in args.byzantine or []:
+        if name not in parsed.processes:
+            raise TraceError(f"--byzantine {name!r} is not a process of the trace "
+                             f"(processes: {', '.join(map(repr, parsed.processes))})")
+    correct = parsed.correct.difference(args.byzantine or [])
+    history = History(restrict(parsed.events, correct), correct=correct,
+                      complete=args.complete)
     window = EventualityWindow(args.window) if args.window else DEFAULT_WINDOW
     names = args.criterion or ["sc", "ec"]
     worst = OK

@@ -15,7 +15,10 @@ one event per line as JSON, canonically ordered by (logical_time, event_id).
 
 A History validates and sorts its events when it is built; the indexes that
 program order and the read queries use are built on first use, so a history
-that is only parsed, re-wrapped or written out never pays for them.
+that is only parsed, re-wrapped or written out never pays for them. A History
+is immutable: its events, processes and operations are tuples, its correct
+set is a frozenset and `complete` is read-only, so whatever is computed from
+it (an index, a checker's verdict in `verdict_cache`) never goes stale.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 
 class TraceError(ValueError):
@@ -93,14 +97,15 @@ _canonical_order = attrgetter("logical_time", "event_id")    # == Event.sort_key
 
 
 class History:
-    """A validated, canonically ordered event sequence."""
+    """A validated, canonically ordered, immutable event sequence."""
 
-    def __init__(self, events: Iterable[Event], correct: Optional[Set[str]] = None,
+    def __init__(self, events: Iterable[Event], correct: Optional[Iterable[str]] = None,
                  complete: bool = False):
-        self.events: List[Event] = sorted(events, key=_canonical_order)
-        self.complete = complete
-        self.processes: List[str] = sorted({e.process for e in self.events})
-        self.correct: Set[str] = set(self.processes) if correct is None else set(correct)
+        self.events: Tuple[Event, ...] = tuple(sorted(events, key=_canonical_order))
+        self._complete = complete
+        self.processes: Tuple[str, ...] = tuple(sorted({e.process for e in self.events}))
+        self.correct: FrozenSet[str] = frozenset(self.processes if correct is None
+                                                 else correct)
         self._by_id = {e.event_id: e for e in self.events}
         if len(self._by_id) != len(self.events):
             seen = set()
@@ -108,7 +113,13 @@ class History:
                 if e.event_id in seen:
                     raise TraceError(f"duplicate event_id {e.event_id}")
                 seen.add(e.event_id)
-        self.operations: List[Operation] = self._match_operations()
+        self.operations: Tuple[Operation, ...] = self._match_operations()
+        self.verdict_cache: Dict[Any, Any] = {}   # filled by btlab.checkers
+
+    @property
+    def complete(self) -> bool:
+        """Declared complete: nothing more will ever happen."""
+        return self._complete
 
     # -- indexes, built on first use; they depend on `events` alone --------------
 
@@ -167,7 +178,7 @@ class History:
 
     # -- construction ------------------------------------------------------
 
-    def _match_operations(self) -> List[Operation]:
+    def _match_operations(self) -> Tuple[Operation, ...]:
         """Pair responses with invocations, FIFO per (process, op name)."""
         open_ops: Dict[Tuple[str, str], List[Operation]] = {}
         out: List[Operation] = []
@@ -187,7 +198,7 @@ class History:
                         f"response without invocation: {e.op} at {e.process} "
                         f"(event {e.event_id})")
                 queue.pop(0).response = e
-        return out
+        return tuple(out)
 
     def event(self, event_id: int) -> Event:
         return self._by_id[event_id]

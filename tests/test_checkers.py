@@ -11,6 +11,8 @@ from btlab.checkers import (DEFAULT_WINDOW, EventualityWindow, Status,
                             check_local_monotonic_read, check_lrc, check_sc,
                             check_strong_prefix, check_update_agreement,
                             run_checker)
+import reference_checkers as reference
+from btlab.blocktree import DomainError, length_score
 from btlab.history import EventKind, History, Recorder, make_event
 from btlab.netsim import run_scenario, scenario_from_dict
 
@@ -228,6 +230,72 @@ def test_divergence_below_reference_score_only_counts():
     assert check_eventual_prefix(h, W1).status == Status.FAIL
 
 
+def test_eventual_prefix_walks_each_after_set_once(monkeypatch):
+    # W1: the window reads are wp, wq and wr. Reference a (score 1) precedes
+    # all three; reference b (score 2) responds after wr was invoked, so its
+    # after set is {wp, wq}, whose one pair agrees only up to score 1.
+    spans = [
+        ("p", 0, 1, ("b0",)),                       # a
+        ("p", 6, 7, ("b0", "a1")),                  # b
+        ("p", 10, 11, ("b0", "a1", "a2")),          # wp
+        ("q", 10, 11, ("b0", "c1")),                # wq
+        ("r", 5, 20, ("b0", "a1")),                 # wr
+    ]
+    h = reads_history(spans, complete=True)
+    mcps_calls = counting(monkeypatch, checkers, "mcps")
+    v = check_eventual_prefix(h, W1)
+    assert v == reference.check_eventual_prefix(h, W1)
+    assert v.status == Status.FAIL and v.witness == (3, 5, 7)
+    assert len(mcps_calls) == 3                    # b's pair was scored in a's walk
+
+
+def test_eventual_prefix_tells_after_sets_of_one_size_apart():
+    # all at one tick, so only a process's own later reads follow a reference:
+    # a's after set is p's window reads, b's is q's; only q's pair diverges
+    spans = [("p", 0, 0, ("b0",)), ("q", 0, 0, ("b0", "x")),
+             ("p", 0, 0, ("b0", "a1", "a2")), ("p", 0, 0, ("b0", "a1", "a2", "a3")),
+             ("q", 0, 0, ("b0", "c1")), ("q", 0, 0, ("b0", "a1", "a2"))]
+    h = reads_history(spans, complete=True)
+    v = check_eventual_prefix(h, EventualityWindow(2))
+    assert v == reference.check_eventual_prefix(h, EventualityWindow(2))
+    assert v.status == Status.FAIL and v.witness == (3, 9, 11)
+
+
+def test_eventual_prefix_witness_is_the_first_pair_below_the_score():
+    # the first window pair agrees exactly up to the reference's score 2
+    h = reads_history([("p", 0, 1, ("b0", "a1")), ("p", 4, 5, ("b0", "a1", "a2")),
+                       ("q", 4, 6, ("b0", "a1", "c2")), ("r", 4, 7, ("b0", "d1"))],
+                      complete=True)
+    v = check_eventual_prefix(h, W1)
+    assert v == reference.check_eventual_prefix(h, W1)
+    assert v.witness == (1, 3, 7)
+
+
+def foreign_window_history(foreign_first: bool):
+    """One reference of score 2 before three window reads; one window chain
+    starts at another genesis, so `mcps` raises on every pair holding it."""
+    foreign, left, right = ("x0", "x1"), ("b0", "a1", "a2"), ("b0", "c1")
+    first, second, third = (foreign, left, right) if foreign_first else (left, right, foreign)
+    return reads_history([("p", 0, 1, ("b0", "a1")), ("p", 4, 5, first),
+                          ("q", 4, 6, second), ("r", 4, 7, third)], complete=True)
+
+
+def test_a_violating_pair_walked_before_a_foreign_genesis_pair_fails():
+    h = foreign_window_history(foreign_first=False)
+    v = check_eventual_prefix(h, W1)
+    assert v == reference.check_eventual_prefix(h, W1)
+    assert v.status == Status.FAIL and v.witness == (1, 3, 5)
+
+
+def test_a_foreign_genesis_pair_walked_first_raises_like_the_reference():
+    h = foreign_window_history(foreign_first=True)
+    with pytest.raises(DomainError) as want:
+        reference.check_eventual_prefix(h, W1)
+    with pytest.raises(DomainError) as got:
+        check_eventual_prefix(h, W1)
+    assert str(got.value) == str(want.value)
+
+
 # -- update agreement ----------------------------------------------------------------------
 
 
@@ -351,6 +419,35 @@ def test_sc_composite_reports_parts():
                             "strong-prefix", "ever-growing-tree"}
 
 
+def test_each_criterion_is_judged_once_per_history_and_arguments():
+    spans = fork_spans(heals=False)
+    h = reads_history(spans, appends=auto_appends(spans), complete=True)
+    growing = check_ever_growing_tree(h)
+    assert growing is check_ever_growing_tree(h, DEFAULT_WINDOW)
+    assert growing is check_ever_growing_tree(h, DEFAULT_WINDOW, length_score)
+    assert growing is check_ever_growing_tree(h, window=DEFAULT_WINDOW)
+    assert check_ever_growing_tree(h, W1) is not growing
+    sc, ec = check_sc(h, W1), check_ec(h, W1)
+    for name in ("block-validity", "local-monotonic-read", "ever-growing-tree"):
+        assert sc.parts[name] is ec.parts[name]
+    assert sc.parts["strong-prefix"] is check_strong_prefix(h)
+    assert ec.parts["eventual-prefix"] is check_eventual_prefix(h, W1)
+    assert check_block_validity(h) is check_block_validity(h, "b0")
+    again = History(h.events, correct=h.correct, complete=h.complete)
+    assert check_sc(again, W1) == sc and check_sc(again, W1) is not sc
+
+
+def test_a_raised_error_is_not_kept(monkeypatch):
+    h = foreign_window_history(foreign_first=True)
+    mcps_calls = counting(monkeypatch, checkers, "mcps")
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            check_ec(h, W1)
+    assert len(mcps_calls) == 2
+    kept = {criterion for criterion, _args in h.verdict_cache}
+    assert kept == {"block-validity", "local-monotonic-read", "ever-growing-tree"}
+
+
 def test_unknown_criterion_is_rejected():
     with pytest.raises(KeyError):
         run_checker("no-such-criterion", History([]))
@@ -429,3 +526,16 @@ def test_indexed_checkers_stay_within_their_call_bounds(monkeypatch):
 
     assert check_strong_prefix(h).status == Status.PASS
     assert len(comparable_calls) <= len(reads)
+
+
+def test_judging_all_nine_criteria_stays_within_the_call_bounds(monkeypatch):
+    # sc and ec reuse the standalone criteria judged on the same history
+    h = cap1_history()
+    w = sum(min(len(h.reads_of(p)), DEFAULT_WINDOW.stabilization_suffix)
+            for p in h.processes)
+    mcps_calls = counting(monkeypatch, checkers, "mcps")
+    comparable_calls = counting(monkeypatch, checkers, "prefix_comparable")
+    for name in checkers.CHECKERS:
+        run_checker(name, h, DEFAULT_WINDOW)
+    assert len(mcps_calls) <= w * (w - 1) // 2
+    assert len(comparable_calls) <= len(h.reads())

@@ -144,6 +144,22 @@ def test_check_byzantine_flag_excludes_a_process(figure_traces, capsys):
                    "--window", "1", "--byzantine", "i", "--byzantine", "j") == 0
 
 
+def test_check_builds_the_parsed_and_the_restricted_history_only(figure_traces,
+                                                                 monkeypatch, capsys):
+    trace = figure_traces / "figure-5.trace.jsonl"
+    built = []
+    init = History.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(History, "__init__", counting_init)
+    assert run_cli("check", str(trace), "--byzantine", "j") == 0
+    assert len(built) == 2
+    parsed, judged = built
+    assert len(judged.events) < len(parsed.events) and judged.correct == {"i"}
+
+
 def test_check_rejects_unknown_criteria_and_missing_files(figure_traces):
     trace = figure_traces / "figure-3.trace.jsonl"
     assert run_cli("check", str(trace), "--criterion", "zzz") == 2
@@ -180,6 +196,10 @@ def test_check_rejects_malformed_traces(tmp_path, capsys):
     good = tmp_path / "good.jsonl"
     good.write_text(json.dumps(READ_INVOCATION) + "\n" + json.dumps(READ_RESPONSE) + "\n")
     assert run_cli("check", str(good)) == 0
+    capsys.readouterr()
+    assert run_cli("check", str(good), "--byzantine", "p", "--byzantine", "nobody") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'nobody'" in err, err
     for field, value in [("returned", 5), ("returned", [1, 2]), ("returned", "b0"),
                          ("args", 5), ("event_id", "x"), ("event_id", 1.5),
                          ("logical_time", "x"), ("logical_time", True)]:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from btlab.checkers import Status, check_sc
 from btlab.cli import main
 from btlab.history import (Event, EventKind, History, Recorder, TraceError,
                            make_event, returned_chain)
@@ -34,6 +35,24 @@ def test_events_sort_canonically_by_time_then_id():
     assert [e.event_id for e in h.events] == [2, 1, 3]
     with pytest.raises(AttributeError):      # events are immutable
         h.events[0].logical_time = 9
+
+
+def test_a_history_and_its_verdicts_are_immutable():
+    h = History([ev(1, INV, "read", "p", 0), ev(2, RSP, "read", "p", 1, returned=("b0",))],
+                correct={"p"}, complete=True)
+    assert type(h.events) is tuple and type(h.correct) is frozenset
+    assert type(h.processes) is tuple and type(h.operations) is tuple
+    with pytest.raises(AttributeError):
+        h.complete = False
+    assert h.complete is True
+    verdict = check_sc(h)                    # shared by every caller that judges sc
+    assert verdict is check_sc(h)
+    with pytest.raises(AttributeError):
+        verdict.status = Status.FAIL
+    with pytest.raises(AttributeError):
+        verdict.parts["block-validity"].witness = (1,)
+    with pytest.raises(TypeError):
+        verdict.parts["lrc"] = verdict
 
 
 def test_duplicate_event_ids_rejected():
@@ -276,7 +295,7 @@ def test_jsonl_lines_are_canonically_sorted_json():
 
 def test_empty_trace_parses_to_empty_history():
     h = History.from_jsonl("")
-    assert h.events == [] and h.reads() == []
+    assert h.events == () and h.reads() == []
 
 
 def test_malformed_traces_are_rejected():
