@@ -230,7 +230,6 @@ def hierarchy_campaign(runs: int = 1000, seed: int = 0) -> CampaignResult:
 
 
 def consensus_campaign(runs: int = 200, seed: int = 0, n: int = 4,
-                       max_faults: int = 1,
                        grant_probability: float = 0.5) -> CampaignResult:
     """Agreement/termination/integrity/validity across seeded crash schedules."""
     out = CampaignResult(name="consensus", runs=runs)
@@ -373,16 +372,6 @@ def tape_statistics(seed: int = 2026, pops: int = 10_000,
     }
 
 
-CAMPAIGNS: Dict[str, Callable[..., CampaignResult]] = {
-    "shm": lambda runs, seed: consensus_campaign(runs=runs, seed=seed),
-    "hierarchy": lambda runs, seed: hierarchy_campaign(runs=runs, seed=seed),
-    "kfork": lambda runs, seed: _kfork_all(runs, seed),
-    "containment": lambda runs, seed: containment_campaign(runs=runs, seed=seed),
-    "cas": lambda runs, seed: cas_equivalence_suite(),
-    "snapshot": lambda runs, seed: snapshot_equivalence_suite(),
-}
-
-
 def _kfork_all(runs: int, seed: int) -> CampaignResult:
     merged = CampaignResult(name="kfork", runs=0)
     for k in (1, 2, 3):
@@ -391,3 +380,13 @@ def _kfork_all(runs: int, seed: int) -> CampaignResult:
         merged.violations.extend(r.violations)
         merged.stats[f"k={k}"] = r.stats
     return merged
+
+
+CAMPAIGNS: Dict[str, Callable[..., CampaignResult]] = {
+    "shm": consensus_campaign,
+    "hierarchy": hierarchy_campaign,
+    "kfork": _kfork_all,
+    "containment": containment_campaign,
+    "cas": lambda runs, seed: cas_equivalence_suite(),
+    "snapshot": lambda runs, seed: snapshot_equivalence_suite(),
+}

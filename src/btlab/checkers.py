@@ -13,21 +13,21 @@ each process. Window reads are evidence, not references: an eventuality is
 judged for reads that still have a future inside the trace.
 
 A History is immutable, so each criterion is judged at most once per history
-and arguments: every `check_*` keeps its verdict in `History.verdict_cache`,
-and `sc`/`ec` compose the verdicts of the standalone criteria they contain.
+and arguments: every `check_*` takes `(h, window, score)`, keeps its verdict in
+`History.verdict_cache` under `(criterion, (window, score))`, and `sc`/`ec`
+compose the verdicts of the standalone criteria they contain.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from .blocktree import DomainError, length_score, mcps, prefix_comparable
+from .blocktree import GENESIS_ID, DomainError, length_score, mcps, prefix_comparable
 from .history import Event, EventKind, History, Operation, returned_chain
 
 ScoreFn = Callable[[Tuple[str, ...]], int]
@@ -66,30 +66,36 @@ class EventualityWindow:
 
 DEFAULT_WINDOW = EventualityWindow()
 
+Check = Callable[[History, EventualityWindow, ScoreFn], Verdict]
 
-def _judged_once(check: Callable[..., Verdict]) -> Callable[..., Verdict]:
-    """Memoise `check` in the history's `verdict_cache`, keyed by the criterion
-    and its arguments with the defaults filled in. A raised error is not kept.
+# criterion name -> its check, in the order the criteria are defined below
+CHECKERS: Dict[str, Check] = {}
+
+
+def _criterion(check: Check) -> Check:
+    """Register `check` in CHECKERS and memoise it in the history's
+    `verdict_cache` under `(criterion, (window, score))`. The wrapper declares
+    the defaults, so every way of passing the same arguments shares one key.
+    A raised error is not kept.
     """
     criterion = check.__name__[len("check_"):].replace("_", "-")
-    arity = check.__code__.co_argcount - 1          # parameters after the history
-    defaults = check.__defaults__ or ()
-    signature = inspect.signature(check)
 
     @functools.wraps(check)
-    def judged(h: History, *args, **kwargs) -> Verdict:
-        if kwargs:
-            bound = signature.bind(h, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
-        elif len(args) < arity:
-            args += defaults[len(args) - arity:]
-        key = (criterion, args)
+    def judged(h: History, window: EventualityWindow = DEFAULT_WINDOW,
+               score: ScoreFn = length_score) -> Verdict:
+        key = (criterion, (window, score))
         verdict = h.verdict_cache.get(key)
         if verdict is None:
-            verdict = h.verdict_cache[key] = check(h, *args)
+            verdict = h.verdict_cache[key] = check(h, window, score)
         return verdict
+    CHECKERS[criterion] = judged
     return judged
+
+
+def _unmet(h: History, criterion: str, witness: Tuple[int, ...], detail: str) -> Verdict:
+    """An eventuality not yet met: FAIL on a complete history, else INCONCLUSIVE."""
+    return Verdict(criterion, Status.FAIL if h.complete else Status.INCONCLUSIVE,
+                   witness, detail)
 
 
 def _split_window(h: History, window: EventualityWindow):
@@ -111,8 +117,8 @@ def _split_window(h: History, window: EventualityWindow):
 # -- block validity -------------------------------------------------------
 
 
-@_judged_once
-def check_block_validity(h: History, genesis_id: str = "b0") -> Verdict:
+@_criterion
+def check_block_validity(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Every block a read returns must have been appended beforehand: at an
     earlier tick, or earlier on the reading process."""
     first_time: Dict[str, int] = {}                 # block -> earliest append
@@ -125,7 +131,7 @@ def check_block_validity(h: History, genesis_id: str = "b0") -> Verdict:
     for read in h.reads():
         rsp = read.response
         for block_id in returned_chain(read):
-            if block_id == genesis_id:
+            if block_id == GENESIS_ID:
                 continue
             if not (first_time.get(block_id, math.inf) < rsp.logical_time
                     or first_seq.get((block_id, rsp.process), math.inf) < h.seq(rsp)):
@@ -138,8 +144,8 @@ def check_block_validity(h: History, genesis_id: str = "b0") -> Verdict:
 # -- local monotonic read -----------------------------------------------------
 
 
-@_judged_once
-def check_local_monotonic_read(h: History, score: ScoreFn = length_score) -> Verdict:
+@_criterion
+def check_local_monotonic_read(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Per process, read scores never decrease."""
     for p in h.processes:
         per = h.reads_of(p)
@@ -156,8 +162,8 @@ def check_local_monotonic_read(h: History, score: ScoreFn = length_score) -> Ver
 # -- strong prefix ---------------------------------------------------------------
 
 
-@_judged_once
-def check_strong_prefix(h: History) -> Verdict:
+@_criterion
+def check_strong_prefix(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Any two returned chains, whoever read them, must be prefix-comparable.
 
     When every non-empty chain is a prefix of the longest one, all pairs are
@@ -184,9 +190,8 @@ def check_strong_prefix(h: History) -> Verdict:
 # -- ever growing tree -------------------------------------------------------------
 
 
-@_judged_once
-def check_ever_growing_tree(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-                            score: ScoreFn = length_score) -> Verdict:
+@_criterion
+def check_ever_growing_tree(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Only finitely many later reads may score <= a read's score.
 
     A finite history can never refute this, so the verdict is PASS or
@@ -241,9 +246,8 @@ def _walk_pairs(after: Tuple[int, ...], chains: List[Tuple[str, ...]],
     return pairs, lows, None
 
 
-@_judged_once
-def check_eventual_prefix(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-                          score: ScoreFn = length_score) -> Verdict:
+@_criterion
+def check_eventual_prefix(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """For each reference read, later reads eventually agree up to its score.
 
     A violating pair inside the trailing window means the divergence has not
@@ -269,12 +273,10 @@ def check_eventual_prefix(h: History, window: EventualityWindow = DEFAULT_WINDOW
         pairs, lows, error = walk
         if lows and lows[-1] < s:
             i, j = pairs[bisect_left(lows, True, key=lambda low: low < s)]
-            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
-            return Verdict(
-                "eventual-prefix", status,
-                (r.response.event_id, last[i].response.event_id,
-                 last[j].response.event_id),
-                f"window reads agree only below score {s}")
+            return _unmet(h, "eventual-prefix",
+                          (r.response.event_id, last[i].response.event_id,
+                           last[j].response.event_id),
+                          f"window reads agree only below score {s}")
         if error is not None:       # the walk of this reference reaches it
             raise error
     return Verdict("eventual-prefix", Status.PASS)
@@ -301,8 +303,8 @@ def _block_owner(h: History) -> Dict[str, str]:
     return owner
 
 
-@_judged_once
-def check_update_agreement(h: History) -> Verdict:
+@_criterion
+def check_update_agreement(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """R1: own updates are broadcast. R2: foreign updates follow a local
     receive. R3: an updated block is eventually received everywhere."""
     sent = {_key(e) for e in _comm_events(h, "send")}
@@ -325,26 +327,24 @@ def check_update_agreement(h: History) -> Verdict:
     for u in updates:                                              # R1 (eventual)
         key = _key(u)
         if owner.get(key[2]) == u.process and key not in sent:
-            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
-            return Verdict("update-agreement", status, (u.event_id,),
-                           f"R1: {u.process} updated own block {key[2]!r} "
-                           "without ever broadcasting it")
+            return _unmet(h, "update-agreement", (u.event_id,),
+                          f"R1: {u.process} updated own block {key[2]!r} "
+                          "without ever broadcasting it")
     for u in updates:                                              # R3 (eventual)
         _, parent, block = _key(u)
         missing = [p for p in correct if (p, parent, block) not in received]
         if missing:
-            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
-            return Verdict("update-agreement", status, (u.event_id,),
-                           f"R3: {block!r} was updated but never received at "
-                           f"{', '.join(missing)}")
+            return _unmet(h, "update-agreement", (u.event_id,),
+                          f"R3: {block!r} was updated but never received at "
+                          f"{', '.join(missing)}")
     return Verdict("update-agreement", Status.PASS)
 
 
 # -- reliable broadcast (validity + agreement) ------------------------------------------
 
 
-@_judged_once
-def check_lrc(h: History) -> Verdict:
+@_criterion
+def check_lrc(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Broadcast contract: a sender delivers to itself, and a message
     received anywhere correct is received everywhere correct."""
     receives = _comm_events(h, "receive")
@@ -353,10 +353,9 @@ def check_lrc(h: History) -> Verdict:
         if e.process not in h.correct:
             continue
         if _key(e) not in got:
-            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
-            return Verdict("lrc", status, (e.event_id,),
-                           f"validity: {e.process} never delivered its own "
-                           f"broadcast of {e.args[1]!r}")
+            return _unmet(h, "lrc", (e.event_id,),
+                          f"validity: {e.process} never delivered its own "
+                          f"broadcast of {e.args[1]!r}")
     correct = sorted(h.correct)
     for e in receives:
         if e.process not in h.correct:
@@ -364,10 +363,9 @@ def check_lrc(h: History) -> Verdict:
         _, parent, block = _key(e)
         missing = [p for p in correct if (p, parent, block) not in got]
         if missing:
-            status = Status.FAIL if h.complete else Status.INCONCLUSIVE
-            return Verdict("lrc", status, (e.event_id,),
-                           f"agreement: {block!r} reached {e.process} but not "
-                           f"{', '.join(missing)}")
+            return _unmet(h, "lrc", (e.event_id,),
+                          f"agreement: {block!r} reached {e.process} but not "
+                          f"{', '.join(missing)}")
     return Verdict("lrc", Status.PASS)
 
 
@@ -387,43 +385,28 @@ def _conjunction(name: str, parts: List[Verdict]) -> Verdict:
     return Verdict(name, Status.PASS, (), "", by_name)
 
 
-@_judged_once
-def check_sc(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-             score: ScoreFn = length_score) -> Verdict:
+@_criterion
+def check_sc(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Strong consistency: validity + monotonic reads + strong prefix +
     ever growing tree."""
     return _conjunction("sc", [
         check_block_validity(h),
-        check_local_monotonic_read(h, score),
+        check_local_monotonic_read(h, score=score),
         check_strong_prefix(h),
         check_ever_growing_tree(h, window, score),
     ])
 
 
-@_judged_once
-def check_ec(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-             score: ScoreFn = length_score) -> Verdict:
+@_criterion
+def check_ec(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Eventual consistency: validity + monotonic reads + ever growing tree +
     eventual prefix."""
     return _conjunction("ec", [
         check_block_validity(h),
-        check_local_monotonic_read(h, score),
+        check_local_monotonic_read(h, score=score),
         check_ever_growing_tree(h, window, score),
         check_eventual_prefix(h, window, score),
     ])
-
-
-CHECKERS: Dict[str, Callable[..., Verdict]] = {
-    "block-validity": lambda h, window, score: check_block_validity(h),
-    "local-monotonic-read": lambda h, window, score: check_local_monotonic_read(h, score),
-    "strong-prefix": lambda h, window, score: check_strong_prefix(h),
-    "ever-growing-tree": check_ever_growing_tree,
-    "eventual-prefix": check_eventual_prefix,
-    "update-agreement": lambda h, window, score: check_update_agreement(h),
-    "lrc": lambda h, window, score: check_lrc(h),
-    "sc": check_sc,
-    "ec": check_ec,
-}
 
 
 def run_checker(name: str, h: History, window: EventualityWindow = DEFAULT_WINDOW,

@@ -106,7 +106,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     correct = parsed.correct.difference(args.byzantine or [])
     history = History(restrict(parsed.events, correct), correct=correct,
                       complete=args.complete)
-    window = EventualityWindow(args.window) if args.window else DEFAULT_WINDOW
+    if args.window is not None and args.window < 1:
+        raise TraceError(f"--window must be at least 1, got {args.window}")
+    window = DEFAULT_WINDOW if args.window is None else EventualityWindow(args.window)
     names = args.criterion or ["sc", "ec"]
     worst = OK
     for name in names:

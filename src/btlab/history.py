@@ -90,6 +90,8 @@ class Operation:
 
 
 def make_event(event_id, kind, op, args=(), process="", logical_time=0, returned=None):
+    if type(returned) is list:          # a tuple, as `from_jsonl` stores it
+        returned = tuple(returned)
     return Event(event_id, kind, op, tuple(args), process, logical_time, returned)
 
 
@@ -346,11 +348,9 @@ def _append_is_valid(e: Event) -> bool:
 
 
 def returned_chain(read: Operation) -> Tuple[str, ...]:
-    """The id sequence a completed read returned."""
+    """The id sequence a completed read returned, as stored."""
     ret = read.response.returned
-    if ret is None:
-        return ()
-    return tuple(ret)
+    return () if ret is None else ret
 
 
 class Recorder:
@@ -362,6 +362,8 @@ class Recorder:
 
     def emit(self, kind: EventKind, op: str, process: str, logical_time: int,
              args: Sequence[Any] = (), returned: Any = None) -> Event:
+        if type(returned) is list:          # a tuple, as `from_jsonl` stores it
+            returned = tuple(returned)
         e = Event(self._next_id, kind, op, tuple(args), process, logical_time, returned)
         self._next_id += 1
         self.events.append(e)

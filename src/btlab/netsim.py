@@ -28,10 +28,10 @@ from pathlib import Path
 from typing import Any, Container, Dict, List, Optional, Set, Tuple
 
 from .blocktree import Block, BlockTree
-from .checkers import EventualityWindow, Verdict, run_checker
+from .checkers import CHECKERS, EventualityWindow, Verdict, run_checker
 from .history import Event, EventKind, History, Recorder, restrict
 from .oracle import Merit, OracleState
-from .refinement import AppendStatus, RefinedLedger
+from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS, AppendStatus, RefinedLedger
 
 
 class ScenarioError(ValueError):
@@ -119,7 +119,7 @@ class Scenario:
     expected_verdicts: Dict[str, str] = field(default_factory=dict)
     script: List[Dict[str, Any]] = field(default_factory=list)
     description: str = ""
-    max_grant_attempts: int = 10**6
+    max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS
 
     def correct_set(self) -> Set[str]:
         return {p.id for p in self.processes if p.correct}
@@ -156,7 +156,7 @@ def _number(cast, value: Any, what: str):
     """cast(value), with a malformed value reported as a ScenarioError."""
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
 
 
@@ -184,9 +184,16 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
         for key in ("block_interval", "read_interval"):
             _require(p.get(key) is None or (isinstance(p[key], int) and p[key] >= 1),
                      f"{key} must be a positive integer or null")
+        script = p.get("script") or {}
+        _require(isinstance(script, dict), "a process script must be an object")
+        withhold = script.get("withhold_from", [])
+        _require(isinstance(withhold, list) and all(isinstance(q, str) for q in withhold),
+                 "withhold_from must be a list of process ids")
+        delay = script.get("send_delay", 0)
+        _require(isinstance(delay, int) and delay >= 0,
+                 "send_delay must be a non-negative integer")
         processes.append(ProcessSpec(
-            id=p["id"], merit=merit, behavior=behavior,
-            script=dict(p.get("script") or {}),
+            id=p["id"], merit=merit, behavior=behavior, script=dict(script),
             block_interval=p.get("block_interval"),
             append_offset=p.get("append_offset"),
             read_interval=p.get("read_interval"),
@@ -198,16 +205,19 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
         kind = ChannelKind(ch.get("kind", "synchronous"))
     except ValueError:
         raise ScenarioError(f"unknown channel kind {ch.get('kind')!r}")
+    delays, drops = ch.get("delays", []), ch.get("drops", [])
+    _require(isinstance(delays, list)
+             and all(isinstance(r, dict) and isinstance(r.get("delay"), int) for r in delays),
+             "channel delays must be a list of rules, each with an integer delay")
+    _require(isinstance(drops, list) and all(isinstance(r, dict) for r in drops),
+             "channel drops must be a list of objects")
     channel = ChannelModel(
         kind=kind, delta=_number(int, ch.get("delta", 3), "channel delta"),
         tau=_number(int, ch.get("tau", 0), "channel tau"),
         async_max_delay=_number(int, ch.get("async_max_delay", 30), "async_max_delay"),
-        delays=list(ch.get("delays", [])), drops=list(ch.get("drops", [])),
+        delays=list(delays), drops=list(drops),
         duplication=bool(ch.get("duplication", False)))
     _require(channel.delta >= 1, "channel delta must be >= 1")
-    _require(all(isinstance(r, dict) and isinstance(r.get("delay"), int)
-                 for r in channel.delays),
-             "each channel delay rule needs an integer delay")
     orc = doc.get("oracle", {})
     _require(isinstance(orc, dict), "oracle must be an object")
     capacity = orc.get("capacity")
@@ -218,10 +228,14 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
     expected = doc.get("expected_verdicts", {})
     _require(isinstance(expected, dict), "expected_verdicts must be an object")
     for crit, status in expected.items():
+        _require(crit in CHECKERS, f"unknown criterion {crit!r} in expected_verdicts; "
+                                   f"choose from {', '.join(CHECKERS)}")
         _require(status in ("PASS", "FAIL", "INCONCLUSIVE"),
                  f"expected verdict for {crit} must be PASS|FAIL|INCONCLUSIVE")
     script = doc.get("script", [])
     _require(isinstance(script, list), "script must be a list of events")
+    for n, ev in enumerate(script):
+        _check_script_event(n, ev)
     duration = _number(int, doc.get("duration", 50), "duration")
     _require(duration >= 0, "duration must be >= 0")
     return Scenario(
@@ -232,9 +246,29 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
         declared_complete=bool(doc.get("declared_complete", True)),
         stabilization_suffix=suffix, expected_verdicts=dict(expected),
         script=list(script), description=str(doc.get("description", "")),
-        max_grant_attempts=_number(int, doc.get("max_grant_attempts", 10**6),
+        max_grant_attempts=_number(int, doc.get("max_grant_attempts",
+                                                DEFAULT_MAX_GRANT_ATTEMPTS),
                                    "max_grant_attempts"),
     )
+
+
+_KIND_NAMES = tuple(k.value for k in EventKind)
+
+
+def _check_script_event(n: int, ev: Any) -> None:
+    """Reject a script event that `_replay_script` or a checker could not take."""
+    what = f"script event {n}"
+    _require(isinstance(ev, dict), f"{what} must be an object")
+    _require(ev.get("kind") in _KIND_NAMES,
+             f"{what}: kind must be one of {'|'.join(_KIND_NAMES)}, got {ev.get('kind')!r}")
+    for key in ("op", "process"):
+        _require(isinstance(ev.get(key), str), f"{what}: {key} must be a string")
+    _number(int, ev.get("logical_time"), f"{what}: logical_time")
+    _require(isinstance(ev.get("args", []), list), f"{what}: args must be a list")
+    returned = ev.get("returned")
+    _require(ev["kind"] != "response" or ev["op"] != "read" or returned is None
+             or (isinstance(returned, list) and all(isinstance(b, str) for b in returned)),
+             f"{what}: a read's returned must be null or a list of block ids")
 
 
 # -- the simulator ------------------------------------------------------------
@@ -267,6 +301,21 @@ class _Replica:
         self.orphans: Dict[str, List[Block]] = {}
         self.blocks_made = 0
 
+    def integrate(self, block: Block, tick: int, rec: Recorder) -> None:
+        """Apply on receive; orphans wait for their parent, and a block's
+        waiting children are applied right after it, depth first."""
+        todo = [block]
+        while todo:
+            block = todo.pop()
+            if self.ledger.integrate(block):
+                rec.emit(EventKind.UPDATE, "update", self.spec.id, tick,
+                         args=(block.parent_id, block.id))
+                children = self.orphans.pop(block.id, None)
+                if children:
+                    todo.extend(reversed(children))
+            elif block.parent_id not in self.ledger.tree and block.id not in self.ledger.tree:
+                self.orphans.setdefault(block.parent_id, []).append(block)
+
 
 def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
     if scenario.script:
@@ -281,12 +330,12 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
                 for p in scenario.processes}
     order = [p.id for p in scenario.processes]
 
-    heap: List[Tuple[int, int, int, str, Any]] = []
+    heap: List[Tuple[int, int, int, Any]] = []      # (tick, action class, order, payload)
     counter = 0
 
-    def push(tick: int, klass: int, action: str, payload: Any):
+    def push(tick: int, klass: int, payload: Any):
         nonlocal counter
-        heapq.heappush(heap, (tick, klass, counter, action, payload))
+        heapq.heappush(heap, (tick, klass, counter, payload))
         counter += 1
 
     undelivered = 0
@@ -306,31 +355,21 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
             if at > scenario.duration:
                 undelivered += 1
                 continue
-            push(at, _DELIVER, "deliver", (dest, block))
-
-    def integrate(rep: _Replica, block: Block, tick: int):
-        """Apply on receive; orphans wait for their parent."""
-        if rep.ledger.integrate(block):
-            rec.emit(EventKind.UPDATE, "update", rep.spec.id, tick,
-                     args=(block.parent_id, block.id))
-            for child in rep.orphans.pop(block.id, []):
-                integrate(rep, child, tick)
-        elif block.parent_id not in rep.ledger.tree and block.id not in rep.ledger.tree:
-            rep.orphans.setdefault(block.parent_id, []).append(block)
+            push(at, _DELIVER, (dest, block))
 
     # schedule the static actions
     for p in scenario.processes:
         if p.block_interval:
             start = p.append_offset if p.append_offset is not None else p.block_interval
             for t in range(start, scenario.duration + 1, p.block_interval):
-                push(t, _APPEND, "append", p.id)
+                push(t, _APPEND, p.id)
         if p.read_interval and p.correct:
             for t in range(p.read_offset, scenario.duration + 1, p.read_interval):
-                push(t, _READ, "read", p.id)
+                push(t, _READ, p.id)
 
     while heap:
-        tick, _klass, _seq, action, payload = heapq.heappop(heap)
-        if action == "append":
+        tick, klass, _seq, payload = heapq.heappop(heap)
+        if klass == _APPEND:
             rep = replicas[payload]
             rep.blocks_made += 1
             candidate = Block(id=f"{payload}-{rep.blocks_made}")
@@ -347,7 +386,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
                          args=(res.block.id, res.block.parent_id))
                 rec.emit(EventKind.RESPONSE, "consume_token", payload, tick,
                          args=(res.block.id, res.block.parent_id),
-                         returned=sorted(b.id for b in res.consumed))
+                         returned=tuple(sorted(b.id for b in res.consumed)))
             rec.emit(EventKind.RESPONSE, "append", payload, tick,
                      returned=bool(res))
             if res:
@@ -356,7 +395,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
                 script = rep.spec.script      # Byzantine withholding and lag
                 send(payload, res.block, tick, set(script.get("withhold_from", [])),
                      int(script.get("send_delay", 0)))
-        elif action == "deliver":
+        elif klass == _DELIVER:
             dest, block = payload
             rep = replicas[dest]
             first = block.id not in rep.seen
@@ -368,11 +407,11 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
             if first:
                 rep.seen.add(block.id)
                 if rep.spec.correct:
-                    integrate(rep, block, tick)
+                    rep.integrate(block, tick, rec)
                     send(dest, block, tick, (dest,), 0)    # echo to every other process
-        elif action == "read":
+        else:                                       # _READ
             rep = replicas[payload]
-            chain = [b.id for b in rep.ledger.read()]
+            chain = tuple([b.id for b in rep.ledger.read()])
             rec.emit(EventKind.INVOCATION, "read", payload, tick)
             rec.emit(EventKind.RESPONSE, "read", payload, tick, returned=chain)
 
@@ -386,13 +425,9 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
 
 def _replay_script(scenario: Scenario) -> SimRun:
     rec = Recorder()
-    for ev in scenario.script:
-        try:
-            kind = EventKind(ev["kind"])
-            rec.emit(kind, ev["op"], ev["process"], int(ev["logical_time"]),
-                     args=tuple(ev.get("args", ())), returned=_tup(ev.get("returned")))
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"bad script event {ev!r}: {exc}") from exc
+    for ev in scenario.script:        # checked by scenario_from_dict
+        rec.emit(EventKind(ev["kind"]), ev["op"], ev["process"], int(ev["logical_time"]),
+                 args=ev.get("args", ()), returned=ev.get("returned"))
     # a script comes from outside: building its full history now rejects a
     # malformed one (a response without invocation, say) at run time
     full = rec.history(correct=scenario.correct_set(),
@@ -401,10 +436,6 @@ def _replay_script(scenario: Scenario) -> SimRun:
                  oracle=None, ledgers={})
     run.full_history = full
     return run
-
-
-def _tup(v):
-    return tuple(v) if isinstance(v, list) else v
 
 
 # -- verdict report -----------------------------------------------------------

@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Seq
 
 from .blocktree import Block
 from .oracle import Merit, OracleState, frugal_oracle
+from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS
 
 
 class RegisterSpace:
@@ -158,7 +159,7 @@ class Proposer:
     name: str
     value: Block
     parent_id: str = "b0"
-    max_grant_attempts: int = 10**6
+    max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS
     phase: ProposerPhase = ProposerPhase.GETTING
     stamped: Optional[Block] = None
     returned: Optional[FrozenSet[Block]] = None
@@ -208,7 +209,7 @@ class ConsensusOutcome:
 
 def run_consensus(n: int, seed: int, crash: CrashSchedule = CrashSchedule(),
                   grant_probability: float = 0.5, k: int = 1,
-                  max_grant_attempts: int = 10**6) -> ConsensusOutcome:
+                  max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS) -> ConsensusOutcome:
     """Drive n proposers to completion under a seeded fair scheduler."""
     names = [f"p{i}" for i in range(n)]
     oracle = frugal_oracle({p: Merit(grant_probability) for p in names}, k=k, seed=seed)

@@ -1,5 +1,6 @@
 """Criterion checkers: three-valued verdicts, witnesses, window semantics."""
 
+import inspect
 import random
 
 import pytest
@@ -432,9 +433,25 @@ def test_each_criterion_is_judged_once_per_history_and_arguments():
         assert sc.parts[name] is ec.parts[name]
     assert sc.parts["strong-prefix"] is check_strong_prefix(h)
     assert ec.parts["eventual-prefix"] is check_eventual_prefix(h, W1)
-    assert check_block_validity(h) is check_block_validity(h, "b0")
+    assert check_block_validity(h) is check_block_validity(h, DEFAULT_WINDOW, length_score)
     again = History(h.events, correct=h.correct, complete=h.complete)
     assert check_sc(again, W1) == sc and check_sc(again, W1) is not sc
+
+
+def test_every_criterion_takes_history_window_and_score():
+    assert list(checkers.CHECKERS) == [
+        "block-validity", "local-monotonic-read", "strong-prefix", "ever-growing-tree",
+        "eventual-prefix", "update-agreement", "lrc", "sc", "ec"]
+    for name, check in checkers.CHECKERS.items():
+        assert check is getattr(checkers, "check_" + name.replace("-", "_"))
+        params = inspect.signature(check, follow_wrapped=False).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("h", inspect.Parameter.empty), ("window", DEFAULT_WINDOW),
+            ("score", length_score)], name
+    h = reads_history([("p", 0, 1, ("b0",))], complete=True)
+    monotonic = check_local_monotonic_read(h, score=len)
+    assert h.verdict_cache[("local-monotonic-read", (DEFAULT_WINDOW, len))] is monotonic
+    assert check_local_monotonic_read(h, DEFAULT_WINDOW, len) is monotonic
 
 
 def test_a_raised_error_is_not_kept(monkeypatch):

@@ -81,6 +81,40 @@ def test_run_rejects_a_script_response_without_invocation(tmp_path, capsys):
     assert err.count("\n") == 1 and "response without invocation" in err
 
 
+def _set(path, value):
+    """A mutation of a preset's dict form: the field at `path` becomes `value`."""
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("name,mutate", [
+    ("figure-4", _set(["expected_verdicts"], {"bogus": "PASS"})),
+    ("bitcoin-like", _set(["channel", "delays"], 5)),
+    ("bitcoin-like", _set(["channel", "drops"], 5)),
+    ("bitcoin-like", _set(["channel", "drops"], [5])),
+    ("bitcoin-like", _set(["processes", 0, "script"], 5)),
+    ("bitcoin-like", _set(["processes", 0, "script"], {"withhold_from": 5})),
+    ("bitcoin-like", _set(["processes", 0, "script"], {"send_delay": "x"})),
+    ("figure-3", _set(["script"], [5])),
+    ("figure-3", _set(["script", 0, "args"], 5)),
+    ("figure-3", _set(["script", 0, "logical_time"], None)),
+    ("figure-3", _set(["script", 0, "process"], 5)),
+])
+def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
+    doc = preset(name).to_dict()
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_seed_flag_overrides_scenario_and_oracle_seed(tmp_path):
     assert run_cli("run", "bitcoin-like", "--seed", "4", "--out",
                    str(tmp_path)) in (0, 1)     # expectations may shift off-seed
@@ -209,6 +243,11 @@ def test_check_rejects_malformed_traces(tmp_path, capsys):
         assert run_cli("check", str(bad)) == 2, (field, value)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err, (field, value, err)
+    for window in ("0", "-1"):
+        capsys.readouterr()
+        assert run_cli("check", str(good), "--window", window) == 2, window
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--window" in err, (window, err)
     bad.write_text("".join(json.dumps(e) + "\n" for e in FOREIGN_GENESIS))
     for flags in (["--criterion", "eventual-prefix", "--window", "1"], ["--window", "1"],
                   [], ["--criterion", "sc"]):

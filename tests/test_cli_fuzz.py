@@ -4,6 +4,11 @@ Valid traces are mutated field by field (a value replaced by the same
 field's value on another line or by any JSON value, a field dropped or added) and line by line (dropped, duplicated,
 moved, cut short, replaced by text). Whatever the mutation, `cli.main`
 returns 0, 1 or 2 and raises nothing.
+
+`btlab run` on mutated scenarios is the same: preset scenarios are mutated
+field by field at any depth (a value replaced, a field or list entry dropped
+or added), and `cli.main` returns 0, 1 or 2, raises nothing, and writes one
+stderr line exactly when it returns 2.
 """
 
 import json
@@ -18,6 +23,7 @@ from btlab import cli  # noqa: E402
 from btlab.checkers import CHECKERS  # noqa: E402
 from btlab.history import TRACE_FIELDS  # noqa: E402
 from btlab.netsim import preset, run_scenario  # noqa: E402
+from btlab.netsim import preset_names  # noqa: E402
 
 # a fork that heals (figure-4) and one that never does (figure-5), both traces
 BASES = [text for name in ("figure-4", "figure-5")
@@ -32,6 +38,19 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
                                                                 max_size=2),
     max_leaves=5)
+
+# Scenario values stay small, so that no mutated run takes long: a duration,
+# interval or attempt cap is at most 60, and a merit is never tiny.
+scenario_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60)
+    | st.sampled_from([0.0, 0.5, 1.0, 1.5, -1.0, 60.0, float("inf")])
+    | st.sampled_from(["", "p0", "p1", "i", "b0", "read", "response", "invocation",
+                       "synchronous", "asynchronous", "sc", "PASS", "FAIL", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["delay", "from", "to", "block", "kind", "x"]), inner, max_size=2),
+    max_leaves=5)
+
+SCENARIOS = {name: preset(name).to_dict() for name in preset_names()}
 
 
 def _object(line):
@@ -88,6 +107,44 @@ def test_check_on_a_mutated_trace_exits_with_a_code(tmp_path, capsys, text, flag
     path.write_text(text)
     argv = ["check", str(path)] + flags + (["--complete"] if complete else [])
     code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert err.count("\n") == (code == 2), err
+
+
+def _slots(doc):
+    """(container, key) of every field and list entry in a scenario document."""
+    items = doc.items() if type(doc) is dict else enumerate(doc) if type(doc) is list else ()
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    doc = json.loads(json.dumps(SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        how = draw(st.sampled_from(["replace", "replace", "replace", "drop", "add"]))
+        if how == "replace":
+            container[key] = draw(scenario_values)
+        elif how == "drop":
+            del container[key]
+        elif type(container) is dict:
+            container[draw(st.sampled_from(["x", "script", "delays", "returned"]))] = \
+                draw(scenario_values)
+        else:
+            container.insert(key, draw(scenario_values))
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_scenarios())
+def test_run_on_a_mutated_scenario_exits_with_a_code(tmp_path, capsys, doc):
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["run", str(path)])
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert err.count("\n") == (code == 2), err

@@ -1,17 +1,23 @@
 """Simulator: scenario schema, channels, presets, invariants, determinism."""
 
 import dataclasses
+import gc
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+from btlab.blocktree import Block
 from btlab.checkers import Status, run_checker
 from btlab.history import EventKind, History
+from btlab.history import Recorder
 from btlab.netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                           Scenario, ScenarioError, evaluate_run, preset,
                           preset_names, run_scenario, scenario_from_dict)
+from btlab.netsim import _Replica
+from btlab.oracle import Merit, prodigal_oracle
+from btlab.refinement import RefinedLedger
 
 PRESETS_DIR = Path(__file__).resolve().parent.parent / "src" / "btlab" / "presets"
 
@@ -319,6 +325,44 @@ def test_a_run_builds_one_history_and_the_full_one_on_first_read(monkeypatch):
     assert len(built) == 2 and built[1] is full
     assert run.full_history is full                         # built once
     assert full.restricted().to_jsonl() == run.history.to_jsonl()
+
+
+def test_a_simulated_history_survives_its_trace_round_trip():
+    # reads and consumes are recorded with tuples, as the trace parser stores them
+    run = run_scenario(preset("bitcoin-like"))
+    for h in (run.history, run.full_history):
+        back = History.from_jsonl(h.to_jsonl())
+        assert back.events == h.events
+        assert len(set(h.events)) == len(h.events)          # events are hashable
+
+
+def test_a_run_leaves_no_reference_cycle():
+    sc = preset("bitcoin-like")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            run_scenario(sc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_orphans_are_applied_depth_first_in_arrival_order():
+    oracle = prodigal_oracle({"s": Merit(1.0), "t": Merit(1.0)}, seed=0)
+    source, other = RefinedLedger(oracle=oracle), RefinedLedger(oracle=oracle)
+    a = source.refined_append(Block(id="a"), "s").block
+    assert other.integrate(a)
+    c1 = source.refined_append(Block(id="c1"), "s").block
+    d = source.refined_append(Block(id="d"), "s").block
+    c2 = other.refined_append(Block(id="c2"), "t").block      # a fork under a
+    replica = _Replica(ProcessSpec("r"), oracle, 1)
+    rec = Recorder()
+    for block in (c1, c2, d, a):                              # the parent last
+        replica.integrate(block, 5, rec)
+    assert [e.args for e in rec.events] == [
+        ("b0", "a"), ("a", "c1"), ("c1", "d"), ("a", "c2")]
+    assert replica.orphans == {}
 
 
 def test_duplication_repeats_receives_but_never_updates():
