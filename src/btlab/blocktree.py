@@ -15,8 +15,7 @@ chooser recomputes over all root-to-leaf chains on every read.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 GENESIS_ID = "b0"
@@ -242,45 +241,3 @@ class BlockTree:
         """The selected chain, genesis first. Genesis-only trees read as (g,)."""
         return policy.choose(self)
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        """Canonical JSON snapshot: sorted ids, explicit parent links."""
-        doc = {
-            "genesis": self.genesis_id,
-            "blocks": [
-                {
-                    "id": b.id,
-                    "parent": b.parent_id,
-                    "payload": b.payload,
-                    "token_tag": b.token_tag,
-                }
-                for b in self.blocks()
-            ],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "BlockTree":
-        doc = json.loads(text)
-        by_id = {d["id"]: d for d in doc["blocks"]}
-        g = by_id[doc["genesis"]]
-        tree = cls(Block(id=g["id"], parent_id=None, payload=g.get("payload", ""),
-                         token_tag=g.get("token_tag")))
-        # parents before children
-        pending = [d for d in doc["blocks"] if d["id"] != doc["genesis"]]
-        while pending:
-            progressed = False
-            rest = []
-            for d in pending:
-                if d["parent"] in tree:
-                    tree.insert(Block(id=d["id"], parent_id=d["parent"],
-                                      payload=d.get("payload", ""),
-                                      token_tag=d.get("token_tag")))
-                    progressed = True
-                else:
-                    rest.append(d)
-            if not progressed:
-                raise DomainError("snapshot is not a tree rooted at genesis")
-            pending = rest
-        return tree

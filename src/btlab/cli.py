@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Type
 
 from .blocktree import DomainError
 from .campaigns import CAMPAIGNS, tape_statistics
@@ -41,15 +41,22 @@ def _env_seed() -> Optional[int]:
         raise ScenarioError(f"BTLAB_SEED must be an integer, got {raw!r}")
 
 
+def _read_input(path: str, error: Type[ValueError], what: str) -> str:
+    """The UTF-8 text of a scenario or trace file; an unreadable one is malformed."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise error(f"{what} {path}: {reason}") from None
+
+
 def _load_scenario(ref: str, seed: Optional[int]) -> Scenario:
     if ref in preset_names():
         scenario = preset(ref)
     else:
-        path = Path(ref)
-        if not path.exists():
-            raise ScenarioError(f"unknown preset or missing file: {ref}")
+        text = _read_input(ref, ScenarioError, "no preset or readable scenario file")
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{ref}: not valid JSON ({exc})")
         scenario = scenario_from_dict(payload)
@@ -95,10 +102,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    path = Path(args.trace)
-    if not path.exists():
-        raise TraceError(f"no such trace: {args.trace}")
-    parsed = History.from_jsonl(path.read_text())
+    parsed = History.from_jsonl(_read_input(args.trace, TraceError, "cannot read trace"))
     for name in args.byzantine or []:
         if name not in parsed.processes:
             raise TraceError(f"--byzantine {name!r} is not a process of the trace "
@@ -129,7 +133,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
     run = run_scenario(scenario)
     produced = run.full_history.to_jsonl() if args.raw else run.history.to_jsonl()
-    reference = Path(args.trace).read_text()
+    reference = _read_input(args.trace, TraceError, "cannot read trace")
     if produced == reference:
         print(f"replay of {scenario.name} (seed {scenario.seed}): byte-identical")
         return OK
@@ -141,6 +145,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.lab is None:
         print("no lab selected: empty campaign, trivially passing")
         return OK
+    if args.runs < 1:
+        raise ScenarioError(f"--runs must be at least 1, got {args.runs}")
     seed = args.seed if args.seed is not None else _env_seed()
     if args.lab == "tape":
         stats = tape_statistics(seed=2026 if seed is None else seed)
@@ -217,9 +223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (ScenarioError, TraceError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return SCHEMA
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SCHEMA
 

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import (Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 
 class TraceError(ValueError):
@@ -90,7 +90,7 @@ class Operation:
 
 
 def make_event(event_id, kind, op, args=(), process="", logical_time=0, returned=None):
-    if type(returned) is list:          # a tuple, as `from_jsonl` stores it
+    if type(returned) is list:          # a tuple, as `decode_events` stores it
         returned = tuple(returned)
     return Event(event_id, kind, op, tuple(args), process, logical_time, returned)
 
@@ -269,53 +269,70 @@ class History:
     @classmethod
     def from_jsonl(cls, text: str, correct: Optional[Set[str]] = None,
                    complete: bool = False) -> "History":
-        events = []
-        genesis = None              # the first block of the first non-empty read chain
-        for n, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
+        return cls(decode_events(_json_lines(text), "line"), correct=correct,
+                   complete=complete)
+
+
+def _json_lines(text: str) -> Iterator[Tuple[int, Any]]:
+    """(line number, decoded JSON value) for each non-blank line of a trace."""
+    for n, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):        # let json.loads word the error, as it always has
             try:
-                doc, end = _raw_decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):        # let json.loads word the error, as it always has
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceError(f"line {n}: not JSON ({exc})") from exc
-            if type(doc) is not dict or doc.keys() != _FIELD_SET:
-                raise TraceError(f"line {n}: fields must be exactly {TRACE_FIELDS}")
-            event_id, kind, op, args, process, logical_time, returned = _fields_of(doc)
-            try:
-                kind = _KINDS[kind]
-            except (KeyError, TypeError):   # TypeError: an unhashable kind
-                raise TraceError(f"line {n}: unknown kind {kind!r}") from None
-            # JSON yields no int subclass but bool, which `type(...) is int` excludes
-            if type(event_id) is not int:
-                raise TraceError(f"line {n}: event_id must be an integer, got {event_id!r}")
-            if type(logical_time) is not int:
-                raise TraceError(
-                    f"line {n}: logical_time must be an integer, got {logical_time!r}")
-            if type(args) is not list:
-                raise TraceError(f"line {n}: args must be a list, got {args!r}")
-            if kind is EventKind.RESPONSE and op == "read":
-                if not (returned is None or (type(returned) is list
-                                             and all(type(b) is str for b in returned))):
-                    raise TraceError(f"line {n}: a read's returned must be null or a "
-                                     f"list of block ids, got {returned!r}")
-                if returned:
-                    if genesis is None:
-                        genesis = returned[0]
-                    elif returned[0] != genesis:
-                        raise TraceError(
-                            f"line {n}: a read's returned must start at genesis "
-                            f"{genesis!r} like every read before it, got {returned!r}")
-            if type(returned) is list:
-                returned = tuple(returned)
-            events.append(Event(event_id, kind, str(op), tuple(args), str(process),
-                                logical_time, returned))
-        return cls(events, correct=correct, complete=complete)
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"line {n}: not JSON ({exc})") from exc
+        yield n, doc
+
+
+def decode_events(docs: Iterable[Tuple[int, Any]], where: str) -> List[Event]:
+    """The events of (position, value) pairs, checked in order: trace lines or
+    script events. An error names the first bad value as "{where} {position}".
+    The rules are those of the trace format (see the README)."""
+    events = []
+    genesis = None
+    for n, doc in docs:
+        if type(doc) is not dict or doc.keys() != _FIELD_SET:
+            raise TraceError(f"{where} {n}: fields must be exactly {TRACE_FIELDS}")
+        event_id, kind, op, args, process, logical_time, returned = _fields_of(doc)
+        try:
+            kind = _KINDS[kind]
+        except (KeyError, TypeError):   # TypeError: an unhashable kind
+            raise TraceError(f"{where} {n}: unknown kind {kind!r}") from None
+        # JSON yields no int subclass but bool, which `type(...) is int` excludes
+        if type(event_id) is not int:
+            raise TraceError(f"{where} {n}: event_id must be an integer, got {event_id!r}")
+        if type(logical_time) is not int:
+            raise TraceError(
+                f"{where} {n}: logical_time must be an integer, got {logical_time!r}")
+        if type(op) is not str:
+            raise TraceError(f"{where} {n}: op must be a string, got {op!r}")
+        if type(process) is not str:
+            raise TraceError(f"{where} {n}: process must be a string, got {process!r}")
+        if type(args) is not list:
+            raise TraceError(f"{where} {n}: args must be a list, got {args!r}")
+        if kind is EventKind.RESPONSE and op == "read":
+            if not (returned is None or (type(returned) is list
+                                         and all(type(b) is str for b in returned))):
+                raise TraceError(f"{where} {n}: a read's returned must be null or a "
+                                 f"list of block ids, got {returned!r}")
+            if returned:
+                if genesis is None:
+                    genesis = returned[0]
+                elif returned[0] != genesis:
+                    raise TraceError(
+                        f"{where} {n}: a read's returned must start at genesis "
+                        f"{genesis!r} like every read before it, got {returned!r}")
+        if type(returned) is list:      # a tuple, as `make_event` stores it
+            returned = tuple(returned)
+        events.append(Event(event_id, kind, op, tuple(args), process, logical_time, returned))
+    return events
 
 
 def restrict(events: Iterable[Event], correct: Set[str]) -> List[Event]:
@@ -362,9 +379,7 @@ class Recorder:
 
     def emit(self, kind: EventKind, op: str, process: str, logical_time: int,
              args: Sequence[Any] = (), returned: Any = None) -> Event:
-        if type(returned) is list:          # a tuple, as `from_jsonl` stores it
-            returned = tuple(returned)
-        e = Event(self._next_id, kind, op, tuple(args), process, logical_time, returned)
+        e = make_event(self._next_id, kind, op, args, process, logical_time, returned)
         self._next_id += 1
         self.events.append(e)
         return e

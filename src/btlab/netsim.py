@@ -22,14 +22,15 @@ import enum
 import heapq
 import json
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Container, Dict, List, Optional, Set, Tuple
 
 from .blocktree import Block, BlockTree
 from .checkers import CHECKERS, EventualityWindow, Verdict, run_checker
-from .history import Event, EventKind, History, Recorder, restrict
+from .history import (Event, EventKind, History, Recorder, TraceError, decode_events,
+                      restrict)
 from .oracle import Merit, OracleState
 from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS, AppendStatus, RefinedLedger
 
@@ -50,6 +51,27 @@ class ChannelKind(enum.Enum):
     WEAKLY_SYNCHRONOUS = "weakly-synchronous"
 
 
+def _require(cond: bool, msg: str):
+    if not cond:
+        raise ScenarioError(msg)
+
+
+def _integer(value: Any, what: str, low: Optional[int] = None, high: Optional[int] = None,
+             null: bool = False) -> None:
+    """Reject `value` unless it is a JSON integer in [low, high], or null when allowed."""
+    if (value is None and null) or (type(value) is int and (low is None or value >= low)
+                                    and (high is None or value <= high)):
+        return
+    bounds = ("" if low is None else f" >= {low}" if high is None
+              else f" in [{low}, {high}]")
+    raise ScenarioError(f"{what} must be a number, an integer{bounds}"
+                        f"{' or null' if null else ''}, got {value!r}")
+
+
+# run_scenario schedules one heap entry per append or read tick
+MAX_DURATION = 10**6
+
+
 @dataclass
 class ChannelModel:
     kind: ChannelKind = ChannelKind.SYNCHRONOUS
@@ -60,19 +82,34 @@ class ChannelModel:
     drops: List[Dict[str, Any]] = field(default_factory=list)    # {block?,from?,to?}
     duplication: bool = False
 
+    def __post_init__(self):
+        try:
+            self.kind = ChannelKind(self.kind)
+        except ValueError:
+            raise ScenarioError(f"unknown channel kind {self.kind!r}") from None
+        _integer(self.delta, "channel delta", 1)
+        _integer(self.tau, "channel tau")
+        _integer(self.async_max_delay, "async_max_delay")
+        _require(type(self.delays) is list and all(
+            type(r) is dict and type(r.get("delay")) is int for r in self.delays),
+            "channel delays must be a list of rules, each with an integer delay")
+        _require(type(self.drops) is list and all(type(r) is dict for r in self.drops),
+                 "channel drops must be a list of objects")
+        _require(type(self.duplication) is bool, "channel duplication must be a boolean")
+
     def delay(self, sender: str, to: str, tick: int, rng: random.Random) -> int:
         for rule in self.delays:
             if rule.get("from", sender) == sender and rule.get("to", to) == to:
-                return max(1, int(rule["delay"]))
+                return max(1, rule["delay"])
         if self.kind is ChannelKind.SYNCHRONOUS:
-            return rng.randint(1, max(1, self.delta))
+            return rng.randint(1, self.delta)
         if self.kind is ChannelKind.ASYNCHRONOUS:
             return rng.randint(1, max(1, self.async_max_delay))
         # weakly synchronous: unbounded before tau, bounded after
         if tick >= self.tau:
-            return rng.randint(1, max(1, self.delta))
+            return rng.randint(1, self.delta)
         free = rng.randint(1, max(1, self.async_max_delay))
-        capped = (self.tau - tick) + rng.randint(1, max(1, self.delta))
+        capped = (self.tau - tick) + rng.randint(1, self.delta)
         return min(free, capped)
 
     def dropped(self, block_id: str, sender: str, to: str) -> bool:
@@ -95,15 +132,43 @@ class ProcessSpec:
     read_interval: Optional[int] = None            # None: never reads
     read_offset: int = 0
 
+    def __post_init__(self):
+        _require(type(self.id) is str and self.id, "each process needs a string id")
+        if self.behavior not in ("correct", "byzantine"):
+            raise ScenarioError(f"behavior must be correct|byzantine, got {self.behavior!r}")
+        if type(self.merit) not in (int, float) or not 0.0 < self.merit <= 1.0:
+            raise ScenarioError(f"merit must be a number in (0, 1], got {self.merit!r}")
+        _integer(self.block_interval, "block_interval", 1, null=True)
+        _integer(self.append_offset, "append_offset", 0, null=True)
+        _integer(self.read_interval, "read_interval", 1, null=True)
+        _integer(self.read_offset, "read_offset", 0)
+        _require(type(self.script) is dict, "a process script must be an object")
+        _require(type(self.withhold_from) is list
+                 and all(type(q) is str for q in self.withhold_from),
+                 "withhold_from must be a list of process ids")
+        _integer(self.send_delay, "send_delay", 0)
+
     @property
     def correct(self) -> bool:
         return self.behavior == "correct"
+
+    @property
+    def withhold_from(self) -> List[str]:
+        return self.script.get("withhold_from", [])
+
+    @property
+    def send_delay(self) -> int:
+        return self.script.get("send_delay", 0)
 
 
 @dataclass
 class OracleSpec:
     capacity: Optional[int] = None                 # None: prodigal (unbounded)
     seed: int = 0
+
+    def __post_init__(self):
+        _integer(self.capacity, "oracle capacity", 1, null=True)
+        _integer(self.seed, "oracle seed")
 
 
 @dataclass
@@ -121,6 +186,33 @@ class Scenario:
     description: str = ""
     max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS
 
+    def __post_init__(self):
+        _require(type(self.name) is str and self.name, "name must be a string")
+        _require(type(self.processes) is list and self.processes,
+                 "processes must be a non-empty list")
+        ids = [p.id for p in self.processes]
+        if len(set(ids)) != len(ids):
+            raise ScenarioError(f"duplicate process id {max(ids, key=ids.count)!r}")
+        _integer(self.seed, "seed")
+        _integer(self.duration, "duration", 0, MAX_DURATION)
+        _require(type(self.declared_complete) is bool, "declared_complete must be a boolean")
+        _integer(self.stabilization_suffix, "stabilization_suffix", 1)
+        _require(type(self.expected_verdicts) is dict, "expected_verdicts must be an object")
+        for crit, status in self.expected_verdicts.items():
+            if crit not in CHECKERS:
+                raise ScenarioError(f"unknown criterion {crit!r} in expected_verdicts; "
+                                    f"choose from {', '.join(CHECKERS)}")
+            if status not in ("PASS", "FAIL", "INCONCLUSIVE"):
+                raise ScenarioError(
+                    f"expected verdict for {crit} must be PASS|FAIL|INCONCLUSIVE")
+        _require(type(self.script) is list, "script must be a list of events")
+        for n, ev in enumerate(self.script):
+            if type(ev) is dict and "event_id" in ev:
+                raise TraceError(f"script event {n}: its id is its position, not an event_id")
+        _script_events(self.script)
+        _require(type(self.description) is str, "description must be a string")
+        _integer(self.max_grant_attempts, "max_grant_attempts")
+
     def correct_set(self) -> Set[str]:
         return {p.id for p in self.processes if p.correct}
 
@@ -130,145 +222,38 @@ class Scenario:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": SCENARIO_VERSION,
-            "name": self.name,
-            "description": self.description,
-            "processes": [asdict(p) for p in self.processes],
-            "channel": {**asdict(self.channel), "kind": self.channel.kind.value},
-            "oracle": asdict(self.oracle),
-            "seed": self.seed,
-            "duration": self.duration,
-            "declared_complete": self.declared_complete,
-            "stabilization_suffix": self.stabilization_suffix,
-            "expected_verdicts": dict(self.expected_verdicts),
-            "script": list(self.script),
-            "max_grant_attempts": self.max_grant_attempts,
-        }
+        doc = asdict(self)
+        doc["channel"]["kind"] = self.channel.kind.value
+        return {"version": SCENARIO_VERSION, **doc}
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ScenarioError(msg)
+def _script_events(script: List[Any]) -> List[Event]:
+    """A script event is a trace line without its event_id, which is its
+    position; a malformed one is a TraceError, as in a trace."""
+    return decode_events(((n, {"event_id": n, **ev} if type(ev) is dict else ev)
+                          for n, ev in enumerate(script)), "script event")
 
 
-def _number(cast, value: Any, what: str):
-    """cast(value), with a malformed value reported as a ScenarioError."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+def _from(cls, doc: Any, what: str, **parts: Any):
+    """A `cls` built from the fields `doc` gives (a missing required one as
+    null) and `parts`; every other field keeps its class default."""
+    if type(doc) is not dict:
+        raise ScenarioError(f"{what} must be an object")
+    given = {name: doc.get(name) for name, f in cls.__dataclass_fields__.items()
+             if name in doc or f.default is MISSING and f.default_factory is MISSING}
+    return cls(**{**given, **parts})
 
 
 def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
-    _require(isinstance(doc, dict), "scenario must be a JSON object")
-    _require(doc.get("version") == SCENARIO_VERSION,
-             f"unsupported scenario version {doc.get('version')!r}")
-    _require(isinstance(doc.get("name"), str) and doc["name"], "name must be a string")
-    procs_doc = doc.get("processes")
-    _require(isinstance(procs_doc, list) and procs_doc, "processes must be a non-empty list")
-    processes = []
-    seen_ids = set()
-    for p in procs_doc:
-        _require(isinstance(p, dict) and isinstance(p.get("id"), str) and p["id"],
-                 "each process needs a string id")
-        _require(p["id"] not in seen_ids, f"duplicate process id {p['id']!r}")
-        seen_ids.add(p["id"])
-        behavior = p.get("behavior", "correct")
-        _require(behavior in ("correct", "byzantine"),
-                 f"behavior must be correct|byzantine, got {behavior!r}")
-        merit = _number(float, p.get("merit", 1.0), "merit")
-        _require(0.0 < merit <= 1.0, "merit must be in (0, 1]")
-        _require(p.get("append_offset") is None or isinstance(p["append_offset"], int),
-                 "append_offset must be an integer or null")
-        for key in ("block_interval", "read_interval"):
-            _require(p.get(key) is None or (isinstance(p[key], int) and p[key] >= 1),
-                     f"{key} must be a positive integer or null")
-        script = p.get("script") or {}
-        _require(isinstance(script, dict), "a process script must be an object")
-        withhold = script.get("withhold_from", [])
-        _require(isinstance(withhold, list) and all(isinstance(q, str) for q in withhold),
-                 "withhold_from must be a list of process ids")
-        delay = script.get("send_delay", 0)
-        _require(isinstance(delay, int) and delay >= 0,
-                 "send_delay must be a non-negative integer")
-        processes.append(ProcessSpec(
-            id=p["id"], merit=merit, behavior=behavior, script=dict(script),
-            block_interval=p.get("block_interval"),
-            append_offset=p.get("append_offset"),
-            read_interval=p.get("read_interval"),
-            read_offset=_number(int, p.get("read_offset", 0), "read_offset"),
-        ))
-    ch = doc.get("channel", {})
-    _require(isinstance(ch, dict), "channel must be an object")
-    try:
-        kind = ChannelKind(ch.get("kind", "synchronous"))
-    except ValueError:
-        raise ScenarioError(f"unknown channel kind {ch.get('kind')!r}")
-    delays, drops = ch.get("delays", []), ch.get("drops", [])
-    _require(isinstance(delays, list)
-             and all(isinstance(r, dict) and isinstance(r.get("delay"), int) for r in delays),
-             "channel delays must be a list of rules, each with an integer delay")
-    _require(isinstance(drops, list) and all(isinstance(r, dict) for r in drops),
-             "channel drops must be a list of objects")
-    channel = ChannelModel(
-        kind=kind, delta=_number(int, ch.get("delta", 3), "channel delta"),
-        tau=_number(int, ch.get("tau", 0), "channel tau"),
-        async_max_delay=_number(int, ch.get("async_max_delay", 30), "async_max_delay"),
-        delays=list(delays), drops=list(drops),
-        duplication=bool(ch.get("duplication", False)))
-    _require(channel.delta >= 1, "channel delta must be >= 1")
-    orc = doc.get("oracle", {})
-    _require(isinstance(orc, dict), "oracle must be an object")
-    capacity = orc.get("capacity")
-    _require(capacity is None or (isinstance(capacity, int) and capacity >= 1),
-             "oracle capacity must be a positive integer or null")
-    suffix = _number(int, doc.get("stabilization_suffix", 3), "stabilization_suffix")
-    _require(suffix >= 1, "stabilization_suffix must be >= 1")
-    expected = doc.get("expected_verdicts", {})
-    _require(isinstance(expected, dict), "expected_verdicts must be an object")
-    for crit, status in expected.items():
-        _require(crit in CHECKERS, f"unknown criterion {crit!r} in expected_verdicts; "
-                                   f"choose from {', '.join(CHECKERS)}")
-        _require(status in ("PASS", "FAIL", "INCONCLUSIVE"),
-                 f"expected verdict for {crit} must be PASS|FAIL|INCONCLUSIVE")
-    script = doc.get("script", [])
-    _require(isinstance(script, list), "script must be a list of events")
-    for n, ev in enumerate(script):
-        _check_script_event(n, ev)
-    duration = _number(int, doc.get("duration", 50), "duration")
-    _require(duration >= 0, "duration must be >= 0")
-    return Scenario(
-        name=doc["name"], processes=processes, channel=channel,
-        oracle=OracleSpec(capacity=capacity,
-                          seed=_number(int, orc.get("seed", 0), "oracle seed")),
-        seed=_number(int, doc.get("seed", 0), "seed"), duration=duration,
-        declared_complete=bool(doc.get("declared_complete", True)),
-        stabilization_suffix=suffix, expected_verdicts=dict(expected),
-        script=list(script), description=str(doc.get("description", "")),
-        max_grant_attempts=_number(int, doc.get("max_grant_attempts",
-                                                DEFAULT_MAX_GRANT_ATTEMPTS),
-                                   "max_grant_attempts"),
-    )
-
-
-_KIND_NAMES = tuple(k.value for k in EventKind)
-
-
-def _check_script_event(n: int, ev: Any) -> None:
-    """Reject a script event that `_replay_script` or a checker could not take."""
-    what = f"script event {n}"
-    _require(isinstance(ev, dict), f"{what} must be an object")
-    _require(ev.get("kind") in _KIND_NAMES,
-             f"{what}: kind must be one of {'|'.join(_KIND_NAMES)}, got {ev.get('kind')!r}")
-    for key in ("op", "process"):
-        _require(isinstance(ev.get(key), str), f"{what}: {key} must be a string")
-    _number(int, ev.get("logical_time"), f"{what}: logical_time")
-    _require(isinstance(ev.get("args", []), list), f"{what}: args must be a list")
-    returned = ev.get("returned")
-    _require(ev["kind"] != "response" or ev["op"] != "read" or returned is None
-             or (isinstance(returned, list) and all(isinstance(b, str) for b in returned)),
-             f"{what}: a read's returned must be null or a list of block ids")
+    _require(type(doc) is dict, "scenario must be a JSON object")
+    if doc.get("version") != SCENARIO_VERSION:
+        raise ScenarioError(f"unsupported scenario version {doc.get('version')!r}")
+    processes = doc.get("processes")
+    if type(processes) is list:
+        processes = [_from(ProcessSpec, p, "each process") for p in processes]
+    return _from(Scenario, doc, "scenario", processes=processes,
+                 channel=_from(ChannelModel, doc.get("channel", {}), "channel"),
+                 oracle=_from(OracleSpec, doc.get("oracle", {}), "oracle"))
 
 
 # -- the simulator ------------------------------------------------------------
@@ -392,9 +377,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
             if res:
                 rec.emit(EventKind.SEND, "send", payload, tick,
                          args=(res.block.parent_id, res.block.id))
-                script = rep.spec.script      # Byzantine withholding and lag
-                send(payload, res.block, tick, set(script.get("withhold_from", [])),
-                     int(script.get("send_delay", 0)))
+                send(payload, res.block, tick, set(rep.spec.withhold_from),
+                     rep.spec.send_delay)
         elif klass == _DELIVER:
             dest, block = payload
             rep = replicas[dest]
@@ -424,14 +408,10 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
 
 
 def _replay_script(scenario: Scenario) -> SimRun:
-    rec = Recorder()
-    for ev in scenario.script:        # checked by scenario_from_dict
-        rec.emit(EventKind(ev["kind"]), ev["op"], ev["process"], int(ev["logical_time"]),
-                 args=ev.get("args", ()), returned=ev.get("returned"))
     # a script comes from outside: building its full history now rejects a
     # malformed one (a response without invocation, say) at run time
-    full = rec.history(correct=scenario.correct_set(),
-                       complete=scenario.declared_complete)
+    full = History(_script_events(scenario.script), correct=scenario.correct_set(),
+                   complete=scenario.declared_complete)
     run = SimRun(scenario=scenario, history=full.restricted(), events=full.events,
                  oracle=None, ledgers={})
     run.full_history = full

@@ -49,23 +49,15 @@ class RegisterSpace:
 # -- cas from consume_token --------------------------------------------------
 
 
-def cas_via_consume(oracle: OracleState, stamped: Block) -> FrozenSet[Block]:
-    """compare&swap(consumed[parent], {}, {stamped}) out of one consume call.
-
-    The consume is the linearization point; the comparison after it is local.
-    Returns {} on success (the register held the empty set and now holds the
-    block), otherwise the occupying set, exactly like cas returns the
-    previous value.
-    """
-    returned = oracle.consume_token(stamped)
-    if returned == frozenset({stamped}):
-        return frozenset()
-    return returned
-
-
 def cas_via_consume_steps(oracle: OracleState, stamped: Block,
                           out: Dict[str, Any], key: str) -> List[Callable[[], None]]:
-    """The same reduction split into schedulable steps (shared, then local)."""
+    """compare&swap(consumed[parent], {}, {stamped}) out of one consume call,
+    as two schedulable steps: the shared consume, then a local comparison.
+
+    The consume is the linearization point. `out[key]` gets {} on success
+    (the register held the empty set and now holds the block), otherwise the
+    occupying set, exactly like cas returns the previous value.
+    """
     cell: Dict[str, Any] = {}
 
     def consume_step():
@@ -76,6 +68,14 @@ def cas_via_consume_steps(oracle: OracleState, stamped: Block,
         out[key] = frozenset() if returned == frozenset({stamped}) else returned
 
     return [consume_step, compare_step]
+
+
+def cas_via_consume(oracle: OracleState, stamped: Block) -> FrozenSet[Block]:
+    """The same reduction with its two steps run back to back."""
+    out: Dict[str, Any] = {}
+    for step in cas_via_consume_steps(oracle, stamped, out, "cas"):
+        step()
+    return out["cas"]
 
 
 # -- consume_token from atomic snapshot ----------------------------------------

@@ -303,6 +303,9 @@ def from_jsonl(text: str, correct: Optional[Set[str]] = None,
         for key in ("event_id", "logical_time"):
             if not _is_int(doc[key]):
                 raise TraceError(f"line {n}: {key} must be an integer, got {doc[key]!r}")
+        for key in ("op", "process"):
+            if not isinstance(doc[key], str):
+                raise TraceError(f"line {n}: {key} must be a string, got {doc[key]!r}")
         if not isinstance(doc["args"], list):
             raise TraceError(f"line {n}: args must be a list, got {doc['args']!r}")
         returned = doc["returned"]
@@ -320,7 +323,7 @@ def from_jsonl(text: str, correct: Optional[Set[str]] = None,
         if isinstance(returned, list):
             returned = tuple(returned)
         events.append(Event(
-            event_id=doc["event_id"], kind=kind, op=str(doc["op"]),
-            args=tuple(doc["args"]), process=str(doc["process"]),
+            event_id=doc["event_id"], kind=kind, op=doc["op"],
+            args=tuple(doc["args"]), process=doc["process"],
             logical_time=doc["logical_time"], returned=returned))
     return History(events, correct=correct, complete=complete)

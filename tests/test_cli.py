@@ -1,6 +1,7 @@
 """Command-line interface: verbs, flags, exit codes, artifacts."""
 
 import json
+import re
 
 import pytest
 
@@ -68,6 +69,19 @@ def test_run_rejects_unknown_names_and_bad_files(tmp_path, capsys):
     assert run_cli("run", str(invalid)) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "merit" in err
+    assert_unreadable_inputs_exit_two(tmp_path, capsys, "run")
+
+
+def assert_unreadable_inputs_exit_two(tmp_path, capsys, *verb):
+    """A directory or a file that is not UTF-8 is a malformed input: exit 2, one line."""
+    not_utf8 = tmp_path / "latin-1.json"
+    not_utf8.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    for path in (tmp_path, not_utf8):
+        capsys.readouterr()
+        assert run_cli(*verb, str(path)) == 2, path
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and str(path) in captured.err, captured.err
+        assert captured.out == ""
 
 
 def test_run_rejects_a_script_response_without_invocation(tmp_path, capsys):
@@ -103,6 +117,14 @@ def _set(path, value):
     ("figure-3", _set(["script", 0, "args"], 5)),
     ("figure-3", _set(["script", 0, "logical_time"], None)),
     ("figure-3", _set(["script", 0, "process"], 5)),
+    ("figure-3", _set(["script", 0, "event_id"], 0)),
+    ("bitcoin-like", _set(["duration"], 10**12)),
+    ("bitcoin-like", _set(["duration"], 10**6 + 1)),
+    ("bitcoin-like", _set(["processes", 0, "read_offset"], -1)),
+    ("bitcoin-like", _set(["processes", 0, "append_offset"], -1)),
+    ("bitcoin-like", _set(["declared_complete"], 1)),
+    ("bitcoin-like", _set(["channel", "duplication"], "false")),
+    ("bitcoin-like", _set(["description"], 5)),
 ])
 def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
     doc = preset(name).to_dict()
@@ -113,6 +135,68 @@ def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+INTEGER_FIELDS = [["seed"], ["duration"], ["stabilization_suffix"], ["max_grant_attempts"],
+                  ["oracle", "seed"], ["oracle", "capacity"], ["channel", "delta"],
+                  ["channel", "tau"], ["channel", "async_max_delay"],
+                  ["channel", "delays", 0, "delay"], ["processes", 0, "block_interval"],
+                  ["processes", 0, "append_offset"], ["processes", 0, "read_interval"],
+                  ["processes", 0, "read_offset"], ["processes", 0, "script", "send_delay"]]
+
+
+@pytest.mark.parametrize("path", INTEGER_FIELDS, ids=lambda path: "/".join(map(str, path)))
+@pytest.mark.parametrize("value", ["40", 40.9, True])
+def test_every_integer_scenario_field_takes_json_integers_only(tmp_path, capsys, path,
+                                                               value):
+    doc = preset("bitcoin-like").to_dict()
+    _set(path, value)(doc)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert run_cli("run", str(scenario)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and str(path[-1]) in captured.err, captured.err
+    assert captured.out == ""
+
+
+# One mutation of one figure-3 event (the first one, or the last read
+# response), sent once as a script event of the scenario and once as a line
+# of a trace: both carriers must judge it alike.
+CARRIER_PROBES = {
+    "unchanged": ("first", lambda ev: None),
+    "time-string": ("first", lambda ev: ev.update(logical_time="0")),
+    "time-float": ("first", lambda ev: ev.update(logical_time=0.9)),
+    "time-bool": ("first", lambda ev: ev.update(logical_time=True)),
+    "no-args": ("first", lambda ev: ev.pop("args")),
+    "extra-field": ("first", lambda ev: ev.update(x=1)),
+    "op-number": ("first", lambda ev: ev.update(op=5)),
+    "process-number": ("first", lambda ev: ev.update(process=5)),
+    "returned-number": ("read", lambda ev: ev.update(returned=5)),
+    "foreign-genesis": ("read", lambda ev: ev.update(returned=["x0"])),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CARRIER_PROBES))
+def test_a_script_event_and_a_trace_line_are_judged_alike(tmp_path, capsys, probe):
+    doc = preset("figure-3").to_dict()
+    script = doc["script"]
+    reads = [n for n, ev in enumerate(script) if (ev["kind"], ev["op"]) == ("response", "read")]
+    which, mutate = CARRIER_PROBES[probe]
+    mutate(script[0 if which == "first" else reads[-1]])
+    scenario, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
+    scenario.write_text(json.dumps(doc))
+    trace.write_text("".join(json.dumps({"event_id": n, **ev}) + "\n"
+                             for n, ev in enumerate(script)))
+    outcomes = []
+    for argv, where in ((["run", str(scenario)], r"script event \d+"),
+                        (["check", str(trace)], r"line \d+")):
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.count("\n") == 1 and re.match(f"error: {where}: ", err), err
+        outcomes.append((code, re.sub(f"^error: {where}: ", "", err)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if probe == "unchanged" else 2)
 
 
 def test_seed_flag_overrides_scenario_and_oracle_seed(tmp_path):
@@ -194,10 +278,11 @@ def test_check_builds_the_parsed_and_the_restricted_history_only(figure_traces,
     assert len(judged.events) < len(parsed.events) and judged.correct == {"i"}
 
 
-def test_check_rejects_unknown_criteria_and_missing_files(figure_traces):
+def test_check_rejects_unknown_criteria_and_missing_files(figure_traces, tmp_path, capsys):
     trace = figure_traces / "figure-3.trace.jsonl"
     assert run_cli("check", str(trace), "--criterion", "zzz") == 2
     assert run_cli("check", str(figure_traces / "nope.jsonl")) == 2
+    assert_unreadable_inputs_exit_two(tmp_path, capsys, "check")
 
 
 READ_INVOCATION = {"args": [], "event_id": 0, "kind": "invocation", "logical_time": 0,
@@ -266,6 +351,11 @@ def test_replay_detects_identity_and_divergence(figure_traces, tmp_path):
     tampered = tmp_path / "tampered.jsonl"
     tampered.write_text(trace.read_text().replace('"b0"', '"bX"', 1))
     assert run_cli("replay", "figure-3", str(tampered)) == 1
+    assert run_cli("replay", "figure-3", str(tmp_path / "nope.jsonl")) == 2
+
+
+def test_replay_rejects_an_unreadable_trace(tmp_path, capsys):
+    assert_unreadable_inputs_exit_two(tmp_path, capsys, "replay", "figure-3")
 
 
 def test_replay_compares_raw_traces_when_asked(figure_traces):
@@ -306,6 +396,14 @@ def test_campaign_tape_lab_honours_btlab_seed(capsys, monkeypatch):
     assert flagged["seed"] == 5 and flagged["grants"] != 4972
     assert run_cli("campaign", "--lab", "tape", "--seed", "2026") == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 2026     # the flag wins
+
+
+@pytest.mark.parametrize("runs", ["0", "-5"])
+def test_campaign_rejects_fewer_than_one_run(capsys, runs):
+    assert run_cli("campaign", "--lab", "hierarchy", "--runs", runs) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "--runs" in captured.err
+    assert captured.out == ""
 
 
 def test_campaign_small_hierarchy_and_shm_runs(capsys):
