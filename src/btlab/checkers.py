@@ -13,9 +13,10 @@ each process. Window reads are evidence, not references: an eventuality is
 judged for reads that still have a future inside the trace.
 
 A History is immutable, so each criterion is judged at most once per history
-and arguments: every `check_*` takes `(h, window, score)`, keeps its verdict in
-`History.verdict_cache` under `(criterion, (window, score))`, and `sc`/`ec`
-compose the verdicts of the standalone criteria they contain.
+and arguments it reads: every `check_*` takes `(h, window, score)`, keeps its
+verdict in `History.verdict_cache` under the criterion and those of the two
+arguments its verdict depends on, and `sc`/`ec` compose the verdicts of the
+standalone criteria they contain.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -72,24 +74,30 @@ Check = Callable[[History, EventualityWindow, ScoreFn], Verdict]
 CHECKERS: Dict[str, Check] = {}
 
 
-def _criterion(check: Check) -> Check:
-    """Register `check` in CHECKERS and memoise it in the history's
-    `verdict_cache` under `(criterion, (window, score))`. The wrapper declares
+def _criterion(*reads: str) -> Callable[[Check], Check]:
+    """Register a check in CHECKERS and memoise it in the history's
+    `verdict_cache` under `(criterion, the arguments it reads)`: `reads` names
+    those of "window" and "score" its verdict depends on, so a check that
+    ignores one is judged once whatever is passed for it. The wrapper declares
     the defaults, so every way of passing the same arguments shares one key.
     A raised error is not kept.
     """
-    criterion = check.__name__[len("check_"):].replace("_", "-")
+    mask = ("window" in reads, "score" in reads)
 
-    @functools.wraps(check)
-    def judged(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-               score: ScoreFn = length_score) -> Verdict:
-        key = (criterion, (window, score))
-        verdict = h.verdict_cache.get(key)
-        if verdict is None:
-            verdict = h.verdict_cache[key] = check(h, window, score)
-        return verdict
-    CHECKERS[criterion] = judged
-    return judged
+    def register(check: Check) -> Check:
+        criterion = check.__name__[len("check_"):].replace("_", "-")
+
+        @functools.wraps(check)
+        def judged(h: History, window: EventualityWindow = DEFAULT_WINDOW,
+                   score: ScoreFn = length_score) -> Verdict:
+            key = (criterion, tuple(compress((window, score), mask)))
+            verdict = h.verdict_cache.get(key)
+            if verdict is None:
+                verdict = h.verdict_cache[key] = check(h, window, score)
+            return verdict
+        CHECKERS[criterion] = judged
+        return judged
+    return register
 
 
 def _unmet(h: History, criterion: str, witness: Tuple[int, ...], detail: str) -> Verdict:
@@ -117,7 +125,7 @@ def _split_window(h: History, window: EventualityWindow):
 # -- block validity -------------------------------------------------------
 
 
-@_criterion
+@_criterion()
 def check_block_validity(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Every block a read returns must have been appended beforehand: at an
     earlier tick, or earlier on the reading process."""
@@ -144,7 +152,7 @@ def check_block_validity(h: History, window: EventualityWindow, score: ScoreFn) 
 # -- local monotonic read -----------------------------------------------------
 
 
-@_criterion
+@_criterion("score")
 def check_local_monotonic_read(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Per process, read scores never decrease."""
     for p in h.processes:
@@ -162,7 +170,7 @@ def check_local_monotonic_read(h: History, window: EventualityWindow, score: Sco
 # -- strong prefix ---------------------------------------------------------------
 
 
-@_criterion
+@_criterion()
 def check_strong_prefix(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Any two returned chains, whoever read them, must be prefix-comparable.
 
@@ -190,7 +198,7 @@ def check_strong_prefix(h: History, window: EventualityWindow, score: ScoreFn) -
 # -- ever growing tree -------------------------------------------------------------
 
 
-@_criterion
+@_criterion("window", "score")
 def check_ever_growing_tree(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Only finitely many later reads may score <= a read's score.
 
@@ -246,7 +254,7 @@ def _walk_pairs(after: Tuple[int, ...], chains: List[Tuple[str, ...]],
     return pairs, lows, None
 
 
-@_criterion
+@_criterion("window", "score")
 def check_eventual_prefix(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """For each reference read, later reads eventually agree up to its score.
 
@@ -303,7 +311,7 @@ def _block_owner(h: History) -> Dict[str, str]:
     return owner
 
 
-@_criterion
+@_criterion()
 def check_update_agreement(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """R1: own updates are broadcast. R2: foreign updates follow a local
     receive. R3: an updated block is eventually received everywhere."""
@@ -343,7 +351,7 @@ def check_update_agreement(h: History, window: EventualityWindow, score: ScoreFn
 # -- reliable broadcast (validity + agreement) ------------------------------------------
 
 
-@_criterion
+@_criterion()
 def check_lrc(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Broadcast contract: a sender delivers to itself, and a message
     received anywhere correct is received everywhere correct."""
@@ -385,7 +393,7 @@ def _conjunction(name: str, parts: List[Verdict]) -> Verdict:
     return Verdict(name, Status.PASS, (), "", by_name)
 
 
-@_criterion
+@_criterion("window", "score")
 def check_sc(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Strong consistency: validity + monotonic reads + strong prefix +
     ever growing tree."""
@@ -397,7 +405,7 @@ def check_sc(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     ])
 
 
-@_criterion
+@_criterion("window", "score")
 def check_ec(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
     """Eventual consistency: validity + monotonic reads + ever growing tree +
     eventual prefix."""

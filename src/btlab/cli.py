@@ -81,19 +81,28 @@ def _print_verdicts(report: dict) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
+    if args.out:                    # before simulating: a bad --out is a usage error
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError(f"cannot create --out directory {args.out}: "
+                                f"{exc.strerror or exc}") from None
     run = run_scenario(scenario)
     report = evaluate_run(run)
     print(f"scenario {scenario.name} seed={scenario.seed} "
           f"dropped={run.dropped} undelivered={run.undelivered}")
     _print_verdicts(report)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         stem = out / scenario.name
-        stem.with_suffix(".trace.jsonl").write_text(run.history.to_jsonl())
-        stem.with_suffix(".raw.jsonl").write_text(run.full_history.to_jsonl())
-        stem.with_suffix(".report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            stem.with_suffix(".trace.jsonl").write_text(run.history.to_jsonl())
+            stem.with_suffix(".raw.jsonl").write_text(run.full_history.to_jsonl())
+            stem.with_suffix(".report.json").write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {exc.filename}: "
+                                f"{exc.strerror or exc}") from None
         print(f"wrote {stem}.trace.jsonl / .raw.jsonl / .report.json")
     if not report["ok"]:
         print(f"verdict mismatch (counterexample seed {scenario.seed})")

@@ -18,7 +18,9 @@ program order and the read queries use are built on first use, so a history
 that is only parsed, re-wrapped or written out never pays for them. A History
 is immutable: its events, processes and operations are tuples, its correct
 set is a frozenset and `complete` is read-only, so whatever is computed from
-it (an index, a checker's verdict in `verdict_cache`) never goes stale.
+it (an index, a checker's verdict in `verdict_cache`, an event's trace line in
+`line_memo`) never goes stale. A run's restricted and full histories share
+one line memo, so writing both traces encodes each event once.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ TRACE_FIELDS = ("event_id", "kind", "op", "args", "process", "logical_time", "re
 _FIELD_SET = frozenset(TRACE_FIELDS)
 _fields_of = itemgetter(*TRACE_FIELDS)
 _KINDS = {k.value: k for k in EventKind}
+_KIND_NAMES = {k: k.value for k in EventKind}   # faster than the Enum.value descriptor
 
+# see _encode_lines: the event dicts are built in sorted key order already
+_UNSORTED_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_BOUNDARY = '},{"args":'              # between two encoded events: see to_jsonl
-_LINE_BREAK = '}\n{"args":'
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -102,7 +105,7 @@ class History:
     """A validated, canonically ordered, immutable event sequence."""
 
     def __init__(self, events: Iterable[Event], correct: Optional[Iterable[str]] = None,
-                 complete: bool = False):
+                 complete: bool = False, line_memo: Optional[Dict[int, str]] = None):
         self.events: Tuple[Event, ...] = tuple(sorted(events, key=_canonical_order))
         self._complete = complete
         self.processes: Tuple[str, ...] = tuple(sorted({e.process for e in self.events}))
@@ -117,6 +120,9 @@ class History:
                 seen.add(e.event_id)
         self.operations: Tuple[Operation, ...] = self._match_operations()
         self.verdict_cache: Dict[Any, Any] = {}   # filled by btlab.checkers
+        # event_id -> canonical trace line, filled by to_jsonl; shared only with
+        # histories whose events of equal id are the same events
+        self.line_memo: Dict[int, str] = {} if line_memo is None else line_memo
 
     @property
     def complete(self) -> bool:
@@ -239,38 +245,51 @@ class History:
     # -- restriction -------------------------------------------------------------
 
     def restricted(self) -> "History":
-        """Keep only the checker-visible events (see `restrict`). Idempotent."""
+        """Keep only the checker-visible events (see `restrict`). Idempotent.
+        The result shares this history's line memo: its events are these."""
         return History(restrict(self.events, self.correct), correct=self.correct,
-                       complete=self.complete)
+                       complete=self.complete, line_memo=self.line_memo)
 
     # -- serialization --------------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        """One canonical JSON object per line, encoded with one encoder call.
-
-        Every event object starts with "args", its first sorted key, and a
-        JSON string cannot hold an unescaped quote, so in the encoded list
-        each boundary between two events reads `},{"args":`. When that text
-        occurs exactly once per boundary, every occurrence is one and becomes
-        a line break. Otherwise a nested object in some `args` or `returned`
-        produced it too, and the events are encoded one by one.
-        """
-        docs = [{"args": list(args), "event_id": event_id, "kind": kind.value,
-                 "logical_time": logical_time, "op": op, "process": process,
-                 "returned": returned}
-                for event_id, kind, op, args, process, logical_time, returned in self.events]
-        if not docs:
+        """One canonical JSON object per line. Events whose line is not in
+        `line_memo` yet are encoded first, in one call, and memoised, so the
+        histories that share a memo encode each event at most once."""
+        if not self.events:
             return ""
-        body = _ENCODER.encode(docs)[1:-1]
-        if body.count(_BOUNDARY) == len(docs) - 1:
-            return body.replace(_BOUNDARY, _LINE_BREAK) + "\n"
-        return "\n".join(map(_ENCODER.encode, docs)) + "\n"
+        memo = self.line_memo
+        fresh = [e for e in self.events if e.event_id not in memo]
+        if fresh:
+            memo.update(zip([e.event_id for e in fresh], _encode_lines(fresh)))
+        return "\n".join([memo[e.event_id] for e in self.events]) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str, correct: Optional[Set[str]] = None,
                    complete: bool = False) -> "History":
         return cls(decode_events(_json_lines(text), "line"), correct=correct,
                    complete=complete)
+
+
+def _encode_lines(events: Sequence[Event]) -> List[str]:
+    """The canonical line of each event, from one encoder call.
+
+    The dicts are built in sorted key order, so the encoder that does not
+    sort writes canonical bytes unless some `args` or `returned` holds a
+    nested object. Each event object opens one `{`, so the output holds
+    exactly one `{` per event iff there is no nested object and no `{` in a
+    string. Then `},{` occurs only between two events and becomes a line
+    break (an encoded string holds no raw newline). Otherwise every event is
+    encoded on its own with sorted keys.
+    """
+    docs = [{"args": list(args), "event_id": event_id, "kind": _KIND_NAMES[kind],
+             "logical_time": logical_time, "op": op, "process": process,
+             "returned": returned}
+            for event_id, kind, op, args, process, logical_time, returned in events]
+    body = _UNSORTED_ENCODER.encode(docs)
+    if body.count("{") == len(docs):
+        return body[1:-1].replace("},{", "}\n{").split("\n")
+    return list(map(_ENCODER.encode, docs))
 
 
 def _json_lines(text: str) -> Iterator[Tuple[int, Any]]:

@@ -211,7 +211,7 @@ class Scenario:
                 raise TraceError(f"script event {n}: its id is its position, not an event_id")
         _script_events(self.script)
         _require(type(self.description) is str, "description must be a string")
-        _integer(self.max_grant_attempts, "max_grant_attempts")
+        _integer(self.max_grant_attempts, "max_grant_attempts", 1, DEFAULT_MAX_GRANT_ATTEMPTS)
 
     def correct_set(self) -> Set[str]:
         return {p.id for p in self.processes if p.correct}
@@ -271,9 +271,12 @@ class SimRun:
 
     @cached_property
     def full_history(self) -> History:
-        """All recorded events as a History, built on first access."""
+        """All recorded events as a History, built on first access. It shares
+        the line memo of `history`, whose events are some of these, so writing
+        both traces encodes each event once."""
         return History(self.events, correct=self.scenario.correct_set(),
-                       complete=self.scenario.declared_complete)
+                       complete=self.scenario.declared_complete,
+                       line_memo=self.history.line_memo)
 
 
 class _Replica:

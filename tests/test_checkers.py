@@ -15,7 +15,7 @@ from btlab.checkers import (DEFAULT_WINDOW, EventualityWindow, Status,
 import reference_checkers as reference
 from btlab.blocktree import DomainError, length_score
 from btlab.history import EventKind, History, Recorder, make_event
-from btlab.netsim import run_scenario, scenario_from_dict
+from btlab.netsim import preset, run_scenario, scenario_from_dict
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
 SEND, RECV, UPD = EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE
@@ -438,6 +438,32 @@ def test_each_criterion_is_judged_once_per_history_and_arguments():
     assert check_sc(again, W1) == sc and check_sc(again, W1) is not sc
 
 
+def test_a_verdict_is_keyed_only_by_the_arguments_its_check_reads():
+    # btlab check --criterion block-validity --criterion local-monotonic-read
+    #             --criterion sc --window 1
+    h = run_scenario(preset("figure-4")).history
+    alone = {name: run_checker(name, h, W1)
+             for name in ("block-validity", "local-monotonic-read")}
+    sc = run_checker("sc", h, W1)
+    criteria = [criterion for criterion, _args in h.verdict_cache]
+    assert sorted(criteria) == ["block-validity", "ever-growing-tree",
+                                "local-monotonic-read", "sc", "strong-prefix"]
+    for name, verdict in alone.items():
+        assert sc.parts[name] is verdict
+    assert h.verdict_cache[("block-validity", ())] is alone["block-validity"]
+    assert h.verdict_cache[("local-monotonic-read", (length_score,))] is \
+        alone["local-monotonic-read"]
+    assert h.verdict_cache[("ever-growing-tree", (W1, length_score))] is \
+        sc.parts["ever-growing-tree"]
+    for (criterion, _args), verdict in h.verdict_cache.items():
+        expected = reference.CHECKERS[criterion](h, W1, length_score)
+        assert (verdict.status, verdict.witness) == (expected.status, expected.witness)
+    # update-agreement and lrc read neither argument; one entry each
+    for name in ("update-agreement", "lrc"):
+        assert run_checker(name, h, W1) is run_checker(name, h)
+    assert len(h.verdict_cache) == 7
+
+
 def test_every_criterion_takes_history_window_and_score():
     assert list(checkers.CHECKERS) == [
         "block-validity", "local-monotonic-read", "strong-prefix", "ever-growing-tree",
@@ -450,7 +476,7 @@ def test_every_criterion_takes_history_window_and_score():
             ("score", length_score)], name
     h = reads_history([("p", 0, 1, ("b0",))], complete=True)
     monotonic = check_local_monotonic_read(h, score=len)
-    assert h.verdict_cache[("local-monotonic-read", (DEFAULT_WINDOW, len))] is monotonic
+    assert h.verdict_cache[("local-monotonic-read", (len,))] is monotonic
     assert check_local_monotonic_read(h, DEFAULT_WINDOW, len) is monotonic
 
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from btlab import cli
 from btlab.cli import main
 from btlab.history import History
 from btlab.netsim import preset, preset_names
@@ -39,6 +40,28 @@ def test_run_preset_writes_trace_raw_and_report(tmp_path, capsys):
     assert doc["verdicts"]["ec"]["actual"] == "PASS"
     parsed = History.from_jsonl(trace.read_text())
     assert parsed.to_jsonl() == trace.read_text()      # canonical on disk
+
+
+@pytest.mark.parametrize("where", ["file", "below-a-file"])
+def test_run_rejects_an_out_path_that_is_no_directory(tmp_path, capsys, monkeypatch,
+                                                      where):
+    afile = tmp_path / "afile"
+    afile.write_text("keep me")
+    out = afile if where == "file" else afile / "sub"
+    simulated = []
+    monkeypatch.setattr(cli, "run_scenario", simulated.append)
+    assert run_cli("run", "figure-3", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert str(out) in captured.err and captured.out == ""
+    assert simulated == [] and afile.read_text() == "keep me"
+
+
+def test_run_exits_two_when_a_trace_file_cannot_be_written(tmp_path, capsys):
+    (tmp_path / "figure-3.raw.jsonl").mkdir()
+    assert run_cli("run", "figure-3", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "figure-3.raw.jsonl" in err, err
 
 
 def test_run_accepts_scenario_files(tmp_path):
@@ -125,6 +148,10 @@ def _set(path, value):
     ("bitcoin-like", _set(["declared_complete"], 1)),
     ("bitcoin-like", _set(["channel", "duplication"], "false")),
     ("bitcoin-like", _set(["description"], 5)),
+    ("bitcoin-like", _set(["max_grant_attempts"], 0)),
+    ("bitcoin-like", _set(["max_grant_attempts"], -1)),
+    ("bitcoin-like", _set(["max_grant_attempts"], 10**6 + 1)),
+    ("bitcoin-like", _set(["max_grant_attempts"], 10**9)),
 ])
 def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
     doc = preset(name).to_dict()

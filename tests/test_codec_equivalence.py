@@ -4,8 +4,11 @@ The reference encodes one event per json.dumps call and decodes one line per
 json.loads call. Encoding must give the same bytes on any history, including
 strings that hold quotes, braces, newlines, non-ASCII text or the literal
 event boundary `},{"args":`, and nested objects in `args` or `returned`, which
-send to_jsonl down its event-by-event path. Decoding must give the same
-events, or fail with the same error message, on valid and mutated traces.
+send to_jsonl down its event-by-event path. A history and its restriction
+share a line memo (a run's two traces do too): both traces must give the
+same bytes whichever is written first, or alone, and each event must reach
+the encoder at most once. Decoding must give the same events, or fail with
+the same error message, on valid and mutated traces.
 """
 
 import json
@@ -17,7 +20,10 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import reference_checkers as reference  # noqa: E402
+from btlab import history as history_module  # noqa: E402
+from btlab.cli import main  # noqa: E402
 from btlab.history import TRACE_FIELDS, EventKind, History, make_event  # noqa: E402
+from btlab.netsim import preset, run_scenario, scenario_from_dict  # noqa: E402
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
 
@@ -152,3 +158,96 @@ def test_from_jsonl_matches_per_line_decoding(text):
 @given(text=st.text(alphabet='{}[]":, \n\tabdeglnorstu0123456789-.', max_size=60))
 def test_from_jsonl_matches_on_random_text(text):
     assert outcome(History.from_jsonl, text) == outcome(reference.from_jsonl, text)
+
+
+# -- the line memo a run's histories share --------------------------------------------
+
+ORDERS = [("trace", "raw"), ("raw", "trace"), ("trace",), ("raw",)]
+
+
+def write(histories, order):
+    """The traces of `histories` (name -> History), written in `order`."""
+    return {name: histories[name].to_jsonl() for name in order}
+
+
+def expected(histories, order):
+    return {name: reference.to_jsonl(histories[name]) for name in order}
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The event ids of every call that reaches the encoder, call by call."""
+    calls = []
+
+    def counting(events, encode=history_module._encode_lines):
+        calls.append([e.event_id for e in events])
+        return encode(events)
+    monkeypatch.setattr(history_module, "_encode_lines", counting)
+    return calls
+
+
+FORKED = {                       # 4 prodigal processes at merit 0.02: forks
+    "version": 1, "name": "forked", "duration": 150, "seed": 5,
+    "processes": [{"id": f"p{i}", "merit": 0.02, "block_interval": 10,
+                   "read_interval": 7} for i in range(4)],
+    "oracle": {"capacity": None, "seed": 5},
+}
+SIMULATED = [preset("bitcoin-like").to_dict(), preset("figure-4").to_dict(),
+             preset("fork-strong-violation").to_dict(), FORKED]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids="-then-".join)
+@pytest.mark.parametrize("doc", SIMULATED, ids=lambda doc: doc["name"])
+def test_a_run_writes_reference_bytes_encoding_each_event_once(encoded, doc, order):
+    run = run_scenario(scenario_from_dict(doc))
+    traces = {"trace": run.history, "raw": run.full_history}
+    assert write(traces, order) == expected(traces, order)
+    assert len(encoded) <= len(order)                    # one encoder call a trace
+    written = {e.event_id for name in order for e in traces[name].events}
+    assert sorted(sum(encoded, [])) == sorted(written)   # each event once
+    assert write(traces, ORDERS[0]) == expected(traces, ORDERS[0])   # then both again
+    assert sorted(sum(encoded, [])) == sorted(e.event_id for e in run.events)
+
+
+def test_replay_encodes_the_restricted_events_only(encoded, tmp_path, capsys):
+    assert main(["run", "bitcoin-like", "--out", str(tmp_path)]) == 0
+    encoded.clear()
+    trace = tmp_path / "bitcoin-like.trace.jsonl"
+    assert main(["replay", "bitcoin-like", str(trace)]) == 0
+    assert sum(map(len, encoded)) == len(trace.read_text().splitlines())
+    encoded.clear()
+    assert main(["replay", "bitcoin-like", str(tmp_path / "bitcoin-like.raw.jsonl"),
+                 "--raw"]) == 0
+    assert sum(map(len, encoded)) == len(run_scenario(preset("bitcoin-like")).events)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=histories(), data=st.data())
+def test_a_history_and_its_restriction_share_reference_bytes(h, data):
+    correct = data.draw(st.sets(st.sampled_from(h.processes)) if h.processes
+                        else st.just(set()))
+    for order in ORDERS:
+        full = History(h.events, correct=correct)
+        traces = {"raw": full, "trace": full.restricted()}
+        assert traces["trace"].line_memo is full.line_memo
+        assert write(traces, order) == expected(traces, order)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids="-then-".join)
+@pytest.mark.parametrize("args, returned", [
+    ([{"z": 1, "a": {"y": [], "b": None}}, "x"], {"b": 0, "a": 1}),   # nested objects
+    (["x},{y", "{"], "}{"),                                           # `{` in strings
+], ids=["nested", "brace-strings"])
+def test_a_restriction_with_extra_braces_takes_the_sorted_path(order, args, returned):
+    # either breaks the one-brace-per-event count, so the unsorted encoder's
+    # output is not kept
+    h = History([make_event(0, INV, "append", ["x", "b0", True], "p", 0),
+                 make_event(1, EventKind.SEND, "send", ["b0", "x", {"k": "}{"}], "p", 0),
+                 make_event(2, INV, "read", (), "q", 1),
+                 make_event(3, RSP, "read", (), "q", 1, ["b0", "x"]),
+                 make_event(4, EventKind.RECEIVE, "receive", args, "q", 2, returned),
+                 make_event(5, INV, "append", ["y", "x", False], "q", 3, "{")],
+                correct={"q"})
+    traces = {"raw": h, "trace": h.restricted()}
+    assert [e.event_id for e in traces["trace"].events] == [0, 2, 3, 4]
+    assert write(traces, order) == expected(traces, order)
