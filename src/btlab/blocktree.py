@@ -156,9 +156,6 @@ class BlockTree:
     def blocks(self) -> List[Block]:
         return [self._blocks[i] for i in sorted(self._blocks)]
 
-    def children(self, block_id: str) -> List[str]:
-        return list(self._children.get(block_id, []))
-
     def fork_count(self, block_id: str) -> int:
         """Number of children of a block: the width of the fork at it."""
         return len(self._children.get(block_id, []))

@@ -7,15 +7,17 @@ offending seed (or interleaving) so a failure is reproducible from the CLI.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .blocktree import Block, BlockTree
-from .checkers import Status, check_ec, check_sc
+from .checkers import Status, check_ec, check_sc, check_strong_prefix
+from .history import EventKind
 from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
-                     Scenario, preset, run_scenario)
+                     Scenario, SimRun, preset, run_scenario)
 from .oracle import Merit, OracleState, frugal_oracle, prodigal_oracle
-from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS, RefinedLedger
+from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS
 from .shm import (CrashSchedule, RegisterSpace, cas_via_consume_steps,
                   consume_via_snapshot_steps, interleavings, run_consensus,
                   run_interleaving)
@@ -33,113 +35,84 @@ class CampaignResult:
         return not self.violations
 
 
-# -- replicated append schedules (shared oracle, per-process trees) ---------------
+# -- the paper's oracle results, over simulator runs ---------------------------------
+# Each run is a `run_scenario` run of `_fork_scenario`: three processes append
+# every 4 ticks to their own replica over a slow asynchronous channel, so
+# appends from stale views contend for one parent. A run's successes are the
+# raw trace's consume_token responses whose block is among the consumed tokens;
+# its fork width is the largest number of successes under one parent.
 
 
-@dataclass
-class ScheduleRecord:
-    """What a random replica schedule did: the successful appends in order."""
-
-    successes: List[Tuple[str, str, str]] = field(default_factory=list)  # (caller, block, parent)
-    max_fork: int = 0
-    rejected: int = 0
-
-
-def run_replica_schedule(k: Optional[int], seed: int, n_procs: int = 3,
-                         steps: int = 40, grant_probability: float = 1.0,
-                         ) -> Tuple[ScheduleRecord, BlockTree]:
-    """Seeded interleaving of appends and single-message propagations.
-
-    Each process keeps a local replica; append targets the local leaf, so
-    stale views contend for the same parent and fork it, capped by k.
-    """
-    rng = random.Random(seed)
-    names = [f"p{i}" for i in range(n_procs)]
-    oracle = OracleState({p: Merit(grant_probability) for p in names},
-                         capacity=k, seed=seed)
-    ledgers = {p: RefinedLedger(oracle=oracle, tree=BlockTree()) for p in names}
-    in_flight: List[Tuple[str, Block]] = []     # (destination, block)
-    record = ScheduleRecord()
-    made = {p: 0 for p in names}
-
-    def propagate(slot: int):
-        dest, block = in_flight.pop(slot)
-        led = ledgers[dest]
-        if block.id not in led.tree and block.parent_id in led.tree:
-            led.integrate(block)
-
-    for _ in range(steps):
-        if in_flight and rng.random() < 0.4:
-            propagate(rng.randrange(len(in_flight)))
-            continue
-        caller = rng.choice(names)
-        made[caller] += 1
-        res = ledgers[caller].refined_append(Block(id=f"{caller}-{made[caller]}"), caller)
-        if res:
-            record.successes.append((caller, res.block.id, res.block.parent_id))
-            for dest in names:
-                if dest != caller:
-                    in_flight.append((dest, res.block))
-        else:
-            record.rejected += 1
-    while in_flight:
-        propagate(0)
-
-    global_tree = BlockTree()
-    for _, block_id, parent_id in record.successes:
-        if parent_id in global_tree:
-            global_tree.insert(Block(id=block_id, parent_id=parent_id))
-    record.max_fork = global_tree.max_fork_count()
-    return record, global_tree
+def _fork_scenario(k: int, seed: int) -> Scenario:
+    return Scenario(
+        name=f"fork-k{k}-{seed}",
+        processes=[ProcessSpec(p, merit=1.0, block_interval=4, read_interval=4,
+                               read_offset=2) for p in ("p0", "p1", "p2")],
+        channel=ChannelModel(kind=ChannelKind.ASYNCHRONOUS, async_max_delay=12),
+        oracle=OracleSpec(capacity=k, seed=seed), seed=seed, duration=40)
 
 
-def kfork_campaign(k: int, runs: int = 200, seed: int = 0) -> CampaignResult:
-    """Fork width never exceeds the oracle capacity, and reaches it."""
-    out = CampaignResult(name=f"kfork(k={k})", runs=runs)
-    hit_equality = 0
-    for i in range(runs):
-        run_seed = seed * 100003 + i
-        record, tree = run_replica_schedule(k, run_seed)
-        if record.max_fork > k:
-            out.violations.append((run_seed, f"fork width {record.max_fork} > k={k}"))
-        if record.max_fork == k:
-            hit_equality += 1
-    out.stats = {"k": k, "equality_hits": hit_equality}
-    if hit_equality == 0:
-        out.violations.append((seed, f"no schedule ever forked exactly {k} ways"))
+def _successes(run: SimRun) -> List[Tuple[str, str, str]]:
+    """(process, block, parent) of each append whose token was consumed, in order."""
+    return [(e.process, e.args[0], e.args[1]) for e in run.events
+            if e.op == "consume_token" and e.kind is EventKind.RESPONSE
+            and e.args[0] in e.returned]
+
+
+def kfork_campaign(runs: int = 200, seed: int = 0) -> CampaignResult:
+    """For k in 1..3: the fork width never exceeds the oracle capacity k and
+    reaches it, and at k = 1 strong prefix holds."""
+    out = CampaignResult(name="kfork", runs=3 * runs)
+    for k in (1, 2, 3):
+        hit_equality = strong = 0
+        for i in range(runs):
+            run_seed = seed * 100003 + i
+            run = run_scenario(_fork_scenario(k, run_seed))
+            parents = Counter(parent for _, _, parent in _successes(run))
+            width = max(parents.values(), default=0)
+            if width > k:
+                out.violations.append((run_seed, f"fork width {width} > k={k}"))
+            hit_equality += width == k
+            if check_strong_prefix(run.history).status == Status.PASS:
+                strong += 1
+            elif k == 1:
+                out.violations.append((run_seed, "k=1 run fails strong-prefix"))
+        out.stats[f"k={k}"] = {"equality_hits": hit_equality, "strong_prefix_pass": strong}
+        if hit_equality == 0:
+            out.violations.append((seed, f"no run ever forked exactly {k} ways"))
     return out
 
 
 def containment_campaign(runs: int = 100, seed: int = 0) -> CampaignResult:
-    """A capacity-k success schedule replays verbatim on any looser oracle.
+    """A capacity-k run's successes replay verbatim on any looser oracle.
 
-    The purged schedule (successful appends only, in order) is re-driven
-    against capacity k' >= k and against the unbounded oracle; every replayed
-    append must succeed against the same parent and rebuild the same tree.
+    The successes (in consume order) are re-driven against capacity k' >= k
+    and against the unbounded oracle; every replayed append must succeed
+    against the same parent and rebuild the same tree.
     """
     out = CampaignResult(name="containment", runs=runs)
     replays = 0
     for i in range(runs):
         run_seed = seed * 99991 + i
         k = 1 + (i % 3)
-        record, tree = run_replica_schedule(k, run_seed)
+        successes = _successes(run_scenario(_fork_scenario(k, run_seed)))
         for k2 in [kk for kk in (k, k + 1, 3, None) if kk is None or kk >= k]:
-            ok, why = _replay_successes(record, k2, run_seed)
+            ok, why = _replay_successes(successes, k2, run_seed)
             replays += 1
             if not ok:
                 out.violations.append(
-                    (run_seed, f"k={k} schedule not reproduced at k'={k2}: {why}"))
+                    (run_seed, f"k={k} run not reproduced at k'={k2}: {why}"))
     out.stats = {"replays": replays}
     return out
 
 
-def _replay_successes(record: ScheduleRecord, capacity: Optional[int],
+def _replay_successes(successes: List[Tuple[str, str, str]], capacity: Optional[int],
                       seed: int) -> Tuple[bool, str]:
-    callers = sorted({c for c, _, _ in record.successes}) or ["p0"]
+    callers = sorted({c for c, _, _ in successes}) or ["p0"]
     oracle = OracleState({c: Merit(1.0) for c in callers}, capacity=capacity,
                          seed=seed + 1)
     tree = BlockTree()
-    for caller, block_id, parent_id in record.successes:
+    for caller, block_id, parent_id in successes:
         stamped, _ = oracle.draw_token(parent_id, Block(id=block_id), caller,
                                        DEFAULT_MAX_GRANT_ATTEMPTS)
         if stamped is None:
@@ -150,7 +123,7 @@ def _replay_successes(record: ScheduleRecord, capacity: Optional[int],
         if stamped.parent_id != parent_id:
             return False, f"{block_id} re-parented"
         tree.insert(Block(id=block_id, parent_id=parent_id))
-    original = sorted((b, p) for _, b, p in record.successes)
+    original = sorted((b, p) for _, b, p in successes)
     replayed = sorted((b.id, b.parent_id) for b in tree.blocks() if b.parent_id)
     return (original == replayed,
             "" if original == replayed else "tree mismatch")
@@ -372,20 +345,10 @@ def tape_statistics(seed: int = 2026, pops: int = 10_000,
     }
 
 
-def _kfork_all(runs: int, seed: int) -> CampaignResult:
-    merged = CampaignResult(name="kfork", runs=0)
-    for k in (1, 2, 3):
-        r = kfork_campaign(k, runs=runs, seed=seed)
-        merged.runs += r.runs
-        merged.violations.extend(r.violations)
-        merged.stats[f"k={k}"] = r.stats
-    return merged
-
-
 CAMPAIGNS: Dict[str, Callable[..., CampaignResult]] = {
     "shm": consensus_campaign,
     "hierarchy": hierarchy_campaign,
-    "kfork": _kfork_all,
+    "kfork": kfork_campaign,
     "containment": containment_campaign,
     "cas": lambda runs, seed: cas_equivalence_suite(),
     "snapshot": lambda runs, seed: snapshot_equivalence_suite(),

@@ -94,16 +94,15 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"dropped={run.dropped} undelivered={run.undelivered}")
     _print_verdicts(report)
     if args.out:
-        stem = out / scenario.name
         try:
-            stem.with_suffix(".trace.jsonl").write_text(run.history.to_jsonl())
-            stem.with_suffix(".raw.jsonl").write_text(run.full_history.to_jsonl())
-            stem.with_suffix(".report.json").write_text(
+            (out / f"{scenario.name}.trace.jsonl").write_text(run.history.to_jsonl())
+            (out / f"{scenario.name}.raw.jsonl").write_text(run.full_history.to_jsonl())
+            (out / f"{scenario.name}.report.json").write_text(
                 json.dumps(report, indent=2, sort_keys=True) + "\n")
         except OSError as exc:
             raise ScenarioError(f"cannot write {exc.filename}: "
                                 f"{exc.strerror or exc}") from None
-        print(f"wrote {stem}.trace.jsonl / .raw.jsonl / .report.json")
+        print(f"wrote {out / scenario.name}.trace.jsonl / .raw.jsonl / .report.json")
     if not report["ok"]:
         print(f"verdict mismatch (counterexample seed {scenario.seed})")
         return VIOLATION

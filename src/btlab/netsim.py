@@ -188,6 +188,9 @@ class Scenario:
 
     def __post_init__(self):
         _require(type(self.name) is str and self.name, "name must be a string")
+        # `btlab run --out DIR` writes DIR/<name>.trace.jsonl and its siblings
+        _require(not any(part in self.name for part in ("/", "\\", "..")),
+                 f"name must not hold '/', '\\' or '..', got {self.name!r}")
         _require(type(self.processes) is list and self.processes,
                  "processes must be a non-empty list")
         ids = [p.id for p in self.processes]

@@ -64,6 +64,21 @@ def test_run_exits_two_when_a_trace_file_cannot_be_written(tmp_path, capsys):
     assert err.count("\n") == 1 and "figure-3.raw.jsonl" in err, err
 
 
+def test_run_keeps_every_dotted_part_of_a_scenario_name(tmp_path, capsys):
+    out = tmp_path / "o"
+    for name in ("fig3.v2", "fig3.v3"):
+        doc = preset("figure-3").to_dict()
+        doc["name"] = name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", str(path), "--out", str(out)) == 0
+        assert f"wrote {out / name}.trace.jsonl / .raw.jsonl / .report.json" \
+            in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"fig3.{v}.{kind}" for v in ("v2", "v3")
+        for kind in ("raw.jsonl", "report.json", "trace.jsonl")]
+
+
 def test_run_accepts_scenario_files(tmp_path):
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(preset("figure-3").to_dict()))
@@ -152,6 +167,10 @@ def _set(path, value):
     ("bitcoin-like", _set(["max_grant_attempts"], -1)),
     ("bitcoin-like", _set(["max_grant_attempts"], 10**6 + 1)),
     ("bitcoin-like", _set(["max_grant_attempts"], 10**9)),
+    ("bitcoin-like", _set(["name"], "../escaped")),
+    ("bitcoin-like", _set(["name"], "sub/name")),
+    ("bitcoin-like", _set(["name"], "sub\\name")),
+    ("bitcoin-like", _set(["name"], "..")),
 ])
 def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
     doc = preset(name).to_dict()
