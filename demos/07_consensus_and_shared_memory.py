@@ -12,7 +12,7 @@ by exhaustive interleaving.
 """
 
 from btlab import (Block, CrashSchedule, RegisterSpace, cas_equivalence_suite,
-                   cas_via_consume, frugal_oracle, interleavings,
+                   cas_via_consume, finish, frugal_oracle, interleavings,
                    run_consensus, snapshot_equivalence_suite, Merit)
 
 print("-- consensus from a capacity-1 oracle --")
@@ -30,8 +30,8 @@ print("\n-- one-shot CAS from consume --")
 oracle = frugal_oracle({"x": Merit(1.0), "y": Merit(1.0)}, k=1, seed=1)
 first = oracle.get_token("b0", Block("x-val"), "x")
 second = oracle.get_token("b0", Block("y-val"), "y")
-print("  x swaps:", cas_via_consume(oracle, first), "(empty = x won the slot)")
-print("  y swaps:", sorted(b.id for b in cas_via_consume(oracle, second)),
+print("  x swaps:", finish(cas_via_consume(oracle, first)), "(empty = x won the slot)")
+print("  y swaps:", sorted(b.id for b in finish(cas_via_consume(oracle, second))),
       "(y sees the winner instead)")
 
 space = RegisterSpace({"slot": frozenset()})

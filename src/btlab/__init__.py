@@ -28,10 +28,9 @@ from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
 from .oracle import (ConfigError, Merit, OracleState, Tape, Token,
                      frugal_oracle, prodigal_oracle)
 from .refinement import AppendResult, AppendStatus, RefinedLedger
-from .shm import (ConsensusOutcome, CrashSchedule, Proposer, ProposerPhase,
-                  RegisterSpace, cas_via_consume, cas_via_consume_steps,
-                  consume_via_snapshot_steps, interleavings, run_consensus,
-                  run_interleaving)
+from .shm import (ConsensusOutcome, CrashSchedule, RegisterSpace,
+                  cas_via_consume, consume_via_snapshot, finish, interleavings,
+                  propose, run_consensus, run_interleaving)
 
 __version__ = "0.1.0"
 

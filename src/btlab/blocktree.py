@@ -93,13 +93,10 @@ class SelectionPolicy:
 
     chain_chooser may be None, in which case the highest-scoring root-to-leaf
     chain wins and ties break by the lexicographically largest id sequence.
-    validity guards append(); the default accepts a fresh block whose claimed
-    parent (if any) is the selected leaf.
     """
 
     score: Callable[[Blockchain], int] = length_score
     chain_chooser: Optional[Callable[["BlockTree"], Blockchain]] = None
-    validity: Optional[Callable[["BlockTree", Block], bool]] = None
 
     def choose(self, tree: "BlockTree") -> Blockchain:
         if self.chain_chooser is not None:
@@ -107,19 +104,6 @@ class SelectionPolicy:
         if self.score is length_score:
             return tree.longest_chain()
         return max(tree.leaf_chains(), key=lambda c: (self.score(c), chain_ids(c)))
-
-    def is_valid(self, tree: "BlockTree", block: Block) -> bool:
-        if self.validity is not None:
-            return self.validity(tree, block)
-        return default_validity(tree, block, self)
-
-
-def default_validity(tree: "BlockTree", block: Block, policy: "SelectionPolicy") -> bool:
-    if block.id in tree:
-        return False
-    if block.parent_id is None:
-        return True
-    return block.parent_id == policy.choose(tree)[-1].id
 
 
 class BlockTree:
@@ -223,14 +207,17 @@ class BlockTree:
     # -- ADT operations -------------------------------------------------
 
     def append(self, candidate: Block, policy: SelectionPolicy) -> bool:
-        """Attach `candidate` after the selected chain if it is valid.
+        """Attach `candidate` after the selected chain if it is valid: its id
+        is fresh, and a claimed parent (if any) is the selected leaf.
 
         Returns True iff the tree changed. The stored block's parent is the
         selected leaf.
         """
-        if not policy.is_valid(self, candidate):
+        if candidate.id in self._blocks:
             return False
         leaf = policy.choose(self)[-1]
+        if candidate.parent_id not in (None, leaf.id):
+            return False
         self.insert(replace(candidate, parent_id=leaf.id))
         return True
 

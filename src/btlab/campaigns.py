@@ -18,8 +18,8 @@ from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                      Scenario, SimRun, preset, run_scenario)
 from .oracle import Merit, OracleState, frugal_oracle, prodigal_oracle
 from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS
-from .shm import (CrashSchedule, RegisterSpace, cas_via_consume_steps,
-                  consume_via_snapshot_steps, interleavings, run_consensus,
+from .shm import (CrashSchedule, RegisterSpace, Steps, cas_via_consume,
+                  consume_via_snapshot, finish, interleavings, run_consensus,
                   run_interleaving)
 
 
@@ -256,31 +256,32 @@ def cas_equivalence_suite() -> CampaignResult:
                 s = oracle.get_token("b0", Block(id=f"x{i}"), f"c{i}")
                 assert s is not None
                 stamped[i] = s
-            returns: Dict[str, Any] = {}
-            consume_order: List[int] = []
-            steps = []
-            for i in range(n_callers):
-                # the consume (first step) is the linearization point; log it
-                first, second = cas_via_consume_steps(oracle, stamped[i],
-                                                      returns, f"c{i}")
+            returns = run_interleaving(
+                order, [cas_via_consume(oracle, stamped[i]) for i in range(n_callers)])
 
-                def consume_step(first=first, who=i):
-                    consume_order.append(who)
-                    first()
-                steps.append([consume_step, second])
-            run_interleaving(order, steps)
-
+            # a caller's first step is its consume, the linearization point
             reference = RegisterSpace({"reg": frozenset()})
-            expected = {}
-            for who in consume_order:
-                expected[f"c{who}"] = reference.cas(
+            expected: List[Any] = [None] * n_callers
+            for who in dict.fromkeys(order):
+                expected[who] = reference.cas(
                     "reg", frozenset(), frozenset({stamped[who]}))
             if expected != returns:
                 out.violations.append((tuple(order), f"{returns} != {expected}"))
-            winners = [k for k, v in returns.items() if v == frozenset()]
+            winners = [f"c{i}" for i, v in enumerate(returns) if v == frozenset()]
             if len(winners) != 1:
                 out.violations.append((tuple(order), f"winners: {winners}"))
     return out
+
+
+def _consume_in_lockstep(space: RegisterSpace, oracle: OracleState, writer: str,
+                         writers: List[str], stamped: Block) -> Steps:
+    """A snapshot consume whose steps the unbounded oracle mirrors: its add
+    rides the register update, and its consumed set is read with the scan."""
+    steps = consume_via_snapshot(space, "b0", writer, writers, stamped)
+    next(steps)
+    oracle.consume_token(stamped)
+    yield
+    return finish(steps), oracle.consumed_view("b0")
 
 
 def snapshot_equivalence_suite() -> CampaignResult:
@@ -296,33 +297,16 @@ def snapshot_equivalence_suite() -> CampaignResult:
         oracle = prodigal_oracle({w: Merit(1.0) for w in writers}, seed=0)
         stamped = {i: oracle.get_token("b0", Block(id=f"y{i}"), w)
                    for i, w in enumerate(writers)}
-        returns: Dict[str, Any] = {}
-        mirror: Dict[str, Any] = {}
-        steps = []
-        for i, w in enumerate(writers):
-            raw = consume_via_snapshot_steps(
-                space, "b0", w, writers, stamped[i], returns, w)
-            update_raw, scan_raw = raw
-
-            def update_step(update_raw=update_raw, i=i):
-                update_raw()
-                oracle.consume_token(stamped[i])     # oracle add in lockstep
-
-            def scan_step(scan_raw=scan_raw, w=w):
-                scan_raw()
-                mirror[w] = oracle.consumed_view("b0")
-            steps.append([update_step, scan_step])
-        run_interleaving(order, steps)
-
-        for i, w in enumerate(writers):
-            got = returns[w]
-            oracle_view = frozenset(mirror[w])
-            if frozenset(got) != oracle_view:
+        returns = run_interleaving(order, [
+            _consume_in_lockstep(space, oracle, w, writers, stamped[i])
+            for i, w in enumerate(writers)])
+        for i, (w, (got, oracle_view)) in enumerate(zip(writers, returns)):
+            if got != oracle_view:
                 out.violations.append(
                     (tuple(order), f"{w} saw {got}, oracle had {oracle_view}"))
             if stamped[i] not in got:
                 out.violations.append((tuple(order), f"{w} missed its own token"))
-        union = frozenset().union(*[frozenset(returns[w]) for w in writers])
+        union = frozenset().union(*[got for got, _ in returns])
         if union != frozenset(stamped.values()):
             out.violations.append((tuple(order), f"union {union} incomplete"))
     return out

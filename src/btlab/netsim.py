@@ -391,7 +391,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
             first = block.id not in rep.seen
             if not first and not scenario.channel.duplication:
                 continue
-            if rep.spec.correct and (first or scenario.channel.duplication):
+            if rep.spec.correct:
                 rec.emit(EventKind.RECEIVE, "receive", dest, tick,
                          args=(block.parent_id, block.id))
             if first:

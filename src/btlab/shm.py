@@ -2,23 +2,27 @@
 consumption, and atomic snapshots, plus consensus built on a capacity-1
 oracle.
 
-Everything here runs under deterministic schedulers. Multi-step operations
-are step lists; `interleavings` enumerates every merge order of the callers'
-steps (exhaustive, desk scale), and `run_interleaving` executes one merge on
-fresh state. Registers are atomic: one step touches shared state at most
-once, so a step is a linearization point.
+Everything here runs under deterministic schedulers. An operation is a
+generator: each `next()` runs one step, and the operation's response is the
+generator's return value. `interleavings` enumerates every merge order of the
+callers' steps (exhaustive, desk scale), and `run_interleaving` executes one
+merge. Registers are atomic: one step touches shared state at most once, so a
+step is a linearization point.
 """
 
 from __future__ import annotations
 
-import enum
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from inspect import GEN_CLOSED, getgeneratorstate
+from typing import Any, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
-from .blocktree import Block
+from .blocktree import GENESIS_ID, Block
 from .oracle import Merit, OracleState, frugal_oracle
 from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS
+
+# One caller's operation: each next() is one step, the return value its response.
+Steps = Generator[None, None, Any]
 
 
 class RegisterSpace:
@@ -49,60 +53,46 @@ class RegisterSpace:
 # -- cas from consume_token --------------------------------------------------
 
 
-def cas_via_consume_steps(oracle: OracleState, stamped: Block,
-                          out: Dict[str, Any], key: str) -> List[Callable[[], None]]:
+def cas_via_consume(oracle: OracleState, stamped: Block) -> Steps:
     """compare&swap(consumed[parent], {}, {stamped}) out of one consume call,
-    as two schedulable steps: the shared consume, then a local comparison.
+    as two steps: the shared consume, then a local comparison.
 
-    The consume is the linearization point. `out[key]` gets {} on success
+    The consume is the linearization point. The response is {} on success
     (the register held the empty set and now holds the block), otherwise the
     occupying set, exactly like cas returns the previous value.
     """
-    cell: Dict[str, Any] = {}
-
-    def consume_step():
-        cell["returned"] = oracle.consume_token(stamped)
-
-    def compare_step():
-        returned = cell["returned"]
-        out[key] = frozenset() if returned == frozenset({stamped}) else returned
-
-    return [consume_step, compare_step]
-
-
-def cas_via_consume(oracle: OracleState, stamped: Block) -> FrozenSet[Block]:
-    """The same reduction with its two steps run back to back."""
-    out: Dict[str, Any] = {}
-    for step in cas_via_consume_steps(oracle, stamped, out, "cas"):
-        step()
-    return out["cas"]
+    returned = oracle.consume_token(stamped)
+    yield
+    return frozenset() if returned == frozenset({stamped}) else returned
 
 
 # -- consume_token from atomic snapshot ----------------------------------------
 
 
-def consume_via_snapshot_steps(space: RegisterSpace, parent_id: str,
-                               writer: str, all_writers: Sequence[str], token: Any,
-                               out: Dict[str, Any], key: str) -> List[Callable[[], None]]:
+def consume_via_snapshot(space: RegisterSpace, parent_id: str, writer: str,
+                         writers: Sequence[str], token: Any) -> Steps:
     """Unbounded-capacity consume out of single-writer registers + snapshot.
 
     Step 1 publishes the caller's token in its own register; step 2 takes an
-    atomic snapshot of every writer's register. The returned set is whatever
+    atomic snapshot of every writer's register. The response is whatever
     tokens the snapshot saw (always including the caller's own).
     """
-    names = [f"{parent_id}/{w}" for w in all_writers]
-
-    def update_step():
-        space.write(f"{parent_id}/{writer}", token)
-
-    def scan_step():
-        seen = space.scan(names)
-        out[key] = frozenset(v for v in seen if v is not None)
-
-    return [update_step, scan_step]
+    space.write(f"{parent_id}/{writer}", token)
+    yield
+    seen = space.scan([f"{parent_id}/{w}" for w in writers])
+    return frozenset(v for v in seen if v is not None)
 
 
-# -- exhaustive interleaving enumeration -----------------------------------------
+# -- running operations --------------------------------------------------------
+
+
+def finish(steps: Steps) -> Any:
+    """Run an operation to the end and return its response."""
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
 
 
 def interleavings(lengths: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -126,72 +116,48 @@ def interleavings(lengths: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     yield from rec(list(lengths), [])
 
 
-def run_interleaving(order: Sequence[int],
-                     step_lists: Sequence[List[Callable[[], None]]]) -> None:
-    cursors = [0] * len(step_lists)
+def run_interleaving(order: Sequence[int], ops: Sequence[Steps]) -> List[Any]:
+    """Step caller `order[0]`, then `order[1]`, ...; return each caller's
+    response (None for a caller the order leaves unfinished)."""
+    responses: List[Any] = [None] * len(ops)
     for who in order:
-        step_lists[who][cursors[who]]()
-        cursors[who] += 1
+        if getgeneratorstate(ops[who]) == GEN_CLOSED:
+            raise ValueError(f"caller {who} stepped after it returned")
+        try:
+            next(ops[who])
+        except StopIteration as done:
+            responses[who] = done.value
+    return responses
 
 
 # -- consensus on a capacity-1 oracle ----------------------------------------------
 
 
-class ProposerPhase(enum.Enum):
-    GETTING = "getting"
-    CONSUMING = "consuming"
-    DECIDING = "deciding"
-    DECIDED = "decided"
-    CRASHED = "crashed"
-    EXHAUSTED = "exhausted"
+def propose(oracle: OracleState, name: str, value: Block, parent_id: str = GENESIS_ID,
+            max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS) -> Steps:
+    """propose(value): loop get_token(parent, value) until granted, consume
+    once, decide the single block in the returned set.
 
-
-@dataclass
-class Proposer:
-    """propose(b): loop get_token(genesis, b) until granted, consume once,
-    decide the single block in the returned set.
-
-    Each oracle call is one schedulable step, so a proposer can crash between
-    winning the token and deciding.
+    Each oracle call is one step, so a proposer can crash between winning the
+    token and deciding. The response is the decided block, or None when
+    `max_grant_attempts` get_token calls all failed.
     """
-
-    oracle: OracleState
-    name: str
-    value: Block
-    parent_id: str = "b0"
-    max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS
-    phase: ProposerPhase = ProposerPhase.GETTING
-    stamped: Optional[Block] = None
-    returned: Optional[FrozenSet[Block]] = None
-    decided: Optional[Block] = None
-    attempts: int = 0
-
-    def step(self) -> None:
-        if self.phase is ProposerPhase.GETTING:
-            self.attempts += 1
-            self.stamped = self.oracle.get_token(self.parent_id, self.value, self.name)
-            if self.stamped is not None:
-                self.phase = ProposerPhase.CONSUMING
-            elif self.attempts >= self.max_grant_attempts:
-                self.phase = ProposerPhase.EXHAUSTED
-        elif self.phase is ProposerPhase.CONSUMING:
-            self.returned = self.oracle.consume_token(self.stamped)
-            self.phase = ProposerPhase.DECIDING
-        elif self.phase is ProposerPhase.DECIDING:
-            assert self.returned is not None and len(self.returned) == 1, \
-                "capacity-1 consumed set must be a singleton"
-            self.decided = next(iter(self.returned))
-            self.phase = ProposerPhase.DECIDED
-
-    @property
-    def live(self) -> bool:
-        return self.phase not in (ProposerPhase.DECIDED, ProposerPhase.CRASHED,
-                                  ProposerPhase.EXHAUSTED)
+    attempts = 1
+    while (stamped := oracle.get_token(parent_id, value, name)) is None:
+        if attempts >= max_grant_attempts:
+            return None
+        attempts += 1
+        yield
+    yield
+    returned = oracle.consume_token(stamped)
+    yield
+    assert len(returned) == 1, "capacity-1 consumed set must be a singleton"
+    return next(iter(returned))
 
 
 @dataclass(frozen=True)
 class CrashSchedule:
-    """At most `faults` victims; each crashes before its given global step."""
+    """Each victim crashes before its given global step."""
 
     victims: Tuple[Tuple[str, int], ...] = ()
 
@@ -208,31 +174,31 @@ class ConsensusOutcome:
 
 
 def run_consensus(n: int, seed: int, crash: CrashSchedule = CrashSchedule(),
-                  grant_probability: float = 0.5, k: int = 1,
-                  max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS) -> ConsensusOutcome:
+                  grant_probability: float = 0.5) -> ConsensusOutcome:
     """Drive n proposers to completion under a seeded fair scheduler."""
     names = [f"p{i}" for i in range(n)]
-    oracle = frugal_oracle({p: Merit(grant_probability) for p in names}, k=k, seed=seed)
-    proposers = {
-        p: Proposer(oracle, p, Block(id=f"v-{p}", payload=f"proposal of {p}"),
-                    max_grant_attempts=max_grant_attempts)
-        for p in names
-    }
+    oracle = frugal_oracle({p: Merit(grant_probability) for p in names}, k=1, seed=seed)
+    live = {p: propose(oracle, p, Block(id=f"v-{p}", payload=f"proposal of {p}"))
+            for p in names}
+    responses: Dict[str, Optional[Block]] = {}
+    crashed = set()
     rng = random.Random(seed)
     global_step = 0
-    while True:
-        runnable = [p for p in names if proposers[p].live]
-        if not runnable:
-            break
-        who = rng.choice(runnable)
+    while live:
+        who = rng.choice(list(live))
         global_step += 1
         if crash.crashes_at(who, global_step):
-            proposers[who].phase = ProposerPhase.CRASHED
+            del live[who]
+            crashed.add(who)
             continue
-        proposers[who].step()
+        try:
+            next(live[who])
+        except StopIteration as done:
+            del live[who]
+            responses[who] = done.value
     return ConsensusOutcome(
-        decided={p: pr.decided for p, pr in proposers.items() if pr.decided},
-        crashed=[p for p, pr in proposers.items() if pr.phase is ProposerPhase.CRASHED],
-        exhausted=[p for p, pr in proposers.items() if pr.phase is ProposerPhase.EXHAUSTED],
+        decided={p: responses[p] for p in names if responses.get(p)},
+        crashed=[p for p in names if p in crashed],
+        exhausted=[p for p in names if p in responses and responses[p] is None],
         steps=global_step,
     )

@@ -1,13 +1,19 @@
 """Shared-memory lab: interleaving enumeration, reductions, consensus."""
 
+import hashlib
+import json
 import math
 import random
+from inspect import GEN_CLOSED, GEN_SUSPENDED, getgeneratorstate
 
+import pytest
+
+import btlab.campaigns as campaigns
 from btlab.blocktree import Block
+from btlab.campaigns import cas_equivalence_suite, consensus_campaign
 from btlab.oracle import Merit, frugal_oracle
-from btlab.shm import (CrashSchedule, Proposer, ProposerPhase, RegisterSpace,
-                       cas_via_consume, cas_via_consume_steps,
-                       consume_via_snapshot_steps, interleavings,
+from btlab.shm import (CrashSchedule, RegisterSpace, cas_via_consume,
+                       consume_via_snapshot, finish, interleavings, propose,
                        run_consensus, run_interleaving)
 
 
@@ -46,12 +52,33 @@ def test_interleavings_enumerates_all_merge_orders_exactly_once():
                 i for i, n in enumerate(lengths) for _ in range(n))
 
 
+def traced(trace, first, second):
+    trace.append(first)
+    yield
+    trace.append(second)
+    return second
+
+
 def test_run_interleaving_steps_each_caller_in_its_own_order():
     trace = []
-    steps = [[lambda: trace.append("a1"), lambda: trace.append("a2")],
-             [lambda: trace.append("b1"), lambda: trace.append("b2")]]
-    run_interleaving((0, 1, 1, 0), steps)
+    ops = [traced(trace, "a1", "a2"), traced(trace, "b1", "b2")]
+    assert run_interleaving((0, 1, 1, 0), ops) == ["a2", "b2"]
     assert trace == ["a1", "b1", "b2", "a2"]
+
+
+def test_run_interleaving_leaves_an_unfinished_caller_without_response():
+    trace = []
+    ops = [traced(trace, "a1", "a2"), traced(trace, "b1", "b2")]
+    assert run_interleaving((0, 1, 1), ops) == [None, "b2"]
+    assert trace == ["a1", "b1", "b2"]
+
+
+def test_run_interleaving_rejects_stepping_a_caller_that_returned():
+    trace = []
+    ops = [traced(trace, "a1", "a2"), traced(trace, "b1", "b2")]
+    with pytest.raises(ValueError, match="caller 0"):
+        run_interleaving((0, 0, 1, 0), ops)
+    assert trace == ["a1", "a2", "b1"]
 
 
 # -- compare&swap out of token consumption ---------------------------------------------
@@ -67,8 +94,8 @@ def one_slot_oracle(n_callers):
 
 def test_first_consume_wins_and_reports_success_as_empty_set():
     oracle, stamped = one_slot_oracle(2)
-    assert cas_via_consume(oracle, stamped[0]) == frozenset()
-    assert cas_via_consume(oracle, stamped[1]) == frozenset({stamped[0]})
+    assert finish(cas_via_consume(oracle, stamped[0])) == frozenset()
+    assert finish(cas_via_consume(oracle, stamped[1])) == frozenset({stamped[0]})
 
 
 def test_cas_reduction_matches_register_cas_in_every_sequential_order():
@@ -76,19 +103,18 @@ def test_cas_reduction_matches_register_cas_in_every_sequential_order():
         oracle, stamped = one_slot_oracle(2)
         reference = RegisterSpace({"slot": frozenset()})
         for who in (first, second):
-            got = cas_via_consume(oracle, stamped[who])
+            got = finish(cas_via_consume(oracle, stamped[who]))
             want = reference.cas("slot", frozenset(), frozenset({stamped[who]}))
             assert got == want
 
 
 def test_cas_steps_split_shared_and_local_work():
     oracle, stamped = one_slot_oracle(1)
-    out = {}
-    consume, compare = cas_via_consume_steps(oracle, stamped[0], out, "c0")
-    consume()
-    assert "c0" not in out                   # nothing published yet
-    compare()
-    assert out["c0"] == frozenset()
+    steps = cas_via_consume(oracle, stamped[0])
+    next(steps)                                         # the shared consume ...
+    assert oracle.consumed_view("b0") == frozenset({stamped[0]})
+    assert getgeneratorstate(steps) == GEN_SUSPENDED    # ... but no response yet
+    assert finish(steps) == frozenset()
 
 
 # -- consume out of update + snapshot ------------------------------------------------------
@@ -96,61 +122,51 @@ def test_cas_steps_split_shared_and_local_work():
 
 def test_snapshot_consume_includes_own_token_and_everything_published():
     space = RegisterSpace()
-    out = {}
-    w0 = consume_via_snapshot_steps(space, "b0", "w0", ["w0", "w1"], "t0", out, "w0")
-    w1 = consume_via_snapshot_steps(space, "b0", "w1", ["w0", "w1"], "t1", out, "w1")
-    w0[0](); w0[1]()                          # w0 runs alone first
-    assert out["w0"] == frozenset({"t0"})
-    w1[0](); w1[1]()                          # then w1: sees both
-    assert out["w1"] == frozenset({"t0", "t1"})
+    w0 = consume_via_snapshot(space, "b0", "w0", ["w0", "w1"], "t0")
+    w1 = consume_via_snapshot(space, "b0", "w1", ["w0", "w1"], "t1")
+    assert finish(w0) == frozenset({"t0"})              # w0 runs alone first
+    assert finish(w1) == frozenset({"t0", "t1"})        # then w1: sees both
 
 
 def test_snapshot_consume_registers_are_per_parent_and_writer():
     space = RegisterSpace()
-    out = {}
-    steps = consume_via_snapshot_steps(space, "parentA", "w", ["w"], "tok", out, "k")
-    steps[0]()
+    next(consume_via_snapshot(space, "parentA", "w", ["w"], "tok"))
     assert space.read("parentA/w") == "tok"
     assert space.read("parentB/w") is None
 
 
-# -- proposer state machine ------------------------------------------------------------------
+# -- proposers ---------------------------------------------------------------------------------
 
 
 def test_lone_proposer_walks_get_consume_decide():
     oracle = frugal_oracle({"p0": Merit(1.0)}, k=1)
-    prop = Proposer(oracle, "p0", Block(id="v-p0"))
-    assert prop.phase is ProposerPhase.GETTING
-    prop.step()
-    assert prop.phase is ProposerPhase.CONSUMING and prop.stamped is not None
-    prop.step()
-    assert prop.phase is ProposerPhase.DECIDING
-    assert prop.returned == frozenset({prop.stamped})
-    prop.step()
-    assert prop.phase is ProposerPhase.DECIDED
-    assert prop.decided.id == "v-p0"
-    assert not prop.live
+    steps = propose(oracle, "p0", Block(id="v-p0"))
+    assert not oracle.issued                            # nothing runs before a step
+    next(steps)
+    assert len(oracle.issued) == 1 and not oracle.consumed_tags
+    next(steps)
+    (stamped,) = oracle.consumed_view("b0")             # consumed, not yet decided
+    assert stamped.id == "v-p0" and getgeneratorstate(steps) == GEN_SUSPENDED
+    with pytest.raises(StopIteration) as done:
+        next(steps)
+    assert done.value.value == stamped
+    assert getgeneratorstate(steps) == GEN_CLOSED
 
 
 def test_survivor_decides_the_value_of_a_crashed_winner():
     oracle = frugal_oracle({"p0": Merit(1.0), "p1": Merit(1.0)}, k=1)
-    winner = Proposer(oracle, "p0", Block(id="v-p0"))
-    loser = Proposer(oracle, "p1", Block(id="v-p1"))
-    winner.step(); winner.step()      # grant + consume, then crash before deciding
-    winner.phase = ProposerPhase.CRASHED
-    while loser.live:
-        loser.step()
-    assert loser.decided.id == "v-p0"
+    winner = propose(oracle, "p0", Block(id="v-p0"))
+    loser = propose(oracle, "p1", Block(id="v-p1"))
+    next(winner); next(winner)      # grant + consume, then crash before deciding
+    assert finish(loser).id == "v-p0"
 
 
 def test_proposer_exhausts_after_grant_budget():
     # merit so small that no cell of the pinned tape grants
     oracle = frugal_oracle({"p0": Merit(1e-12)}, k=1, seed=0)
-    prop = Proposer(oracle, "p0", Block(id="v-p0"), max_grant_attempts=3)
-    for _ in range(3):
-        prop.step()
-    assert prop.phase is ProposerPhase.EXHAUSTED
-    assert prop.attempts == 3 and not prop.live
+    steps = propose(oracle, "p0", Block(id="v-p0"), max_grant_attempts=3)
+    assert run_interleaving((0, 0, 0), [steps]) == [None]
+    assert oracle.tapes["p0"].cursor == 3 and getgeneratorstate(steps) == GEN_CLOSED
 
 
 def test_crash_schedule_fires_at_or_after_its_step():
@@ -198,3 +214,45 @@ def test_equal_seeds_reproduce_the_same_outcome():
     assert {p: blk.id for p, blk in a.decided.items()} == \
         {p: blk.id for p, blk in b.decided.items()}
     assert a.steps == b.steps and a.crashed == b.crashed
+
+
+# -- pinned outcomes ----------------------------------------------------------------------------
+
+
+def digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_consensus_and_cas_suite_outcomes_are_pinned(monkeypatch):
+    """Recorded before the step model became generators; any change to a
+    schedule, an oracle call or a response shows up here."""
+    outcomes = []
+    real_run_consensus = campaigns.run_consensus
+
+    def logged_run_consensus(*args, **kwargs):
+        outcome = real_run_consensus(*args, **kwargs)
+        outcomes.append([[[p, b.id] for p, b in outcome.decided.items()],
+                         outcome.crashed, outcome.exhausted, outcome.steps])
+        return outcome
+
+    monkeypatch.setattr(campaigns, "run_consensus", logged_run_consensus)
+    assert consensus_campaign(runs=200, seed=0).ok
+    assert len(outcomes) == 200
+    assert digest(outcomes) == \
+        "66a95e13e9d07922e1f50d7102b8943738f1b2b6ae6eb97e4001d95894f99f08"
+
+    # the suite fails any interleaving whose returns differ from the atomic
+    # register's, so pinning the register's returns pins the reduction's
+    swaps = []
+    real_cas = RegisterSpace.cas
+
+    def logged_cas(self, name, old, new):
+        previous = real_cas(self, name, old, new)
+        swaps.append([sorted(b.id for b in new), sorted(b.id for b in previous)])
+        return previous
+
+    monkeypatch.setattr(RegisterSpace, "cas", logged_cas)
+    suite = cas_equivalence_suite()
+    assert suite.ok and suite.runs == 97 and len(swaps) == 1 + 2 * 6 + 3 * 90
+    assert digest(swaps) == \
+        "83ad50be328bbe22e36387f9f175c4aac94220c0c6b332eef1771705b64564fa"
