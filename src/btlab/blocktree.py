@@ -1,10 +1,11 @@
 """Block tree abstract data type.
 
-A block tree is a rooted in-tree of blocks. Appending never removes anything:
-a valid block is attached as a child of the leaf of the currently selected
-chain, and a read returns that selected chain (genesis included). Which chain
-is "selected" is the job of a pluggable selection policy: a chain chooser, a
-monotone score, and a validity predicate.
+A block tree is an in-tree of blocks rooted at the genesis block `GENESIS_ID`,
+the one root every tree, trace, script and history shares. Appending never
+removes anything: a valid block is attached as a child of the leaf of the
+currently selected chain, and a read returns that selected chain (genesis
+included). Which chain is "selected" is the job of a pluggable selection
+policy: a chain chooser, a monotone score, and a validity predicate.
 
 The default policy is longest-chain with a deterministic lexicographic
 tiebreak and score = chain length (genesis counts). It is incremental: the
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+# The genesis block: the root of every tree, and the first block of every
+# chain a read returns.
 GENESIS_ID = "b0"
 
 # A blockchain is a root-to-leaf path, genesis first.
@@ -40,13 +43,6 @@ class Block:
     parent_id: Optional[str] = None
     payload: str = ""
     token_tag: Optional[str] = None
-
-    def is_genesis(self) -> bool:
-        return self.parent_id is None
-
-
-def genesis_block(block_id: str = GENESIS_ID) -> Block:
-    return Block(id=block_id, parent_id=None)
 
 
 def chain_ids(chain: Blockchain) -> Tuple[str, ...]:
@@ -107,7 +103,7 @@ class SelectionPolicy:
 
 
 class BlockTree:
-    """Rooted tree of blocks with append/read semantics.
+    """Tree of blocks rooted at `Block(GENESIS_ID)`, with append/read semantics.
 
     append() attaches at the selected leaf (the transition never rewrites
     history, it only grows the tree); read() returns the selected chain.
@@ -115,15 +111,11 @@ class BlockTree:
     bound (e.g. applying a replicated update).
     """
 
-    def __init__(self, genesis: Optional[Block] = None):
-        g = genesis if genesis is not None else genesis_block()
-        if not g.is_genesis():
-            raise DomainError("genesis block must have no parent")
-        self.genesis_id = g.id
-        self._blocks: Dict[str, Block] = {g.id: g}
-        self._children: Dict[str, List[str]] = {g.id: []}
-        self._depth: Dict[str, int] = {g.id: 1}
-        self._longest_leaf = g.id
+    def __init__(self):
+        self._blocks: Dict[str, Block] = {GENESIS_ID: Block(GENESIS_ID)}
+        self._children: Dict[str, List[str]] = {GENESIS_ID: []}
+        self._depth: Dict[str, int] = {GENESIS_ID: 1}
+        self._longest_leaf = GENESIS_ID
         self._longest_chain: Optional[Blockchain] = None
 
     # -- structure -----------------------------------------------------

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .blocktree import Block, BlockTree
+from .blocktree import GENESIS_ID, Block, BlockTree
 from .checkers import Status, check_ec, check_sc, check_strong_prefix
 from .history import EventKind
 from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
@@ -247,15 +247,15 @@ def cas_equivalence_suite() -> CampaignResult:
     for n_callers in (1, 2, 3):
         for order in interleavings([2] * n_callers):
             out.runs += 1
-            # the contended register: one consume of b0 can win
+            # the contended register: one consume under genesis can win
             oracle = frugal_oracle({f"c{i}": Merit(1.0) for i in range(n_callers)},
                                    k=1, seed=0)
             # every caller holds a granted token for the same parent
-            stamped = {}
-            for i in range(n_callers):
-                s = oracle.get_token("b0", Block(id=f"x{i}"), f"c{i}")
-                assert s is not None
-                stamped[i] = s
+            stamped = {i: oracle.get_token(GENESIS_ID, Block(id=f"x{i}"), f"c{i}")
+                       for i in range(n_callers)}
+            if None in stamped.values():
+                out.violations.append((tuple(order), "a caller of merit 1 got no token"))
+                continue
             returns = run_interleaving(
                 order, [cas_via_consume(oracle, stamped[i]) for i in range(n_callers)])
 
@@ -277,11 +277,11 @@ def _consume_in_lockstep(space: RegisterSpace, oracle: OracleState, writer: str,
                          writers: List[str], stamped: Block) -> Steps:
     """A snapshot consume whose steps the unbounded oracle mirrors: its add
     rides the register update, and its consumed set is read with the scan."""
-    steps = consume_via_snapshot(space, "b0", writer, writers, stamped)
+    steps = consume_via_snapshot(space, GENESIS_ID, writer, writers, stamped)
     next(steps)
     oracle.consume_token(stamped)
     yield
-    return finish(steps), oracle.consumed_view("b0")
+    return finish(steps), oracle.consumed_view(GENESIS_ID)
 
 
 def snapshot_equivalence_suite() -> CampaignResult:
@@ -295,7 +295,7 @@ def snapshot_equivalence_suite() -> CampaignResult:
         out.runs += 1
         space = RegisterSpace()
         oracle = prodigal_oracle({w: Merit(1.0) for w in writers}, seed=0)
-        stamped = {i: oracle.get_token("b0", Block(id=f"y{i}"), w)
+        stamped = {i: oracle.get_token(GENESIS_ID, Block(id=f"y{i}"), w)
                    for i, w in enumerate(writers)}
         returns = run_interleaving(order, [
             _consume_in_lockstep(space, oracle, w, writers, stamped[i])
@@ -329,11 +329,17 @@ def tape_statistics(seed: int = 2026, pops: int = 10_000,
     }
 
 
-CAMPAIGNS: Dict[str, Callable[..., CampaignResult]] = {
+# lab -> campaign(runs, seed)
+CAMPAIGNS: Dict[str, Callable[[int, int], CampaignResult]] = {
     "shm": consensus_campaign,
     "hierarchy": hierarchy_campaign,
     "kfork": kfork_campaign,
     "containment": containment_campaign,
-    "cas": lambda runs, seed: cas_equivalence_suite(),
-    "snapshot": lambda runs, seed: snapshot_equivalence_suite(),
+}
+
+# lab -> an exhaustive suite: it enumerates every case, so it takes no run
+# count and no seed
+SUITES: Dict[str, Callable[[], CampaignResult]] = {
+    "cas": cas_equivalence_suite,
+    "snapshot": snapshot_equivalence_suite,
 }

@@ -27,9 +27,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Set, Tuple
 
-from .blocktree import GENESIS_ID, DomainError, length_score, mcps, prefix_comparable
+from .blocktree import GENESIS_ID, length_score, mcps, prefix_comparable
 from .history import Event, EventKind, History, Operation, returned_chain
 
 ScoreFn = Callable[[Tuple[str, ...]], int]
@@ -221,16 +221,15 @@ def check_ever_growing_tree(h: History, window: EventualityWindow, score: ScoreF
 # -- eventual prefix ----------------------------------------------------------------
 
 
-# (pairs in visiting order, running minimum of their mcps, the error that ended the walk)
-_Walk = Tuple[List[Tuple[int, int]], List[int], Optional[DomainError]]
+# (pairs in visiting order, running minimum of their mcps)
+_Walk = Tuple[List[Tuple[int, int]], List[int]]
 
 
 def _walk_pairs(after: Tuple[int, ...], chains: List[Tuple[str, ...]],
                 agree: Dict[Tuple[int, int], int], score: ScoreFn) -> _Walk:
     """Visit the pairs of non-empty chains of an after set, earlier read first,
     and keep the running minimum of their common-prefix scores. Scores are
-    shared between walks through `agree`. A `DomainError` ends the walk: it is
-    raised only for a reference that finds no violation before it.
+    shared between walks through `agree`.
     """
     pairs: List[Tuple[int, int]] = []
     lows: List[int] = []
@@ -243,15 +242,12 @@ def _walk_pairs(after: Tuple[int, ...], chains: List[Tuple[str, ...]],
                 continue
             m = agree.get((i, j))
             if m is None:
-                try:
-                    m = agree[(i, j)] = mcps(chains[i], chains[j], score)
-                except DomainError as exc:
-                    return pairs, lows, exc
+                m = agree[(i, j)] = mcps(chains[i], chains[j], score)
             if m < low:
                 low = m
             pairs.append((i, j))
             lows.append(low)
-    return pairs, lows, None
+    return pairs, lows
 
 
 @_criterion("window", "score")
@@ -278,15 +274,13 @@ def check_eventual_prefix(h: History, window: EventualityWindow, score: ScoreFn)
         walk = walks.get(after)
         if walk is None:
             walk = walks[after] = _walk_pairs(after, chains, agree, score)
-        pairs, lows, error = walk
+        pairs, lows = walk
         if lows and lows[-1] < s:
             i, j = pairs[bisect_left(lows, True, key=lambda low: low < s)]
             return _unmet(h, "eventual-prefix",
                           (r.response.event_id, last[i].response.event_id,
                            last[j].response.event_id),
                           f"window reads agree only below score {s}")
-        if error is not None:       # the walk of this reference reaches it
-            raise error
     return Verdict("eventual-prefix", Status.PASS)
 
 

@@ -22,13 +22,15 @@ from pathlib import Path
 from typing import List, Optional, Type
 
 from .blocktree import DomainError
-from .campaigns import CAMPAIGNS, tape_statistics
+from .campaigns import CAMPAIGNS, SUITES, tape_statistics
 from .checkers import CHECKERS, DEFAULT_WINDOW, EventualityWindow, Status, run_checker
 from .history import History, TraceError, restrict
 from .netsim import (Scenario, ScenarioError, evaluate_run, preset,
                      preset_names, run_scenario, scenario_from_dict)
 
 OK, VIOLATION, SCHEMA = 0, 1, 2
+
+DEFAULT_RUNS = 200
 
 
 def _env_seed() -> Optional[int]:
@@ -153,14 +155,22 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.lab is None:
         print("no lab selected: empty campaign, trivially passing")
         return OK
-    if args.runs < 1:
-        raise ScenarioError(f"--runs must be at least 1, got {args.runs}")
+    seeded = args.lab in CAMPAIGNS
+    for flag, read in (("runs", seeded), ("seed", seeded or args.lab == "tape")):
+        if getattr(args, flag) is not None and not read:
+            raise ScenarioError(f"--lab {args.lab} does not read --{flag}")
+    runs = DEFAULT_RUNS if args.runs is None else args.runs
+    if runs < 1:
+        raise ScenarioError(f"--runs must be at least 1, got {runs}")
     seed = args.seed if args.seed is not None else _env_seed()
     if args.lab == "tape":
         stats = tape_statistics(seed=2026 if seed is None else seed)
         print(json.dumps(stats, indent=2))
         return OK if stats["ok"] else VIOLATION
-    result = CAMPAIGNS[args.lab](args.runs, 0 if seed is None else seed)
+    if args.lab in SUITES:
+        result = SUITES[args.lab]()
+    else:
+        result = CAMPAIGNS[args.lab](runs, 0 if seed is None else seed)
     print(f"campaign {result.name}: {result.runs} runs, "
           f"{len(result.violations)} violations")
     if result.stats:
@@ -214,10 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("campaign", help="run a property campaign")
-    p.add_argument("--lab", choices=sorted(CAMPAIGNS) + ["tape"], default=None,
+    p.add_argument("--lab", choices=sorted({**CAMPAIGNS, **SUITES}) + ["tape"], default=None,
                    help="which campaign to run (omit for an empty campaign)")
-    p.add_argument("--runs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--runs", type=int, default=None,
+                   help=f"runs of a seeded campaign (default: {DEFAULT_RUNS}); "
+                        "the cas, snapshot and tape labs refuse it")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of a seeded campaign or of the tape lab "
+                        "(default: $BTLAB_SEED); the cas and snapshot labs refuse it")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("presets", help="list built-in scenarios")

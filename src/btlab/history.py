@@ -34,6 +34,8 @@ from operator import attrgetter, itemgetter
 from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
+from .blocktree import GENESIS_ID
+
 
 class TraceError(ValueError):
     """Malformed event stream or trace file."""
@@ -102,7 +104,8 @@ _canonical_order = attrgetter("logical_time", "event_id")    # == Event.sort_key
 
 
 class History:
-    """A validated, canonically ordered, immutable event sequence."""
+    """A validated, canonically ordered, immutable event sequence. Every
+    non-empty chain a read returns starts at genesis `GENESIS_ID`."""
 
     def __init__(self, events: Iterable[Event], correct: Optional[Iterable[str]] = None,
                  complete: bool = False, line_memo: Optional[Dict[int, str]] = None):
@@ -205,6 +208,11 @@ class History:
                     raise TraceError(
                         f"response without invocation: {e.op} at {e.process} "
                         f"(event {e.event_id})")
+                if e.op == "read" and type(e.returned) is tuple and e.returned \
+                        and e.returned[0] != GENESIS_ID:
+                    raise TraceError(
+                        f"a read's returned must start at genesis {GENESIS_ID!r}, "
+                        f"got {e.returned!r} (event {e.event_id})")
                 queue.pop(0).response = e
         return tuple(out)
 
@@ -315,7 +323,6 @@ def decode_events(docs: Iterable[Tuple[int, Any]], where: str) -> List[Event]:
     script events. An error names the first bad value as "{where} {position}".
     The rules are those of the trace format (see the README)."""
     events = []
-    genesis = None
     for n, doc in docs:
         if type(doc) is not dict or doc.keys() != _FIELD_SET:
             raise TraceError(f"{where} {n}: fields must be exactly {TRACE_FIELDS}")
@@ -341,13 +348,9 @@ def decode_events(docs: Iterable[Tuple[int, Any]], where: str) -> List[Event]:
                                          and all(type(b) is str for b in returned))):
                 raise TraceError(f"{where} {n}: a read's returned must be null or a "
                                  f"list of block ids, got {returned!r}")
-            if returned:
-                if genesis is None:
-                    genesis = returned[0]
-                elif returned[0] != genesis:
-                    raise TraceError(
-                        f"{where} {n}: a read's returned must start at genesis "
-                        f"{genesis!r} like every read before it, got {returned!r}")
+            if returned and returned[0] != GENESIS_ID:
+                raise TraceError(f"{where} {n}: a read's returned must start at genesis "
+                                 f"{GENESIS_ID!r}, got {returned!r}")
         if type(returned) is list:      # a tuple, as `make_event` stores it
             returned = tuple(returned)
         events.append(Event(event_id, kind, op, tuple(args), process, logical_time, returned))

@@ -25,7 +25,7 @@ import random
 from dataclasses import MISSING, asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Container, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Container, Dict, List, Optional, Set, Tuple
 
 from .blocktree import Block, BlockTree
 from .checkers import CHECKERS, EventualityWindow, Verdict, run_checker
@@ -68,8 +68,21 @@ def _integer(value: Any, what: str, low: Optional[int] = None, high: Optional[in
                         f"{' or null' if null else ''}, got {value!r}")
 
 
+def _known_keys(doc: Dict[str, Any], known: AbstractSet[str], what: str) -> None:
+    """Reject `doc` if it has a key `known` lacks, naming the first such key."""
+    if not doc.keys() <= known:
+        key = next(k for k in doc if k not in known)
+        raise ScenarioError(f"unknown key {key!r} in {what}; "
+                            f"known keys: {', '.join(sorted(known))}")
+
+
 # run_scenario schedules one heap entry per append or read tick
 MAX_DURATION = 10**6
+
+# the keys a channel rule or a process script may hold
+_DELAY_KEYS = frozenset(("from", "to", "delay"))
+_DROP_KEYS = frozenset(("block", "from", "to"))
+_SCRIPT_KEYS = frozenset(("withhold_from", "send_delay"))
 
 
 @dataclass
@@ -95,6 +108,13 @@ class ChannelModel:
             "channel delays must be a list of rules, each with an integer delay")
         _require(type(self.drops) is list and all(type(r) is dict for r in self.drops),
                  "channel drops must be a list of objects")
+        for rule in self.delays:
+            _known_keys(rule, _DELAY_KEYS, "a channel delays rule")
+        for rule in self.drops:
+            _known_keys(rule, _DROP_KEYS, "a channel drops rule")
+        _require(all(type(v) is str for rules in (self.delays, self.drops) for rule in rules
+                     for k, v in rule.items() if k != "delay"),
+                 "a channel rule's from, to and block must be strings")
         _require(type(self.duplication) is bool, "channel duplication must be a boolean")
 
     def delay(self, sender: str, to: str, tick: int, rng: random.Random) -> int:
@@ -143,6 +163,7 @@ class ProcessSpec:
         _integer(self.read_interval, "read_interval", 1, null=True)
         _integer(self.read_offset, "read_offset", 0)
         _require(type(self.script) is dict, "a process script must be an object")
+        _known_keys(self.script, _SCRIPT_KEYS, "a process script")
         _require(type(self.withhold_from) is list
                  and all(type(q) is str for q in self.withhold_from),
                  "withhold_from must be a list of process ids")
@@ -237,14 +258,20 @@ def _script_events(script: List[Any]) -> List[Event]:
                           for n, ev in enumerate(script)), "script event")
 
 
-def _from(cls, doc: Any, what: str, **parts: Any):
+def _from(cls, doc: Any, what: str, known: Optional[AbstractSet[str]] = None, **parts: Any):
     """A `cls` built from the fields `doc` gives (a missing required one as
-    null) and `parts`; every other field keeps its class default."""
+    null) and `parts`; every other field keeps its class default. A key that
+    is not in `known` (default: the fields of `cls`) is rejected."""
     if type(doc) is not dict:
         raise ScenarioError(f"{what} must be an object")
-    given = {name: doc.get(name) for name, f in cls.__dataclass_fields__.items()
+    fields = cls.__dataclass_fields__
+    _known_keys(doc, fields.keys() if known is None else known, what)
+    given = {name: doc.get(name) for name, f in fields.items()
              if name in doc or f.default is MISSING and f.default_factory is MISSING}
     return cls(**{**given, **parts})
+
+
+_SCENARIO_KEYS = frozenset(("version", *Scenario.__dataclass_fields__))
 
 
 def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
@@ -253,8 +280,8 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
         raise ScenarioError(f"unsupported scenario version {doc.get('version')!r}")
     processes = doc.get("processes")
     if type(processes) is list:
-        processes = [_from(ProcessSpec, p, "each process") for p in processes]
-    return _from(Scenario, doc, "scenario", processes=processes,
+        processes = [_from(ProcessSpec, p, "a process") for p in processes]
+    return _from(Scenario, doc, "scenario", _SCENARIO_KEYS, processes=processes,
                  channel=_from(ChannelModel, doc.get("channel", {}), "channel"),
                  oracle=_from(OracleSpec, doc.get("oracle", {}), "oracle"))
 

@@ -18,7 +18,7 @@ from inspect import GEN_CLOSED, getgeneratorstate
 from typing import Any, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from .blocktree import GENESIS_ID, Block
-from .oracle import Merit, OracleState, frugal_oracle
+from .oracle import ConfigError, Merit, OracleState, frugal_oracle
 from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS
 
 # One caller's operation: each next() is one step, the return value its response.
@@ -133,17 +133,18 @@ def run_interleaving(order: Sequence[int], ops: Sequence[Steps]) -> List[Any]:
 # -- consensus on a capacity-1 oracle ----------------------------------------------
 
 
-def propose(oracle: OracleState, name: str, value: Block, parent_id: str = GENESIS_ID,
+def propose(oracle: OracleState, name: str, value: Block,
             max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS) -> Steps:
-    """propose(value): loop get_token(parent, value) until granted, consume
+    """propose(value): loop get_token(genesis, value) until granted, consume
     once, decide the single block in the returned set.
 
     Each oracle call is one step, so a proposer can crash between winning the
     token and deciding. The response is the decided block, or None when
-    `max_grant_attempts` get_token calls all failed.
+    `max_grant_attempts` get_token calls all failed. An oracle whose consumed
+    set holds more than one block cannot decide: that is a ConfigError.
     """
     attempts = 1
-    while (stamped := oracle.get_token(parent_id, value, name)) is None:
+    while (stamped := oracle.get_token(GENESIS_ID, value, name)) is None:
         if attempts >= max_grant_attempts:
             return None
         attempts += 1
@@ -151,7 +152,9 @@ def propose(oracle: OracleState, name: str, value: Block, parent_id: str = GENES
     yield
     returned = oracle.consume_token(stamped)
     yield
-    assert len(returned) == 1, "capacity-1 consumed set must be a singleton"
+    if len(returned) != 1:
+        raise ConfigError(f"consensus needs a capacity-1 oracle: {name} consumed "
+                          f"{len(returned)} blocks under {GENESIS_ID!r}")
     return next(iter(returned))
 
 

@@ -285,7 +285,6 @@ def _is_int(value: Any) -> bool:
 def from_jsonl(text: str, correct: Optional[Set[str]] = None,
                complete: bool = False) -> History:
     events = []
-    chains = []
     for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -314,12 +313,10 @@ def from_jsonl(text: str, correct: Optional[Set[str]] = None,
                                      and all(isinstance(b, str) for b in returned))):
             raise TraceError(f"line {n}: a read's returned must be null or a "
                              f"list of block ids, got {returned!r}")
-        if kind is EventKind.RESPONSE and doc["op"] == "read" and returned:
-            chains.append(returned)
-            if chains[0][0] != returned[0]:
-                raise TraceError(
-                    f"line {n}: a read's returned must start at genesis "
-                    f"{chains[0][0]!r} like every read before it, got {returned!r}")
+        if kind is EventKind.RESPONSE and doc["op"] == "read" and returned \
+                and returned[0] != "b0":
+            raise TraceError(f"line {n}: a read's returned must start at genesis "
+                             f"'b0', got {returned!r}")
         if isinstance(returned, list):
             returned = tuple(returned)
         events.append(Event(

@@ -6,8 +6,7 @@ import pytest
 
 from btlab.blocktree import (GENESIS_ID, Block, BlockTree, DomainError,
                              SelectionPolicy, chain_ids, common_prefix,
-                             genesis_block, is_prefix, length_score, mcps,
-                             prefix_comparable)
+                             is_prefix, length_score, mcps, prefix_comparable)
 
 POLICY = SelectionPolicy()
 
@@ -27,7 +26,7 @@ def test_fresh_tree_holds_exactly_genesis():
     tree = BlockTree()
     assert len(tree) == 1
     assert GENESIS_ID in tree
-    assert tree.read(POLICY) == (genesis_block(),)
+    assert tree.read(POLICY) == (Block(GENESIS_ID),)
 
 
 def test_read_on_genesis_only_tree_returns_one_block_chain():
@@ -44,9 +43,10 @@ def test_insert_rejects_duplicate_unknown_parent_and_second_genesis():
         tree.insert(Block(id="g2", parent_id=None))
 
 
-def test_genesis_must_be_parentless():
-    with pytest.raises(DomainError):
-        BlockTree(Block(id="g", parent_id="b0"))
+def test_every_tree_roots_at_the_one_genesis():
+    assert BlockTree().block(GENESIS_ID) == Block(GENESIS_ID, parent_id=None)
+    with pytest.raises(TypeError):
+        BlockTree(Block(id="g"))        # a tree takes no root of its own
 
 
 def test_chain_to_walks_root_to_block():
@@ -265,7 +265,7 @@ def test_every_read_is_a_root_to_leaf_chain():
                 parent = rng.choice(sorted(tree._blocks))
                 tree.insert(Block(id=block_id, parent_id=parent))
         chain = tree.read(POLICY)
-        assert chain[0].id == tree.genesis_id
+        assert chain[0].id == GENESIS_ID
         for parent, child in zip(chain, chain[1:]):
             assert child.parent_id == parent.id
         assert tree.fork_count(chain[-1].id) == 0

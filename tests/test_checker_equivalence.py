@@ -116,7 +116,6 @@ def chain_to(block):
 returned_chains = st.one_of(
     st.sampled_from(BLOCKS + ["b0"]).map(chain_to),
     st.just(()), st.none(),
-    st.just(("x0", "x1")),                      # a foreign genesis: mcps raises
 )
 
 

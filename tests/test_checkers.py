@@ -13,8 +13,8 @@ from btlab.checkers import (DEFAULT_WINDOW, EventualityWindow, Status,
                             check_strong_prefix, check_update_agreement,
                             run_checker)
 import reference_checkers as reference
-from btlab.blocktree import DomainError, length_score
-from btlab.history import EventKind, History, Recorder, make_event
+from btlab.blocktree import length_score
+from btlab.history import EventKind, History, Recorder, TraceError, make_event
 from btlab.netsim import preset, run_scenario, scenario_from_dict
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
@@ -272,29 +272,9 @@ def test_eventual_prefix_witness_is_the_first_pair_below_the_score():
     assert v.witness == (1, 3, 7)
 
 
-def foreign_window_history(foreign_first: bool):
-    """One reference of score 2 before three window reads; one window chain
-    starts at another genesis, so `mcps` raises on every pair holding it."""
-    foreign, left, right = ("x0", "x1"), ("b0", "a1", "a2"), ("b0", "c1")
-    first, second, third = (foreign, left, right) if foreign_first else (left, right, foreign)
-    return reads_history([("p", 0, 1, ("b0", "a1")), ("p", 4, 5, first),
-                          ("q", 4, 6, second), ("r", 4, 7, third)], complete=True)
-
-
-def test_a_violating_pair_walked_before_a_foreign_genesis_pair_fails():
-    h = foreign_window_history(foreign_first=False)
-    v = check_eventual_prefix(h, W1)
-    assert v == reference.check_eventual_prefix(h, W1)
-    assert v.status == Status.FAIL and v.witness == (1, 3, 5)
-
-
-def test_a_foreign_genesis_pair_walked_first_raises_like_the_reference():
-    h = foreign_window_history(foreign_first=True)
-    with pytest.raises(DomainError) as want:
-        reference.check_eventual_prefix(h, W1)
-    with pytest.raises(DomainError) as got:
-        check_eventual_prefix(h, W1)
-    assert str(got.value) == str(want.value)
+def test_a_read_rooted_at_another_genesis_is_refused():
+    with pytest.raises(TraceError, match=r"start at genesis 'b0', got \('x0',\) \(event 3\)"):
+        reads_history([("p", 0, 1, ("b0", "a1")), ("q", 2, 3, ("x0",))])
 
 
 # -- update agreement ----------------------------------------------------------------------
@@ -481,11 +461,18 @@ def test_every_criterion_takes_history_window_and_score():
 
 
 def test_a_raised_error_is_not_kept(monkeypatch):
-    h = foreign_window_history(foreign_first=True)
+    # only eventual prefix scores a common prefix no read returned: ("b0",)
+    h = reads_history([("p", 0, 1, ("b0", "a1")), ("p", 4, 5, ("b0", "a1", "a2")),
+                       ("q", 4, 6, ("b0", "c1"))], complete=True)
+
+    def score(chain):
+        if chain == ("b0",):
+            raise ValueError("unscorable")
+        return len(chain)
     mcps_calls = counting(monkeypatch, checkers, "mcps")
     for _ in range(2):
-        with pytest.raises(DomainError):
-            check_ec(h, W1)
+        with pytest.raises(ValueError, match="unscorable"):
+            check_ec(h, W1, score)
     assert len(mcps_calls) == 2
     kept = {criterion for criterion, _args in h.verdict_cache}
     assert kept == {"block-validity", "local-monotonic-read", "ever-growing-tree"}

@@ -183,6 +183,36 @@ def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
     assert captured.out == ""
 
 
+# A key no object of the schema defines, or a channel rule naming a process or
+# block by a non-string, on the update-drop preset (one drop rule, no delays):
+# probe -> (path, value, what the error names).
+SCHEMA_KEY_PROBES = {
+    "duraton": (["duraton"], 5, "'duraton'"),
+    "blok": (["channel", "drops", 0], {"blok": "p0-1", "to": "p2"}, "'blok'"),
+    "form": (["channel", "delays"], [{"form": "p0", "delay": 1}], "'form'"),
+    "withold_from": (["processes", 0, "script"], {"withold_from": ["p1"]}, "'withold_from'"),
+    "intervall": (["processes", 0, "intervall"], 3, "'intervall'"),
+    "dleta": (["channel", "dleta"], 1, "'dleta'"),
+    "capcity": (["oracle", "capcity"], 1, "'capcity'"),
+    "block-number": (["channel", "drops", 0, "block"], 1, "must be strings"),
+    "to-list": (["channel", "delays"], [{"from": "p0", "to": ["p1"], "delay": 1}],
+                "must be strings"),
+}
+
+
+@pytest.mark.parametrize("probe", SCHEMA_KEY_PROBES)
+def test_run_refuses_an_unknown_scenario_key(tmp_path, capsys, probe):
+    path, value, named = SCHEMA_KEY_PROBES[probe]
+    doc = preset("update-drop").to_dict()
+    _set(path, value)(doc)
+    scenario = tmp_path / "mutated.json"
+    scenario.write_text(json.dumps(doc))
+    assert run_cli("run", str(scenario)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and named in captured.err, captured.err
+    assert captured.out == ""
+
+
 INTEGER_FIELDS = [["seed"], ["duration"], ["stabilization_suffix"], ["max_grant_attempts"],
                   ["oracle", "seed"], ["oracle", "capacity"], ["channel", "delta"],
                   ["channel", "tau"], ["channel", "async_max_delay"],
@@ -205,9 +235,9 @@ def test_every_integer_scenario_field_takes_json_integers_only(tmp_path, capsys,
     assert captured.out == ""
 
 
-# One mutation of one figure-3 event (the first one, or the last read
-# response), sent once as a script event of the scenario and once as a line
-# of a trace: both carriers must judge it alike.
+# One mutation of figure-3 events (the first one, the last read response, or
+# every read response), sent once as script events of the scenario and once as
+# lines of a trace: both carriers must judge it alike.
 CARRIER_PROBES = {
     "unchanged": ("first", lambda ev: None),
     "time-string": ("first", lambda ev: ev.update(logical_time="0")),
@@ -219,6 +249,7 @@ CARRIER_PROBES = {
     "process-number": ("first", lambda ev: ev.update(process=5)),
     "returned-number": ("read", lambda ev: ev.update(returned=5)),
     "foreign-genesis": ("read", lambda ev: ev.update(returned=["x0"])),
+    "rooted-at-g0": ("reads", lambda ev: ev["returned"].__setitem__(0, "g0")),
 }
 
 
@@ -228,7 +259,8 @@ def test_a_script_event_and_a_trace_line_are_judged_alike(tmp_path, capsys, prob
     script = doc["script"]
     reads = [n for n, ev in enumerate(script) if (ev["kind"], ev["op"]) == ("response", "read")]
     which, mutate = CARRIER_PROBES[probe]
-    mutate(script[0 if which == "first" else reads[-1]])
+    for n in {"first": [0], "read": reads[-1:], "reads": reads}[which]:
+        mutate(script[n])
     scenario, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
     scenario.write_text(json.dumps(doc))
     trace.write_text("".join(json.dumps({"event_id": n, **ev}) + "\n"
@@ -344,8 +376,8 @@ def _read(event_id, process, invoked, chain):
              "logical_time": invoked + 1, "returned": chain}]
 
 
-# Three reads, one of them of a chain rooted at another genesis: the window
-# reads ["b0", "a"] and ["x0"] share no genesis block to take a common prefix of.
+# Three reads, one of them of a chain rooted at another genesis: every chain a
+# read returns starts at genesis "b0", so the trace is malformed.
 FOREIGN_GENESIS = [
     {**READ_INVOCATION, "event_id": 10, "op": "append", "args": ["a", "b0", True]},
     {**READ_INVOCATION, "event_id": 11, "op": "append", "args": ["x0", "b0", True],
@@ -442,6 +474,16 @@ def test_campaign_tape_lab_honours_btlab_seed(capsys, monkeypatch):
     assert flagged["seed"] == 5 and flagged["grants"] != 4972
     assert run_cli("campaign", "--lab", "tape", "--seed", "2026") == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 2026     # the flag wins
+
+
+@pytest.mark.parametrize("lab, flag", [("cas", "--runs"), ("cas", "--seed"),
+                                       ("snapshot", "--runs"), ("snapshot", "--seed"),
+                                       ("tape", "--runs")])
+def test_campaign_refuses_a_flag_its_lab_does_not_read(capsys, lab, flag):
+    assert run_cli("campaign", "--lab", lab, flag, "5") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --lab {lab} does not read {flag}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("runs", ["0", "-5"])

@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from inspect import GEN_CLOSED, GEN_SUSPENDED, getgeneratorstate
+from pathlib import Path
 
 import pytest
 
+import btlab
 import btlab.campaigns as campaigns
 from btlab.blocktree import Block
 from btlab.campaigns import cas_equivalence_suite, consensus_campaign
@@ -159,6 +164,29 @@ def test_survivor_decides_the_value_of_a_crashed_winner():
     loser = propose(oracle, "p1", Block(id="v-p1"))
     next(winner); next(winner)      # grant + consume, then crash before deciding
     assert finish(loser).id == "v-p0"
+
+
+# Two proposers on a capacity-2 oracle: b consumes after a, so b's consumed
+# set holds both blocks and b cannot decide; `python -O` must not change that.
+ABOVE_CAPACITY_1 = """
+from btlab import Block, ConfigError, Merit, frugal_oracle, propose, run_interleaving
+oracle = frugal_oracle({"a": Merit(1.0), "b": Merit(1.0)}, k=2)
+ops = [propose(oracle, name, Block(id=f"v-{name}")) for name in ("a", "b")]
+try:
+    print(run_interleaving((0, 0, 1, 1, 0, 1), ops))
+except ConfigError as exc:
+    print(f"ConfigError: {exc}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_proposer_on_an_oracle_above_capacity_1_raises(flags):
+    src = str(Path(btlab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, *flags, "-c", ABOVE_CAPACITY_1],
+                          capture_output=True, text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == ("ConfigError: consensus needs a capacity-1 oracle: "
+                           "b consumed 2 blocks under 'b0'\n")
 
 
 def test_proposer_exhausts_after_grant_budget():
