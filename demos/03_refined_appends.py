@@ -1,7 +1,7 @@
 """Refining the block tree with an oracle: append = grant loop + consume.
 
-A refined ledger wires a tree to an oracle. Its append keeps asking for a
-token (re-reading the selected leaf each attempt, since the tree may grow
+A refined ledger wires a tree to an oracle. Its append selects the leaf
+once, keeps asking for a token against it (nothing changes the local tree
 meanwhile), consumes it, and reports one of three outcomes: APPENDED,
 REJECTED (someone else used up the parent's capacity), or EXHAUSTED (the
 grant budget ran out before a token arrived).

@@ -25,8 +25,8 @@ from .history import (Event, EventKind, History, Operation, Recorder,
 from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                      Scenario, ScenarioError, SimRun, evaluate_run, preset,
                      preset_names, run_scenario, scenario_from_dict)
-from .oracle import (ConfigError, Merit, OracleState, Tape, Token,
-                     frugal_oracle, prodigal_oracle)
+from .oracle import (ConfigError, Merit, OracleState, Tape, frugal_oracle,
+                     prodigal_oracle)
 from .refinement import AppendResult, AppendStatus, RefinedLedger
 from .shm import (ConsensusOutcome, CrashSchedule, RegisterSpace,
                   cas_via_consume, consume_via_snapshot, finish, interleavings,

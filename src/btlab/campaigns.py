@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .blocktree import GENESIS_ID, Block, BlockTree
+from .blocktree import GENESIS_ID, Block
 from .checkers import Status, check_ec, check_sc, check_strong_prefix
 from .history import EventKind
 from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
@@ -87,8 +87,8 @@ def containment_campaign(runs: int = 100, seed: int = 0) -> CampaignResult:
     """A capacity-k run's successes replay verbatim on any looser oracle.
 
     The successes (in consume order) are re-driven against capacity k' >= k
-    and against the unbounded oracle; every replayed append must succeed
-    against the same parent and rebuild the same tree.
+    and against the unbounded oracle; every replayed append must be granted
+    and consumed under its original parent.
     """
     out = CampaignResult(name="containment", runs=runs)
     replays = 0
@@ -97,9 +97,9 @@ def containment_campaign(runs: int = 100, seed: int = 0) -> CampaignResult:
         k = 1 + (i % 3)
         successes = _successes(run_scenario(_fork_scenario(k, run_seed)))
         for k2 in [kk for kk in (k, k + 1, 3, None) if kk is None or kk >= k]:
-            ok, why = _replay_successes(successes, k2, run_seed)
+            why = _replay_successes(successes, k2, run_seed)
             replays += 1
-            if not ok:
+            if why:
                 out.violations.append(
                     (run_seed, f"k={k} run not reproduced at k'={k2}: {why}"))
     out.stats = {"replays": replays}
@@ -107,26 +107,19 @@ def containment_campaign(runs: int = 100, seed: int = 0) -> CampaignResult:
 
 
 def _replay_successes(successes: List[Tuple[str, str, str]], capacity: Optional[int],
-                      seed: int) -> Tuple[bool, str]:
+                      seed: int) -> str:
+    """Why the successes do not replay on an oracle of this capacity; "" if they do."""
     callers = sorted({c for c, _, _ in successes}) or ["p0"]
     oracle = OracleState({c: Merit(1.0) for c in callers}, capacity=capacity,
                          seed=seed + 1)
-    tree = BlockTree()
     for caller, block_id, parent_id in successes:
         stamped, _ = oracle.draw_token(parent_id, Block(id=block_id), caller,
                                        DEFAULT_MAX_GRANT_ATTEMPTS)
         if stamped is None:
-            return False, f"no grant for {block_id}"
-        consumed = oracle.consume_token(stamped)
-        if stamped not in consumed:
-            return False, f"append of {block_id} under {parent_id} rejected"
-        if stamped.parent_id != parent_id:
-            return False, f"{block_id} re-parented"
-        tree.insert(Block(id=block_id, parent_id=parent_id))
-    original = sorted((b, p) for _, b, p in successes)
-    replayed = sorted((b.id, b.parent_id) for b in tree.blocks() if b.parent_id)
-    return (original == replayed,
-            "" if original == replayed else "tree mismatch")
+            return f"no grant for {block_id}"
+        if stamped not in oracle.consume_token(stamped):
+            return f"append of {block_id} under {parent_id} rejected"
+    return ""
 
 
 # -- hierarchy corpus: strong implies eventual ---------------------------------------
@@ -166,14 +159,16 @@ def _random_scenario(seed: int) -> Scenario:
         stabilization_suffix=rng.choice([1, 2, 3]))
 
 
+_CORPUS_PRESETS = ("figure-3", "figure-4", "figure-5", "figure-6", "bitcoin-like",
+                   "consortium-like", "fork-strong-violation", "update-drop")
+
+
 def hierarchy_corpus(count: int, seed: int = 0):
-    """Yield (label, history, window) pairs: the eight presets, then random runs."""
-    for name in ("figure-3", "figure-4", "figure-5", "figure-6", "bitcoin-like",
-                 "consortium-like", "fork-strong-violation", "update-drop"):
-        sc = preset(name)
-        yield name, run_scenario(sc).history, sc.window()
-    for i in range(max(0, count - 8)):
-        sc = _random_scenario(seed * 7919 + i)
+    """Yield `count` (label, history, window) triples: the eight presets
+    first, then random runs."""
+    for i in range(count):
+        sc = (preset(_CORPUS_PRESETS[i]) if i < len(_CORPUS_PRESETS)
+              else _random_scenario(seed * 7919 + i - len(_CORPUS_PRESETS)))
         yield sc.name, run_scenario(sc).history, sc.window()
 
 

@@ -152,13 +152,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    seeded = args.lab in CAMPAIGNS
+    lab = "an empty campaign (no --lab)" if args.lab is None else f"--lab {args.lab}"
+    for flag, read in (("runs", seeded), ("seed", seeded or args.lab == "tape")):
+        if getattr(args, flag) is not None and not read:
+            raise ScenarioError(f"{lab} does not read --{flag}")
     if args.lab is None:
         print("no lab selected: empty campaign, trivially passing")
         return OK
-    seeded = args.lab in CAMPAIGNS
-    for flag, read in (("runs", seeded), ("seed", seeded or args.lab == "tape")):
-        if getattr(args, flag) is not None and not read:
-            raise ScenarioError(f"--lab {args.lab} does not read --{flag}")
     runs = DEFAULT_RUNS if args.runs is None else args.runs
     if runs < 1:
         raise ScenarioError(f"--runs must be at least 1, got {runs}")

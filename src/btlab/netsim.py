@@ -102,7 +102,7 @@ class ChannelModel:
             raise ScenarioError(f"unknown channel kind {self.kind!r}") from None
         _integer(self.delta, "channel delta", 1)
         _integer(self.tau, "channel tau")
-        _integer(self.async_max_delay, "async_max_delay")
+        _integer(self.async_max_delay, "async_max_delay", 1)
         _require(type(self.delays) is list and all(
             type(r) is dict and type(r.get("delay")) is int for r in self.delays),
             "channel delays must be a list of rules, each with an integer delay")
@@ -110,6 +110,7 @@ class ChannelModel:
                  "channel drops must be a list of objects")
         for rule in self.delays:
             _known_keys(rule, _DELAY_KEYS, "a channel delays rule")
+            _integer(rule["delay"], "a channel delays rule's delay", 1)
         for rule in self.drops:
             _known_keys(rule, _DROP_KEYS, "a channel drops rule")
         _require(all(type(v) is str for rules in (self.delays, self.drops) for rule in rules
@@ -120,15 +121,15 @@ class ChannelModel:
     def delay(self, sender: str, to: str, tick: int, rng: random.Random) -> int:
         for rule in self.delays:
             if rule.get("from", sender) == sender and rule.get("to", to) == to:
-                return max(1, rule["delay"])
+                return rule["delay"]
         if self.kind is ChannelKind.SYNCHRONOUS:
             return rng.randint(1, self.delta)
         if self.kind is ChannelKind.ASYNCHRONOUS:
-            return rng.randint(1, max(1, self.async_max_delay))
+            return rng.randint(1, self.async_max_delay)
         # weakly synchronous: unbounded before tau, bounded after
         if tick >= self.tau:
             return rng.randint(1, self.delta)
-        free = rng.randint(1, max(1, self.async_max_delay))
+        free = rng.randint(1, self.async_max_delay)
         capped = (self.tau - tick) + rng.randint(1, self.delta)
         return min(free, capped)
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .blocktree import Block
 
@@ -35,14 +36,6 @@ class Merit:
     def __post_init__(self):
         if not (0.0 < self.grant_probability <= 1.0):
             raise ConfigError("grant_probability must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class Token:
-    tag: str
-    parent_id: str
-    bearer: str
-    nonce: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,10 +112,14 @@ class OracleState:
     grant it returns the candidate stamped with a fresh token bound to
     `parent_id` (the stamped block is thereby valid). get_token is the
     one-pop draw. consume_token spends a stamped block's token: if the token
-    is genuine, unconsumed, and the parent still has room, the block joins the
+    is issued, unspent, and the parent still has room, the block joins the
     parent's consumed set. It always returns the current consumed set for the
     parent, so a loser learns who won. A capacity rejection does not burn the
     token.
+
+    The state is the paper's: `issued` maps each unspent token's tag to its
+    parent, and each parent's consumed set K[h] is one frozenset, replaced
+    (never mutated) when it grows, so a returned set stays what it was.
     """
 
     def __init__(self, merits: Dict[str, Merit], capacity: Optional[int] = None,
@@ -130,29 +127,22 @@ class OracleState:
         if capacity is not None and capacity < 1:
             raise ConfigError("capacity must be >= 1 or None for unbounded")
         self.capacity = capacity
-        self.seed = seed
         self.tapes: Dict[str, Tape] = {
             holder: Tape(seed=seed, holder=holder, merit=merit)
             for holder, merit in merits.items()
         }
-        self.issued: Dict[str, Token] = {}
-        self.consumed_tags: set = set()
-        self._consumed: Dict[str, List[Block]] = {}
-        self._nonce = 0
+        self.issued: Dict[str, str] = {}
+        self._consumed: Dict[str, FrozenSet[Block]] = {}
+        self._tags = itertools.count(1)
 
     # -- introspection ---------------------------------------------------
 
     def consumed_view(self, parent_id: str) -> FrozenSet[Block]:
-        return frozenset(self._consumed.get(parent_id, []))
-
-    def consumed_count(self, parent_id: str) -> int:
-        return len(self._consumed.get(parent_id, []))
+        return self._consumed.get(parent_id, frozenset())
 
     def is_consumed_block(self, block: Block) -> bool:
         """True iff this exact stamped block sits in its parent's consumed set."""
-        if block.token_tag is None or block.parent_id is None:
-            return False
-        return block in self._consumed.get(block.parent_id, [])
+        return block in self._consumed.get(block.parent_id, ())
 
     # -- operations --------------------------------------------------------
 
@@ -168,29 +158,22 @@ class OracleState:
         granted, popped = tape.draw(limit)
         if not granted:
             return None, popped
-        self._nonce += 1
-        token = Token(tag=f"tkn{self._nonce}", parent_id=parent_id,
-                      bearer=caller, nonce=self._nonce)
-        self.issued[token.tag] = token
-        return replace(candidate, parent_id=parent_id, token_tag=token.tag), popped
+        tag = f"tkn{next(self._tags)}"
+        self.issued[tag] = parent_id
+        return replace(candidate, parent_id=parent_id, token_tag=tag), popped
 
     def get_token(self, parent_id: str, candidate: Block, caller: str) -> Optional[Block]:
         """Pop the caller's tape once; return the stamped candidate on a grant."""
         return self.draw_token(parent_id, candidate, caller, 1)[0]
 
     def consume_token(self, stamped: Block) -> FrozenSet[Block]:
-        token = self.issued.get(stamped.token_tag) if stamped.token_tag else None
-        genuine = (
-            token is not None
-            and token.tag not in self.consumed_tags
-            and token.parent_id == stamped.parent_id
-        )
-        if genuine:
-            bucket = self._consumed.setdefault(stamped.parent_id, [])
-            if self.capacity is None or len(bucket) < self.capacity:
-                bucket.append(stamped)
-                self.consumed_tags.add(token.tag)
-        return self.consumed_view(stamped.parent_id)
+        parent_id = stamped.parent_id
+        consumed = self._consumed.get(parent_id, frozenset())
+        if (parent_id is not None and self.issued.get(stamped.token_tag) == parent_id
+                and (self.capacity is None or len(consumed) < self.capacity)):
+            del self.issued[stamped.token_tag]
+            consumed = self._consumed[parent_id] = consumed | {stamped}
+        return consumed
 
 
 def frugal_oracle(merits: Dict[str, Merit], k: int, seed: int = 0) -> OracleState:

@@ -162,6 +162,10 @@ def _set(path, value):
     ("bitcoin-like", _set(["processes", 0, "append_offset"], -1)),
     ("bitcoin-like", _set(["declared_complete"], 1)),
     ("bitcoin-like", _set(["channel", "duplication"], "false")),
+    ("update-drop", _set(["channel", "delays"], [{"from": "p0", "delay": -7}])),
+    ("update-drop", _set(["channel", "delays"], [{"from": "p0", "delay": 0}])),
+    ("update-drop", _set(["channel", "async_max_delay"], 0)),
+    ("update-drop", _set(["channel", "async_max_delay"], -3)),
     ("bitcoin-like", _set(["description"], 5)),
     ("bitcoin-like", _set(["max_grant_attempts"], 0)),
     ("bitcoin-like", _set(["max_grant_attempts"], -1)),
@@ -446,8 +450,12 @@ def test_replay_compares_raw_traces_when_asked(figure_traces):
 
 
 def test_campaign_without_lab_is_trivially_empty(capsys):
-    assert run_cli("campaign", "--runs", "0") == 0
-    assert "empty campaign" in capsys.readouterr().out
+    assert run_cli("campaign") == 0
+    assert capsys.readouterr().out == "no lab selected: empty campaign, trivially passing\n"
+    assert run_cli("campaign", "--runs", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: an empty campaign (no --lab) does not read --runs\n"
+    assert captured.out == ""
 
 
 def test_campaign_cas_lab_is_exhaustive_and_green(capsys):
@@ -498,3 +506,12 @@ def test_campaign_small_hierarchy_and_shm_runs(capsys):
     assert run_cli("campaign", "--lab", "hierarchy", "--runs", "12",
                    "--seed", "5") == 0
     assert run_cli("campaign", "--lab", "shm", "--runs", "12", "--seed", "5") == 0
+
+
+def test_a_short_hierarchy_campaign_judges_exactly_its_runs(capsys):
+    assert run_cli("campaign", "--lab", "hierarchy", "--runs", "2") == 0
+    out = capsys.readouterr().out
+    header, stats = out.split("\n", 1)
+    assert header == "campaign hierarchy: 2 runs, 0 violations"
+    counts = json.loads(stats)
+    assert sum(counts["sc"].values()) == sum(counts["ec"].values()) == 2

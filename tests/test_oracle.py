@@ -6,7 +6,7 @@ import random
 import pytest
 
 from btlab.blocktree import Block
-from btlab.oracle import (ConfigError, Merit, OracleState, Tape, Token, _grant_bound,
+from btlab.oracle import (ConfigError, Merit, OracleState, Tape, _grant_bound,
                           frugal_oracle, prodigal_oracle)
 from btlab.refinement import AppendStatus, RefinedLedger
 
@@ -147,8 +147,7 @@ def test_get_token_stamps_candidate_with_parent_and_fresh_tag():
     s2 = oracle.get_token("b0", Block(id="y"), "a")
     assert (s1.parent_id, s1.token_tag) == ("b0", "tkn1")
     assert (s2.parent_id, s2.token_tag) == ("b0", "tkn2")
-    assert oracle.issued["tkn1"] == Token(tag="tkn1", parent_id="b0",
-                                          bearer="a", nonce=1)
+    assert oracle.issued == {"tkn1": "b0", "tkn2": "b0"}
 
 
 def test_get_token_returns_none_on_blank_cell():
@@ -184,7 +183,8 @@ def test_consume_adds_to_parent_set_and_returns_it():
     view = oracle.consume_token(s1)
     assert view == frozenset({s1})
     assert oracle.is_consumed_block(s1)
-    assert oracle.consumed_count("b0") == 1
+    assert len(oracle.consumed_view("b0")) == 1
+    assert oracle.issued == {}                   # a spent token leaves `issued`
 
 
 def test_token_is_single_use():
@@ -193,10 +193,10 @@ def test_token_is_single_use():
     oracle.consume_token(s1)
     again = oracle.consume_token(s1)        # replay of the same stamped block
     assert again == frozenset({s1})
-    assert oracle.consumed_count("b0") == 1
+    assert len(oracle.consumed_view("b0")) == 1
     forged = Block(id="x2", parent_id="b0", token_tag="tkn1")
     assert forged not in oracle.consume_token(forged)
-    assert oracle.consumed_count("b0") == 1
+    assert len(oracle.consumed_view("b0")) == 1
 
 
 def test_forged_or_reparented_tokens_never_consume():
@@ -208,8 +208,11 @@ def test_forged_or_reparented_tokens_never_consume():
     assert fake not in oracle.consume_token(fake)
     bare = Block(id="z", parent_id="b0")
     assert bare not in oracle.consume_token(bare)
-    assert oracle.consumed_count("b0") == 0
-    assert oracle.consumed_count("elsewhere") == 0
+    parentless = Block(id="w")                   # neither parent nor tag
+    assert parentless not in oracle.consume_token(parentless)
+    assert not oracle.is_consumed_block(parentless)
+    assert len(oracle.consumed_view("b0")) == 0
+    assert len(oracle.consumed_view("elsewhere")) == 0
 
 
 def test_capacity_caps_consumptions_per_parent():
@@ -222,13 +225,23 @@ def test_capacity_caps_consumptions_per_parent():
     assert view == frozenset(stamped[:2])        # the loser learns who won
 
 
+def test_a_rejected_consume_returns_the_set_it_returned_before():
+    oracle = frugal_oracle({"a": Merit(1.0)}, k=1)
+    first = oracle.get_token("b0", Block(id="x"), "a")
+    second = oracle.get_token("b0", Block(id="y"), "a")
+    won = oracle.consume_token(first)
+    lost = oracle.consume_token(second)          # rejected: b0 is full
+    assert lost is won and lost == frozenset({first})
+    assert oracle.consumed_view("b0") is won
+
+
 def test_capacity_rejection_does_not_burn_the_token():
     oracle = frugal_oracle({"a": Merit(1.0)}, k=1)
     first = oracle.get_token("b0", Block(id="x"), "a")
     second = oracle.get_token("b0", Block(id="y"), "a")
     oracle.consume_token(first)
     oracle.consume_token(second)                 # rejected: b0 is full
-    assert second.token_tag not in oracle.consumed_tags
+    assert oracle.issued[second.token_tag] == "b0"     # still unspent
     third = oracle.get_token(first.id, Block(id="y"), "a")  # fresh grant, new parent
     assert third in oracle.consume_token(third)
 
@@ -238,7 +251,7 @@ def test_capacity_applies_per_parent_not_globally():
     for parent in ("b0", "c", "d"):
         s = oracle.get_token(parent, Block(id=f"x-{parent}"), "a")
         assert s in oracle.consume_token(s)
-    assert all(oracle.consumed_count(p) == 1 for p in ("b0", "c", "d"))
+    assert all(len(oracle.consumed_view(p)) == 1 for p in ("b0", "c", "d"))
 
 
 def test_unbounded_oracle_never_rejects_genuine_tokens():
@@ -246,7 +259,7 @@ def test_unbounded_oracle_never_rejects_genuine_tokens():
     for i in range(50):
         s = oracle.get_token("b0", Block(id=f"x{i}"), "a")
         assert s in oracle.consume_token(s)
-    assert oracle.consumed_count("b0") == 50
+    assert len(oracle.consumed_view("b0")) == 50
 
 
 def test_invalid_capacity_is_a_config_error():

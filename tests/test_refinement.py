@@ -159,5 +159,5 @@ def test_fork_width_never_exceeds_capacity_without_propagation():
             who = rng.randrange(4)
             ledgers[who].refined_append(Block(id=f"k{k}-{step}"), f"p{who}")
         for parent in ("b0",):
-            assert shared.consumed_count(parent) <= k
+            assert len(shared.consumed_view(parent)) <= k
         assert max(led.fork_count("b0") for led in ledgers) <= k

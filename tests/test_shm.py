@@ -148,7 +148,7 @@ def test_lone_proposer_walks_get_consume_decide():
     steps = propose(oracle, "p0", Block(id="v-p0"))
     assert not oracle.issued                            # nothing runs before a step
     next(steps)
-    assert len(oracle.issued) == 1 and not oracle.consumed_tags
+    assert oracle.issued == {"tkn1": "b0"}              # granted, not yet spent
     next(steps)
     (stamped,) = oracle.consumed_view("b0")             # consumed, not yet decided
     assert stamped.id == "v-p0" and getgeneratorstate(steps) == GEN_SUSPENDED
