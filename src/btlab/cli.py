@@ -7,8 +7,8 @@ Verbs:
   replay SCENARIO      re-simulate and byte-compare against a stored trace
   campaign NAME        drive a property campaign, report counterexamples
 
-Exit codes: 0 ok, 1 property/verdict violation (counterexample printed),
-2 malformed scenario, trace, or usage.
+Exit codes: 0 ok, 1 property/verdict violation (counterexample printed) or an
+existence property not shown, 2 malformed scenario, trace, or usage.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Type
 
 from .blocktree import DomainError
-from .campaigns import CAMPAIGNS, SUITES, tape_statistics
+from .campaigns import CAMPAIGNS, CORPUS_PRESETS, SUITES, tape_statistics
 from .checkers import CHECKERS, DEFAULT_WINDOW, EventualityWindow, Status, run_checker
 from .history import History, TraceError, restrict
 from .netsim import (Scenario, ScenarioError, evaluate_run, preset,
@@ -31,16 +30,6 @@ from .netsim import (Scenario, ScenarioError, evaluate_run, preset,
 OK, VIOLATION, SCHEMA = 0, 1, 2
 
 DEFAULT_RUNS = 200
-
-
-def _env_seed() -> Optional[int]:
-    raw = os.environ.get("BTLAB_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"BTLAB_SEED must be an integer, got {raw!r}")
 
 
 def _read_input(path: str, error: Type[ValueError], what: str) -> str:
@@ -62,9 +51,10 @@ def _load_scenario(ref: str, seed: Optional[int]) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{ref}: not valid JSON ({exc})")
         scenario = scenario_from_dict(payload)
-    if seed is None:
-        seed = _env_seed()
     if seed is not None:
+        if scenario.script:
+            raise ScenarioError(f"scenario {scenario.name} replays a script "
+                                "and does not read --seed")
         scenario = dataclasses.replace(
             scenario, seed=seed,
             oracle=dataclasses.replace(scenario.oracle, seed=seed))
@@ -124,11 +114,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise TraceError(f"--window must be at least 1, got {args.window}")
     window = DEFAULT_WINDOW if args.window is None else EventualityWindow(args.window)
     names = args.criterion or ["sc", "ec"]
-    worst = OK
     for name in names:
         if name not in CHECKERS:
             raise TraceError(
                 f"unknown criterion {name!r}; pick from {', '.join(sorted(CHECKERS))}")
+    worst = OK
+    for name in names:
         verdict = run_checker(name, history, window)
         print(json.dumps({
             "criterion": verdict.criterion, "status": verdict.status,
@@ -163,21 +154,26 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     runs = DEFAULT_RUNS if args.runs is None else args.runs
     if runs < 1:
         raise ScenarioError(f"--runs must be at least 1, got {runs}")
-    seed = args.seed if args.seed is not None else _env_seed()
+    if args.lab == "hierarchy" and args.seed is not None and runs <= len(CORPUS_PRESETS):
+        raise ScenarioError(f"--lab hierarchy at --runs {runs} judges the presets alone "
+                            "and does not read --seed")
+    seed = {} if args.seed is None else {"seed": args.seed}    # else the lab's default
     if args.lab == "tape":
-        stats = tape_statistics(seed=2026 if seed is None else seed)
+        stats = tape_statistics(**seed)
         print(json.dumps(stats, indent=2))
         return OK if stats["ok"] else VIOLATION
     if args.lab in SUITES:
         result = SUITES[args.lab]()
     else:
-        result = CAMPAIGNS[args.lab](runs, 0 if seed is None else seed)
+        result = CAMPAIGNS[args.lab](runs, **seed)
     print(f"campaign {result.name}: {result.runs} runs, "
           f"{len(result.violations)} violations")
     if result.stats:
         print(json.dumps(result.stats, indent=2, default=str))
     for key, why in result.violations[:20]:
         print(f"counterexample {key!r}: {why}")
+    for why in result.unshown:
+        print(f"property not shown: {why}")
     return OK if result.ok else VIOLATION
 
 
@@ -200,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="simulate a scenario and evaluate verdicts")
     p.add_argument("scenario", help="preset name or scenario JSON path")
     p.add_argument("--seed", type=int, default=None,
-                   help="override scenario seed (default: $BTLAB_SEED, then file)")
+                   help="schedule and oracle seed (default: the scenario file's; "
+                        "a scripted scenario refuses it)")
     p.add_argument("--out", default=None, help="directory for trace/report files")
     p.set_defaults(func=cmd_run)
 
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-simulate and compare with a stored trace")
     p.add_argument("scenario", help="preset name or scenario JSON path")
     p.add_argument("trace", help="reference trace to byte-compare against")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="as for run")
     p.add_argument("--raw", action="store_true",
                    help="compare the unrestricted trace instead")
     p.set_defaults(func=cmd_replay)
@@ -231,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"runs of a seeded campaign (default: {DEFAULT_RUNS}); "
                         "the cas, snapshot and tape labs refuse it")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed of a seeded campaign or of the tape lab "
-                        "(default: $BTLAB_SEED); the cas and snapshot labs refuse it")
+                   help="seed of a seeded campaign or of the tape lab (default: the "
+                        "lab's); the cas and snapshot labs, and hierarchy with at most "
+                        f"{len(CORPUS_PRESETS)} runs, refuse it")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("presets", help="list built-in scenarios")

@@ -336,11 +336,10 @@ class _Replica:
                 self.orphans.setdefault(block.parent_id, []).append(block)
 
 
-def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> SimRun:
+def run_scenario(scenario: Scenario) -> SimRun:
     if scenario.script:
         return _replay_script(scenario)
-    sched_seed = scenario.seed if seed is None else seed
-    rng = random.Random(sched_seed)
+    rng = random.Random(scenario.seed)
     rec = Recorder()
     oracle = OracleState(
         {p.id: Merit(p.merit) for p in scenario.processes},

@@ -32,8 +32,7 @@ STDOUT_SHA256 = {
 
 
 @pytest.mark.parametrize("argv", STDOUT_SHA256)
-def test_campaign_stdout_is_pinned(capsys, monkeypatch, argv):
-    monkeypatch.delenv("BTLAB_SEED", raising=False)
+def test_campaign_stdout_is_pinned(capsys, argv):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]

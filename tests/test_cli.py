@@ -1,11 +1,12 @@
 """Command-line interface: verbs, flags, exit codes, artifacts."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
-from btlab import cli
+from btlab import campaigns, cli
 from btlab.cli import main
 from btlab.history import History
 from btlab.netsim import preset, preset_names
@@ -288,13 +289,23 @@ def test_seed_flag_overrides_scenario_and_oracle_seed(tmp_path):
     assert report["seed"] == 4
 
 
-def test_btlab_seed_env_is_the_fallback(tmp_path, monkeypatch):
+def test_the_environment_does_not_change_a_run(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BTLAB_SEED", "4")
-    run_cli("run", "bitcoin-like", "--out", str(tmp_path))
+    assert run_cli("run", "bitcoin-like", "--out", str(tmp_path)) == 0
     report = json.loads((tmp_path / "bitcoin-like.report.json").read_text())
-    assert report["seed"] == 4
-    monkeypatch.setenv("BTLAB_SEED", "not-a-number")
-    assert run_cli("run", "bitcoin-like") == 2
+    assert report["seed"] == 3                  # the scenario file's seed
+    capsys.readouterr()
+    assert run_cli("campaign", "--lab", "tape") == 0
+    assert json.loads(capsys.readouterr().out)["grants"] == 4972
+
+
+@pytest.mark.parametrize("argv", [["run", "figure-4", "--seed", "9"],
+                                  ["replay", "figure-3", "T", "--seed", "1"]])
+def test_a_scripted_scenario_refuses_a_seed(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "--seed" in captured.err
+    assert captured.out == ""
 
 
 # -- check -----------------------------------------------------------------------------
@@ -363,6 +374,10 @@ def test_check_builds_the_parsed_and_the_restricted_history_only(figure_traces,
 def test_check_rejects_unknown_criteria_and_missing_files(figure_traces, tmp_path, capsys):
     trace = figure_traces / "figure-3.trace.jsonl"
     assert run_cli("check", str(trace), "--criterion", "zzz") == 2
+    capsys.readouterr()
+    assert run_cli("check", str(trace), "--criterion", "sc", "--criterion", "nope") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1     # no criterion judged
     assert run_cli("check", str(figure_traces / "nope.jsonl")) == 2
     assert_unreadable_inputs_exit_two(tmp_path, capsys, "check")
 
@@ -473,15 +488,12 @@ def test_campaign_tape_lab_reports_the_pinned_band(capsys):
     assert doc["grants"] == 4972 and doc["ok"] is True
 
 
-def test_campaign_tape_lab_honours_btlab_seed(capsys, monkeypatch):
+def test_campaign_tape_lab_honours_the_seed_flag(capsys):
     assert run_cli("campaign", "--lab", "tape", "--seed", "5") == 0
     flagged = json.loads(capsys.readouterr().out)
-    monkeypatch.setenv("BTLAB_SEED", "5")
-    assert run_cli("campaign", "--lab", "tape") == 0
-    assert json.loads(capsys.readouterr().out) == flagged
     assert flagged["seed"] == 5 and flagged["grants"] != 4972
     assert run_cli("campaign", "--lab", "tape", "--seed", "2026") == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 2026     # the flag wins
+    assert json.loads(capsys.readouterr().out)["seed"] == 2026
 
 
 @pytest.mark.parametrize("lab, flag", [("cas", "--runs"), ("cas", "--seed"),
@@ -506,6 +518,35 @@ def test_campaign_small_hierarchy_and_shm_runs(capsys):
     assert run_cli("campaign", "--lab", "hierarchy", "--runs", "12",
                    "--seed", "5") == 0
     assert run_cli("campaign", "--lab", "shm", "--runs", "12", "--seed", "5") == 0
+
+
+@pytest.mark.parametrize("runs", ["3", "8"])
+def test_a_hierarchy_campaign_of_presets_alone_refuses_a_seed(capsys, runs):
+    # the first eight histories are the presets, which no seed changes
+    assert run_cli("campaign", "--lab", "hierarchy", "--runs", runs, "--seed", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "--seed" in captured.err
+    assert captured.out == ""
+
+
+def test_an_unmet_existence_property_is_not_shown_not_a_counterexample(capsys):
+    # figure-3 alone passes both criteria, so nothing separates them
+    assert run_cli("campaign", "--lab", "hierarchy", "--runs", "1") == 1
+    out = capsys.readouterr().out
+    assert "property not shown: no history separated the two criteria\n" in out
+    assert "counterexample" not in out
+
+
+def test_kfork_reports_a_width_no_run_reached_as_not_shown(capsys, monkeypatch):
+    fork_scenario = campaigns._fork_scenario
+    monkeypatch.setattr(campaigns, "_fork_scenario", lambda k, seed: dataclasses.replace(
+        fork_scenario(k, seed), duration=1))    # over before anyone appends
+    assert run_cli("campaign", "--lab", "kfork", "--runs", "2") == 1
+    out = capsys.readouterr().out
+    assert out.startswith("campaign kfork: 6 runs, 0 violations\n")
+    assert "counterexample" not in out
+    for k in (1, 2, 3):
+        assert f"property not shown: no run ever forked exactly {k} ways\n" in out
 
 
 def test_a_short_hierarchy_campaign_judges_exactly_its_runs(capsys):
