@@ -11,7 +11,7 @@ and a deterministic message-passing simulator with scenario presets.
 from .blocktree import (GENESIS_ID, Block, BlockTree, Blockchain, DomainError,
                         SelectionPolicy, chain_ids, common_prefix, is_prefix,
                         length_score, mcps, prefix_comparable)
-from .campaigns import (CAMPAIGNS, SUITES, CampaignResult, cas_equivalence_suite,
+from .campaigns import (LABS, CampaignResult, cas_equivalence_suite,
                         consensus_campaign, containment_campaign,
                         hierarchy_campaign, kfork_campaign,
                         snapshot_equivalence_suite, tape_statistics)

@@ -1,6 +1,6 @@
 """Property campaigns: seeded random schedules and exhaustive enumerations.
 
-Each campaign returns a CampaignResult whose `violations` list carries the
+Each lab returns a CampaignResult whose `violations` list carries the
 offending seed (or interleaving) so a failure is reproducible from the CLI;
 `unshown` names each existence property no run exhibited, so it has no seed.
 """
@@ -37,6 +37,18 @@ class CampaignResult:
         return not self.violations and not self.unshown
 
 
+# lab -> (its function, the `btlab campaign` flags it reads). A lab takes
+# exactly those flags, as keywords, and holds their defaults itself.
+LABS: Dict[str, Tuple[Callable[..., CampaignResult], Tuple[str, ...]]] = {}
+
+
+def _lab(name: str, *flags: str):
+    def register(fn: Callable[..., CampaignResult]) -> Callable[..., CampaignResult]:
+        LABS[name] = (fn, flags)
+        return fn
+    return register
+
+
 # -- the paper's oracle results, over simulator runs ---------------------------------
 # Each run is a `run_scenario` run of `_fork_scenario`: three processes append
 # every 4 ticks to their own replica over a slow asynchronous channel, so
@@ -61,6 +73,7 @@ def _successes(run: SimRun) -> List[Tuple[str, str, str]]:
             and e.args[0] in e.returned]
 
 
+@_lab("kfork", "runs", "seed")
 def kfork_campaign(runs: int = 200, seed: int = 0) -> CampaignResult:
     """For k in 1..3: the fork width never exceeds the oracle capacity k and
     reaches it, and at k = 1 strong prefix holds."""
@@ -85,6 +98,7 @@ def kfork_campaign(runs: int = 200, seed: int = 0) -> CampaignResult:
     return out
 
 
+@_lab("containment", "runs", "seed")
 def containment_campaign(runs: int = 100, seed: int = 0) -> CampaignResult:
     """A capacity-k run's successes replay verbatim on any looser oracle.
 
@@ -174,6 +188,7 @@ def hierarchy_corpus(count: int, seed: int = 0):
         yield sc.name, run_scenario(sc).history, sc.window()
 
 
+@_lab("hierarchy", "runs", "seed")
 def hierarchy_campaign(runs: int = 1000, seed: int = 0) -> CampaignResult:
     """No history may satisfy the strong criterion yet fail the eventual one,
     and at least one must hold eventually while failing strongly."""
@@ -198,9 +213,11 @@ def hierarchy_campaign(runs: int = 1000, seed: int = 0) -> CampaignResult:
 
 # -- consensus on the capacity-1 oracle ------------------------------------------------
 
+CONSENSUS_PROPOSERS = 4
 
-def consensus_campaign(runs: int = 200, seed: int = 0, n: int = 4,
-                       grant_probability: float = 0.5) -> CampaignResult:
+
+@_lab("shm", "runs", "seed")
+def consensus_campaign(runs: int = 200, seed: int = 0) -> CampaignResult:
     """Agreement/termination/integrity/validity across seeded crash schedules."""
     out = CampaignResult(name="consensus", runs=runs)
     crashed_runs = 0
@@ -210,18 +227,17 @@ def consensus_campaign(runs: int = 200, seed: int = 0, n: int = 4,
         rng = random.Random(run_seed)
         crash = CrashSchedule()
         if rng.random() < 0.6:
-            victim = f"p{rng.randrange(n)}"
+            victim = f"p{rng.randrange(CONSENSUS_PROPOSERS)}"
             crash = CrashSchedule(victims=((victim, rng.randint(1, 12)),))
             crashed_runs += 1
-        outcome = run_consensus(n, run_seed, crash,
-                                grant_probability=grant_probability)
+        outcome = run_consensus(CONSENSUS_PROPOSERS, run_seed, crash)
         exhausted_total += len(outcome.exhausted)
         decided = list(outcome.decided.values())
         if len({b.id for b in decided}) > 1:                    # agreement
             out.violations.append((run_seed, f"two decisions: {sorted(b.id for b in decided)}"))
             continue
-        expected_deciders = {f"p{j}" for j in range(n)} - set(outcome.crashed) \
-            - set(outcome.exhausted)
+        expected_deciders = {f"p{j}" for j in range(CONSENSUS_PROPOSERS)} \
+            - set(outcome.crashed) - set(outcome.exhausted)
         if set(outcome.decided) != expected_deciders:           # termination
             out.violations.append((run_seed, "a live proposer never decided"))
             continue
@@ -236,6 +252,7 @@ def consensus_campaign(runs: int = 200, seed: int = 0, n: int = 4,
 # -- exhaustive equivalence labs ---------------------------------------------------------
 
 
+@_lab("cas")
 def cas_equivalence_suite() -> CampaignResult:
     """Token consumption implements compare&swap: every interleaving of up to
     three concurrent swappers returns exactly what atomic cas returns, in
@@ -281,6 +298,7 @@ def _consume_in_lockstep(space: RegisterSpace, oracle: OracleState, writer: str,
     return finish(steps), oracle.consumed_view(GENESIS_ID)
 
 
+@_lab("snapshot")
 def snapshot_equivalence_suite() -> CampaignResult:
     """Update-then-scan implements unbounded consume: in every interleaving of
     two concurrent calls the scan returns exactly the tokens already
@@ -311,32 +329,18 @@ def snapshot_equivalence_suite() -> CampaignResult:
 
 # -- oracle tape statistics ----------------------------------------------------------------
 
-
-def tape_statistics(seed: int = 2026, pops: int = 10_000,
-                    p: float = 0.5) -> Dict[str, Any]:
-    oracle = prodigal_oracle({"miner": Merit(p)}, seed=seed)
-    tape = oracle.tapes["miner"]
-    grants = sum(1 for _ in range(pops) if tape.pop())
-    mean = pops * p
-    sigma = (pops * p * (1 - p)) ** 0.5
-    return {
-        "seed": seed, "pops": pops, "p": p, "grants": grants,
-        "low": mean - 3 * sigma, "high": mean + 3 * sigma,
-        "ok": abs(grants - mean) <= 3 * sigma,
-    }
+TAPE_POPS, TAPE_MERIT = 10_000, 0.5
 
 
-# lab -> campaign(runs, seed=0)
-CAMPAIGNS: Dict[str, Callable[..., CampaignResult]] = {
-    "shm": consensus_campaign,
-    "hierarchy": hierarchy_campaign,
-    "kfork": kfork_campaign,
-    "containment": containment_campaign,
-}
-
-# lab -> an exhaustive suite: it enumerates every case, so it takes no run
-# count and no seed
-SUITES: Dict[str, Callable[[], CampaignResult]] = {
-    "cas": cas_equivalence_suite,
-    "snapshot": snapshot_equivalence_suite,
-}
+@_lab("tape", "seed")
+def tape_statistics(seed: int = 2026) -> CampaignResult:
+    """A merit-p tape grants within 3 sigma of p * TAPE_POPS in TAPE_POPS pops."""
+    out = CampaignResult(name="tape", runs=TAPE_POPS)
+    tape = prodigal_oracle({"miner": Merit(TAPE_MERIT)}, seed=seed).tapes["miner"]
+    grants = sum(1 for _ in range(TAPE_POPS) if tape.pop())
+    mean = TAPE_POPS * TAPE_MERIT
+    sigma = (mean * (1 - TAPE_MERIT)) ** 0.5
+    out.stats = {"grants": grants, "low": mean - 3 * sigma, "high": mean + 3 * sigma}
+    if abs(grants - mean) > 3 * sigma:
+        out.violations.append((seed, f"{grants} grants, over 3 sigma from {mean:.0f}"))
+    return out

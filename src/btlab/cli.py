@@ -5,7 +5,7 @@ Verbs:
   run SCENARIO         simulate, print verdicts, optionally write traces/report
   check TRACE          evaluate consistency criteria over a recorded trace
   replay SCENARIO      re-simulate and byte-compare against a stored trace
-  campaign NAME        drive a property campaign, report counterexamples
+  campaign --lab NAME  drive a property campaign, report counterexamples
 
 Exit codes: 0 ok, 1 property/verdict violation (counterexample printed) or an
 existence property not shown, 2 malformed scenario, trace, or usage.
@@ -21,15 +21,13 @@ from pathlib import Path
 from typing import List, Optional, Type
 
 from .blocktree import DomainError
-from .campaigns import CAMPAIGNS, CORPUS_PRESETS, SUITES, tape_statistics
+from .campaigns import CORPUS_PRESETS, LABS
 from .checkers import CHECKERS, DEFAULT_WINDOW, EventualityWindow, Status, run_checker
 from .history import History, TraceError, restrict
 from .netsim import (Scenario, ScenarioError, evaluate_run, preset,
                      preset_names, run_scenario, scenario_from_dict)
 
 OK, VIOLATION, SCHEMA = 0, 1, 2
-
-DEFAULT_RUNS = 200
 
 
 def _read_input(path: str, error: Type[ValueError], what: str) -> str:
@@ -61,6 +59,11 @@ def _load_scenario(ref: str, seed: Optional[int]) -> Scenario:
     return scenario
 
 
+def _seed_note(scenario: Scenario, text: str) -> str:
+    """`text` naming the run's seed; "" for a scripted run, which reads none."""
+    return "" if scenario.script else text.format(scenario.seed)
+
+
 def _print_verdicts(report: dict) -> None:
     for crit, row in report["verdicts"].items():
         mark = "ok" if row["ok"] else "MISMATCH"
@@ -82,7 +85,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                                 f"{exc.strerror or exc}") from None
     run = run_scenario(scenario)
     report = evaluate_run(run)
-    print(f"scenario {scenario.name} seed={scenario.seed} "
+    print(f"scenario {scenario.name}{_seed_note(scenario, ' seed={}')} "
           f"dropped={run.dropped} undelivered={run.undelivered}")
     _print_verdicts(report)
     if args.out:
@@ -96,7 +99,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                                 f"{exc.strerror or exc}") from None
         print(f"wrote {out / scenario.name}.trace.jsonl / .raw.jsonl / .report.json")
     if not report["ok"]:
-        print(f"verdict mismatch (counterexample seed {scenario.seed})")
+        print(f"verdict mismatch{_seed_note(scenario, ' (counterexample seed {})')}")
         return VIOLATION
     return OK
 
@@ -135,37 +138,29 @@ def cmd_replay(args: argparse.Namespace) -> int:
     run = run_scenario(scenario)
     produced = run.full_history.to_jsonl() if args.raw else run.history.to_jsonl()
     reference = _read_input(args.trace, TraceError, "cannot read trace")
-    if produced == reference:
-        print(f"replay of {scenario.name} (seed {scenario.seed}): byte-identical")
-        return OK
-    print(f"replay of {scenario.name} (seed {scenario.seed}): traces differ")
-    return VIOLATION
+    same = produced == reference
+    print(f"replay of {scenario.name}{_seed_note(scenario, ' (seed {})')}: "
+          f"{'byte-identical' if same else 'traces differ'}")
+    return OK if same else VIOLATION
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    seeded = args.lab in CAMPAIGNS
-    lab = "an empty campaign (no --lab)" if args.lab is None else f"--lab {args.lab}"
-    for flag, read in (("runs", seeded), ("seed", seeded or args.lab == "tape")):
-        if getattr(args, flag) is not None and not read:
+    run, reads = LABS.get(args.lab, (None, ()))
+    lab = "an empty campaign (no --lab)" if run is None else f"--lab {args.lab}"
+    given = {f: v for f, v in (("runs", args.runs), ("seed", args.seed)) if v is not None}
+    for flag in given:
+        if flag not in reads:
             raise ScenarioError(f"{lab} does not read --{flag}")
-    if args.lab is None:
+    if run is None:
         print("no lab selected: empty campaign, trivially passing")
         return OK
-    runs = DEFAULT_RUNS if args.runs is None else args.runs
-    if runs < 1:
-        raise ScenarioError(f"--runs must be at least 1, got {runs}")
-    if args.lab == "hierarchy" and args.seed is not None and runs <= len(CORPUS_PRESETS):
-        raise ScenarioError(f"--lab hierarchy at --runs {runs} judges the presets alone "
-                            "and does not read --seed")
-    seed = {} if args.seed is None else {"seed": args.seed}    # else the lab's default
-    if args.lab == "tape":
-        stats = tape_statistics(**seed)
-        print(json.dumps(stats, indent=2))
-        return OK if stats["ok"] else VIOLATION
-    if args.lab in SUITES:
-        result = SUITES[args.lab]()
-    else:
-        result = CAMPAIGNS[args.lab](runs, **seed)
+    if given.get("runs", 1) < 1:
+        raise ScenarioError(f"--runs must be at least 1, got {args.runs}")
+    if (args.lab == "hierarchy" and args.seed is not None and args.runs is not None
+            and args.runs <= len(CORPUS_PRESETS)):
+        raise ScenarioError(f"--lab hierarchy at --runs {args.runs} judges the presets "
+                            "alone and does not read --seed")
+    result = run(**given)               # a flag not given keeps the lab's default
     print(f"campaign {result.name}: {result.runs} runs, "
           f"{len(result.violations)} violations")
     if result.stats:
@@ -222,15 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("campaign", help="run a property campaign")
-    p.add_argument("--lab", choices=sorted({**CAMPAIGNS, **SUITES}) + ["tape"], default=None,
+    p.add_argument("--lab", choices=sorted(LABS), default=None,
                    help="which campaign to run (omit for an empty campaign)")
     p.add_argument("--runs", type=int, default=None,
-                   help=f"runs of a seeded campaign (default: {DEFAULT_RUNS}); "
-                        "the cas, snapshot and tape labs refuse it")
+                   help="how many runs (default: the lab's); a lab that reads none refuses it")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed of a seeded campaign or of the tape lab (default: the "
-                        "lab's); the cas and snapshot labs, and hierarchy with at most "
-                        f"{len(CORPUS_PRESETS)} runs, refuse it")
+                   help="seed of the campaign (default: the lab's); a lab that reads "
+                        "none refuses it")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("presets", help="list built-in scenarios")

@@ -469,7 +469,7 @@ def evaluate_run(run: SimRun) -> Dict[str, Any]:
         }
     return {
         "scenario": run.scenario.name,
-        "seed": run.scenario.seed,
+        **({} if run.scenario.script else {"seed": run.scenario.seed}),   # a script reads none
         "undelivered": run.undelivered,
         "dropped": run.dropped,
         "verdicts": verdicts,

@@ -176,11 +176,13 @@ class ConsensusOutcome:
     steps: int
 
 
-def run_consensus(n: int, seed: int, crash: CrashSchedule = CrashSchedule(),
-                  grant_probability: float = 0.5) -> ConsensusOutcome:
+PROPOSER_MERIT = 0.5        # the chance that one pop of a proposer's tape grants
+
+
+def run_consensus(n: int, seed: int, crash: CrashSchedule = CrashSchedule()) -> ConsensusOutcome:
     """Drive n proposers to completion under a seeded fair scheduler."""
     names = [f"p{i}" for i in range(n)]
-    oracle = frugal_oracle({p: Merit(grant_probability) for p in names}, k=1, seed=seed)
+    oracle = frugal_oracle({p: Merit(PROPOSER_MERIT) for p in names}, k=1, seed=seed)
     live = {p: propose(oracle, p, Block(id=f"v-{p}", payload=f"proposal of {p}"))
             for p in names}
     responses: Dict[str, Optional[Block]] = {}

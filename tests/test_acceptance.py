@@ -8,12 +8,13 @@ here is mocked or down-sized.
 import dataclasses
 import time
 
-from btlab.campaigns import (cas_equivalence_suite, consensus_campaign,
-                             containment_campaign, hierarchy_campaign,
-                             kfork_campaign, snapshot_equivalence_suite,
-                             tape_statistics)
+from btlab.campaigns import (CONSENSUS_PROPOSERS, TAPE_MERIT, cas_equivalence_suite,
+                             consensus_campaign, containment_campaign,
+                             hierarchy_campaign, kfork_campaign,
+                             snapshot_equivalence_suite, tape_statistics)
 from btlab.checkers import Status, run_checker
 from btlab.netsim import OracleSpec, evaluate_run, preset, preset_names, run_scenario
+from btlab.shm import PROPOSER_MERIT
 
 
 def verdict_line(num, name, ok, detail):
@@ -82,8 +83,9 @@ def test_04_oracle_containment():
 
 
 def test_05_consensus_reduction():
-    result = consensus_campaign(runs=200, seed=0, n=4, grant_probability=0.5)
-    ok = (result.ok and result.stats["exhausted"] == 0
+    result = consensus_campaign(runs=200, seed=0)
+    ok = (CONSENSUS_PROPOSERS == 4 and PROPOSER_MERIT == 0.5
+          and result.ok and result.stats["exhausted"] == 0
           and result.stats["crash_schedules"] > 0)
     verdict_line(5, "consensus-reduction", ok,
                  f"200 schedules (n=4, f<=1, {result.stats['crash_schedules']} "
@@ -160,8 +162,10 @@ def test_09_determinism():
 
 
 def test_10_tape_statistics():
-    stats = tape_statistics(seed=2026, pops=10_000, p=0.5)
-    ok = stats["ok"] and stats["low"] <= stats["grants"] <= stats["high"]
+    result = tape_statistics(seed=2026)
+    stats = result.stats
+    ok = (result.runs == 10_000 and TAPE_MERIT == 0.5
+          and result.ok and stats["low"] <= stats["grants"] <= stats["high"])
     verdict_line(10, "tape-statistics", ok,
                  f"pinned seed 2026: {stats['grants']} grants in "
                  f"[{stats['low']:.0f}, {stats['high']:.0f}] (3 sigma around 5000)")

@@ -27,7 +27,7 @@ STDOUT_SHA256 = {
     "campaign --lab snapshot":
         "83e35f193df3a717a2a2f5dc15005f3bc6fc17e6061d892601ff12bed8b087ce",
     "campaign --lab tape --seed 9":
-        "899b7259b2051e7ab0f30781de56fa65df9564af15d235ae94c381e30263a500",
+        "fa388822c1b6e2e12a8fb7c255189287b1242e11498227b0addd39efa594781e",
 }
 
 

@@ -1,19 +1,30 @@
 """Command-line interface: verbs, flags, exit codes, artifacts."""
 
 import dataclasses
+import inspect
 import json
 import re
 
 import pytest
 
 from btlab import campaigns, cli
+from btlab.blocktree import Block
 from btlab.cli import main
 from btlab.history import History
 from btlab.netsim import preset, preset_names
+from btlab.oracle import Merit, prodigal_oracle
+from btlab.shm import ConsensusOutcome
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def campaign_output(capsys):
+    """The header line and the stats of a campaign's stdout, which holds no
+    counterexample and no unshown property."""
+    header, stats = capsys.readouterr().out.split("\n", 1)
+    return header, json.loads(stats)
 
 
 # -- presets --------------------------------------------------------------------
@@ -296,7 +307,7 @@ def test_the_environment_does_not_change_a_run(tmp_path, capsys, monkeypatch):
     assert report["seed"] == 3                  # the scenario file's seed
     capsys.readouterr()
     assert run_cli("campaign", "--lab", "tape") == 0
-    assert json.loads(capsys.readouterr().out)["grants"] == 4972
+    assert campaign_output(capsys)[1]["grants"] == 4972
 
 
 @pytest.mark.parametrize("argv", [["run", "figure-4", "--seed", "9"],
@@ -306,6 +317,22 @@ def test_a_scripted_scenario_refuses_a_seed(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "--seed" in captured.err
     assert captured.out == ""
+
+
+def test_a_scripted_scenario_names_no_seed(tmp_path, capsys):
+    # its run replays the script, so no seed could reproduce or change it
+    assert run_cli("run", "figure-4", "--out", str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("scenario figure-4 dropped=0 undelivered=0\n")
+    assert "seed" not in out
+    assert "seed" not in json.loads((tmp_path / "figure-4.report.json").read_text())
+    assert run_cli("replay", "figure-4", str(tmp_path / "figure-4.trace.jsonl")) == 0
+    assert capsys.readouterr().out == "replay of figure-4: byte-identical\n"
+    twisted = preset("figure-4").to_dict()
+    twisted["expected_verdicts"]["sc"] = "PASS"
+    (tmp_path / "twisted.json").write_text(json.dumps(twisted))
+    assert run_cli("run", str(tmp_path / "twisted.json")) == 1
+    assert capsys.readouterr().out.endswith("[ok] witness=[6, 12]\nverdict mismatch\n")
 
 
 # -- check -----------------------------------------------------------------------------
@@ -484,16 +511,72 @@ def test_campaign_snapshot_lab_is_green():
 
 def test_campaign_tape_lab_reports_the_pinned_band(capsys):
     assert run_cli("campaign", "--lab", "tape") == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["grants"] == 4972 and doc["ok"] is True
+    header, stats = campaign_output(capsys)
+    assert header == "campaign tape: 10000 runs, 0 violations"
+    assert stats == {"grants": 4972, "low": 4850.0, "high": 5150.0}
 
 
 def test_campaign_tape_lab_honours_the_seed_flag(capsys):
     assert run_cli("campaign", "--lab", "tape", "--seed", "5") == 0
-    flagged = json.loads(capsys.readouterr().out)
-    assert flagged["seed"] == 5 and flagged["grants"] != 4972
+    assert campaign_output(capsys)[1]["grants"] != 4972
     assert run_cli("campaign", "--lab", "tape", "--seed", "2026") == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 2026
+    assert campaign_output(capsys)[1]["grants"] == 4972
+
+
+def test_a_tape_outside_three_sigma_is_a_counterexample_of_its_seed(capsys, monkeypatch):
+    # a tape of merit 0.6 judged against the band around 0.5 * 10000
+    monkeypatch.setattr(campaigns, "prodigal_oracle", lambda merits, seed: prodigal_oracle(
+        {"miner": Merit(0.6)}, seed=seed))
+    assert run_cli("campaign", "--lab", "tape", "--seed", "7") == 1
+    out = capsys.readouterr().out
+    assert out.startswith("campaign tape: 10000 runs, 1 violations\n")
+    assert re.search(r"^counterexample 7: \d+ grants, over 3 sigma from 5000$", out, re.M)
+
+
+# -- the lab registry: each lab takes, reads and defaults exactly its declared flags
+
+
+@pytest.mark.parametrize("lab", sorted(campaigns.LABS))
+def test_a_lab_takes_exactly_the_flags_it_declares(lab):
+    run, reads = campaigns.LABS[lab]
+    params = inspect.signature(run).parameters
+    assert tuple(params) == reads and set(reads) <= {"runs", "seed"}
+    # the CLI passes only the flags given, so every one needs the lab's default
+    assert all(param.default is not param.empty for param in params.values())
+
+
+def every_seeded_run_fails(monkeypatch):
+    """Make each run of kfork, containment and shm a counterexample, whose
+    line prints the run's seed: their stats do not show the seed."""
+    # four appends under genesis: wider than any k, and not replayable at k' = 1
+    monkeypatch.setattr(campaigns, "_successes",
+                        lambda run: [("p0", f"x{i}", "b0") for i in range(4)])
+    # one decision, of a value nobody proposed
+    monkeypatch.setattr(campaigns, "run_consensus", lambda n, seed, crash: ConsensusOutcome(
+        decided={"p0": Block(id="foreign")}, crashed=[], exhausted=["p1", "p2", "p3"],
+        steps=0))
+
+
+@pytest.mark.parametrize("lab, flag", [(lab, flag) for lab, (_, reads)
+                                       in sorted(campaigns.LABS.items()) for flag in reads])
+def test_every_declared_flag_is_read(capsys, monkeypatch, lab, flag):
+    every_seeded_run_fails(monkeypatch)
+    size = []
+    if flag == "seed" and "runs" in campaigns.LABS[lab][1]:   # past hierarchy's presets
+        size = ["--runs", "10" if lab == "hierarchy" else "2"]
+    outs = []
+    for value in ("2", "3") if flag == "runs" else ("1", "2"):
+        run_cli("campaign", "--lab", lab, f"--{flag}", value, *size)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("lab, header", [
+    ("containment", "campaign containment: 100 runs, 0 violations"),
+    ("shm", "campaign consensus: 200 runs, 0 violations")])
+def test_a_lab_without_runs_given_runs_its_own_default(capsys, lab, header):
+    assert run_cli("campaign", "--lab", lab) == 0
+    assert capsys.readouterr().out.split("\n", 1)[0] == header
 
 
 @pytest.mark.parametrize("lab, flag", [("cas", "--runs"), ("cas", "--seed"),
