@@ -7,10 +7,10 @@ INCONCLUSIVE on running histories and only FAIL once a history is
 declared complete — a fork that *might* still heal is not a violation.
 """
 
-from btlab import EventKind, EventualityWindow, Recorder, run_checker
+from btlab import EventKind, Recorder, run_checker
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
-WINDOW = EventualityWindow(stabilization_suffix=1)
+WINDOW = 1                   # trailing reads per process that must agree
 
 
 def forked_history(heals: bool, complete: bool):

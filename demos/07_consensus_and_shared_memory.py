@@ -16,7 +16,7 @@ from btlab import (Block, CrashSchedule, RegisterSpace, cas_equivalence_suite,
                    run_consensus, snapshot_equivalence_suite, Merit)
 
 print("-- consensus from a capacity-1 oracle --")
-outcome = run_consensus(n=4, seed=7, crash=CrashSchedule(victims=(("p2", 4),)))
+outcome = run_consensus(seed=7, crash=CrashSchedule(victims=(("p2", 4),)))
 for proposer in sorted(outcome.decided):
     print(f"  {proposer} decided {outcome.decided[proposer].id}")
 print("  crashed:", outcome.crashed or "nobody",

@@ -1,6 +1,6 @@
 """btlab: a block tree consistency laboratory.
 
-A replicated block tree abstract data type with pluggable chain selection, a
+A replicated block tree abstract data type with longest-chain selection, a
 token-oracle concurrency model (frugal capacity-k and prodigal unbounded), a
 refinement that turns oracle grants into tree appends, a concurrent-history
 recorder with criterion checkers (strong and eventual prefix consistency,
@@ -10,16 +10,16 @@ and a deterministic message-passing simulator with scenario presets.
 
 from .blocktree import (GENESIS_ID, Block, BlockTree, Blockchain, DomainError,
                         SelectionPolicy, chain_ids, common_prefix, is_prefix,
-                        length_score, mcps, prefix_comparable)
+                        mcps, prefix_comparable)
 from .campaigns import (LABS, CampaignResult, cas_equivalence_suite,
                         consensus_campaign, containment_campaign,
                         hierarchy_campaign, kfork_campaign,
                         snapshot_equivalence_suite, tape_statistics)
-from .checkers import (CHECKERS, DEFAULT_WINDOW, EventualityWindow, Status,
-                       Verdict, check_block_validity, check_ec,
-                       check_eventual_prefix, check_ever_growing_tree,
-                       check_local_monotonic_read, check_lrc, check_sc,
-                       check_strong_prefix, check_update_agreement, run_checker)
+from .checkers import (CHECKERS, DEFAULT_WINDOW, Status, Verdict,
+                       check_block_validity, check_ec, check_eventual_prefix,
+                       check_ever_growing_tree, check_local_monotonic_read,
+                       check_lrc, check_sc, check_strong_prefix,
+                       check_update_agreement, run_checker)
 from .history import (Event, EventKind, History, Operation, Recorder,
                       TraceError, make_event)
 from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,

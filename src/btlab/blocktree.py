@@ -1,23 +1,21 @@
 """Block tree abstract data type.
 
 A block tree is an in-tree of blocks rooted at the genesis block `GENESIS_ID`,
-the one root every tree, trace, script and history shares. Appending never
-removes anything: a valid block is attached as a child of the leaf of the
-currently selected chain, and a read returns that selected chain (genesis
-included). Which chain is "selected" is the job of a pluggable selection
-policy: a chain chooser, a monotone score, and a validity predicate.
+the one root every tree, trace, script and history shares. It has the two
+operations of the block tree abstract data type: `append(b)` attaches a valid
+block as a child of the leaf of the selected chain, and `read()` returns that
+selected chain (genesis included). Appending never removes anything.
 
-The default policy is longest-chain with a deterministic lexicographic
-tiebreak and score = chain length (genesis counts). It is incremental: the
-tree records each block's depth on insert and keeps the selected leaf up to
-date, so a default read costs O(1) between inserts. A custom score or chain
-chooser recomputes over all root-to-leaf chains on every read.
+The selection rule is fixed: the longest chain wins (a chain's score is its
+length, genesis counted), and ties go to the lexicographically largest id
+sequence. It is incremental: the tree records each block's depth on insert
+and keeps the selected leaf up to date, so a read costs O(1) between inserts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 # The genesis block: the root of every tree, and the first block of every
 # chain a read returns.
@@ -67,39 +65,27 @@ def common_prefix(a: Tuple, b: Tuple) -> Tuple:
     return tuple(out)
 
 
-def length_score(chain: Tuple) -> int:
-    """Default monotone score: number of blocks, genesis included."""
-    return len(chain)
-
-
-def mcps(a: Tuple, b: Tuple, score: Callable[[Tuple], int] = length_score) -> int:
-    """Score of the maximal common prefix of two chains.
+def mcps(a: Tuple, b: Tuple) -> int:
+    """Score (length) of the maximal common prefix of two chains.
 
     Both chains must share a genesis; chains of unrelated objects are not
     comparable.
     """
     if not a or not b or a[0] != b[0]:
         raise DomainError("mcps: chains do not share a genesis block")
-    return score(common_prefix(a, b))
+    return len(common_prefix(a, b))
 
 
-@dataclass
 class SelectionPolicy:
-    """Chain selection for a block tree.
-
-    chain_chooser may be None, in which case the highest-scoring root-to-leaf
-    chain wins and ties break by the lexicographically largest id sequence.
-    """
-
-    score: Callable[[Blockchain], int] = length_score
-    chain_chooser: Optional[Callable[["BlockTree"], Blockchain]] = None
+    """The chain selection of every block tree: the longest chain."""
 
     def choose(self, tree: "BlockTree") -> Blockchain:
-        if self.chain_chooser is not None:
-            return self.chain_chooser(tree)
-        if self.score is length_score:
-            return tree.longest_chain()
-        return max(tree.leaf_chains(), key=lambda c: (self.score(c), chain_ids(c)))
+        return tree.longest_chain()
+
+
+# The one selection every read goes through; bench/tracing.py times its
+# `choose` as the `blocktree.choose` span.
+_SELECTION = SelectionPolicy()
 
 
 class BlockTree:
@@ -152,13 +138,10 @@ class BlockTree:
             cur = b.parent_id
         return tuple(reversed(out))
 
-    def leaf_chains(self) -> List[Blockchain]:
-        return [self.chain_to(leaf) for leaf in self.leaves()]
-
     def longest_chain(self) -> Blockchain:
         """The deepest chain; ties go to the lexicographically largest ids.
 
-        Equal to max(leaf_chains(), key=lambda c: (len(c), chain_ids(c))),
+        Equal to the max over leaves of chain_to(leaf) by (len, chain_ids),
         kept up to date by insert() and built once per change of leaf.
         """
         if self._longest_chain is None:
@@ -198,7 +181,7 @@ class BlockTree:
 
     # -- ADT operations -------------------------------------------------
 
-    def append(self, candidate: Block, policy: SelectionPolicy) -> bool:
+    def append(self, candidate: Block) -> bool:
         """Attach `candidate` after the selected chain if it is valid: its id
         is fresh, and a claimed parent (if any) is the selected leaf.
 
@@ -207,13 +190,13 @@ class BlockTree:
         """
         if candidate.id in self._blocks:
             return False
-        leaf = policy.choose(self)[-1]
+        leaf = self.read()[-1]
         if candidate.parent_id not in (None, leaf.id):
             return False
         self.insert(replace(candidate, parent_id=leaf.id))
         return True
 
-    def read(self, policy: SelectionPolicy) -> Blockchain:
+    def read(self) -> Blockchain:
         """The selected chain, genesis first. Genesis-only trees read as (g,)."""
-        return policy.choose(self)
+        return _SELECTION.choose(self)
 

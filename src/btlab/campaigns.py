@@ -19,9 +19,9 @@ from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                      Scenario, SimRun, preset, run_scenario)
 from .oracle import Merit, OracleState, frugal_oracle, prodigal_oracle
 from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS
-from .shm import (CrashSchedule, RegisterSpace, Steps, cas_via_consume,
-                  consume_via_snapshot, finish, interleavings, run_consensus,
-                  run_interleaving)
+from .shm import (CONSENSUS_PROPOSERS, CrashSchedule, RegisterSpace, Steps,
+                  cas_via_consume, consume_via_snapshot, finish, interleavings,
+                  run_consensus, run_interleaving)
 
 
 @dataclass
@@ -112,7 +112,7 @@ def containment_campaign(runs: int = 100, seed: int = 0) -> CampaignResult:
         run_seed = seed * 99991 + i
         k = 1 + (i % 3)
         successes = _successes(run_scenario(_fork_scenario(k, run_seed)))
-        for k2 in [kk for kk in (k, k + 1, 3, None) if kk is None or kk >= k]:
+        for k2 in dict.fromkeys((k, k + 1, 3, None)):    # each capacity once
             why = _replay_successes(successes, k2, run_seed)
             replays += 1
             if why:
@@ -213,9 +213,6 @@ def hierarchy_campaign(runs: int = 1000, seed: int = 0) -> CampaignResult:
 
 # -- consensus on the capacity-1 oracle ------------------------------------------------
 
-CONSENSUS_PROPOSERS = 4
-
-
 @_lab("shm", "runs", "seed")
 def consensus_campaign(runs: int = 200, seed: int = 0) -> CampaignResult:
     """Agreement/termination/integrity/validity across seeded crash schedules."""
@@ -230,7 +227,7 @@ def consensus_campaign(runs: int = 200, seed: int = 0) -> CampaignResult:
             victim = f"p{rng.randrange(CONSENSUS_PROPOSERS)}"
             crash = CrashSchedule(victims=((victim, rng.randint(1, 12)),))
             crashed_runs += 1
-        outcome = run_consensus(CONSENSUS_PROPOSERS, run_seed, crash)
+        outcome = run_consensus(run_seed, crash)
         exhausted_total += len(outcome.exhausted)
         decided = list(outcome.decided.values())
         if len({b.id for b in decided}) > 1:                    # agreement

@@ -8,15 +8,16 @@ INCONCLUSIVE when a violation persists into the window, and FAIL only when
 the history is declared complete (nothing more will ever come, i.e. the
 depicted tail is forever).
 
-The trailing window holds the last `stabilization_suffix` completed reads of
-each process. Window reads are evidence, not references: an eventuality is
-judged for reads that still have a future inside the trace.
+A read's score is the length of its chain, genesis included. The trailing
+window holds the last `window` completed reads of each process (a scenario's
+`stabilization_suffix`). Window reads are evidence, not references: an
+eventuality is judged for reads that still have a future inside the trace.
 
 A History is immutable, so each criterion is judged at most once per history
-and arguments it reads: every `check_*` takes `(h, window, score)`, keeps its
-verdict in `History.verdict_cache` under the criterion and those of the two
-arguments its verdict depends on, and `sc`/`ec` compose the verdicts of the
-standalone criteria they contain.
+and window it reads: every `check_*` takes `(h, window=DEFAULT_WINDOW)`, keeps
+its verdict in `History.verdict_cache` under `(criterion, window)` if its
+verdict depends on the window and under the bare criterion if not, and
+`sc`/`ec` compose the verdicts of the standalone criteria they contain.
 """
 
 from __future__ import annotations
@@ -25,14 +26,11 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Set, Tuple
 
-from .blocktree import GENESIS_ID, length_score, mcps, prefix_comparable
+from .blocktree import GENESIS_ID, mcps, prefix_comparable
 from .history import Event, EventKind, History, Operation, returned_chain
-
-ScoreFn = Callable[[Tuple[str, ...]], int]
 
 
 class Status:
@@ -55,45 +53,34 @@ class Verdict:
         return f"{self.criterion}: {self.status}{tail}{note}"
 
 
-@dataclass(frozen=True)
-class EventualityWindow:
-    """How many trailing reads per process must already agree."""
+# How many trailing reads per process must already agree.
+DEFAULT_WINDOW = 3
 
-    stabilization_suffix: int = 3
-
-    def __post_init__(self):
-        if self.stabilization_suffix < 1:
-            raise ValueError("stabilization_suffix must be >= 1")
-
-
-DEFAULT_WINDOW = EventualityWindow()
-
-Check = Callable[[History, EventualityWindow, ScoreFn], Verdict]
+Check = Callable[[History, int], Verdict]
 
 # criterion name -> its check, in the order the criteria are defined below
 CHECKERS: Dict[str, Check] = {}
 
 
-def _criterion(*reads: str) -> Callable[[Check], Check]:
+def _criterion(windowed: bool = False) -> Callable[[Check], Check]:
     """Register a check in CHECKERS and memoise it in the history's
-    `verdict_cache` under `(criterion, the arguments it reads)`: `reads` names
-    those of "window" and "score" its verdict depends on, so a check that
-    ignores one is judged once whatever is passed for it. The wrapper declares
-    the defaults, so every way of passing the same arguments shares one key.
-    A raised error is not kept.
+    `verdict_cache`: under `(criterion, window)` if the verdict depends on the
+    window, else under the bare criterion, so a check that ignores the window
+    is judged once whatever window is passed. The wrapper declares the
+    default, so every way of passing the same window shares one key. A
+    refused window is refused before any work; a raised error is not kept.
     """
-    mask = ("window" in reads, "score" in reads)
-
     def register(check: Check) -> Check:
         criterion = check.__name__[len("check_"):].replace("_", "-")
 
         @functools.wraps(check)
-        def judged(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-                   score: ScoreFn = length_score) -> Verdict:
-            key = (criterion, tuple(compress((window, score), mask)))
+        def judged(h: History, window: int = DEFAULT_WINDOW) -> Verdict:
+            if windowed and window < 1:
+                raise ValueError(f"window must be at least 1, got {window}")
+            key = (criterion, window) if windowed else criterion
             verdict = h.verdict_cache.get(key)
             if verdict is None:
-                verdict = h.verdict_cache[key] = check(h, window, score)
+                verdict = h.verdict_cache[key] = check(h, window)
             return verdict
         CHECKERS[criterion] = judged
         return judged
@@ -106,14 +93,14 @@ def _unmet(h: History, criterion: str, witness: Tuple[int, ...], detail: str) ->
                    witness, detail)
 
 
-def _split_window(h: History, window: EventualityWindow):
+def _split_window(h: History, window: int):
     """(reference reads, window reads), both in response order.
 
-    The window holds each process's trailing `stabilization_suffix` reads.
+    The window holds each process's trailing `window` reads.
     """
     in_window: Set[int] = set()
     for p in h.processes:
-        for op in h.reads_of(p)[-window.stabilization_suffix:]:
+        for op in h.reads_of(p)[-window:]:
             in_window.add(op.response.event_id)
     refs: List[Operation] = []
     last: List[Operation] = []
@@ -126,7 +113,7 @@ def _split_window(h: History, window: EventualityWindow):
 
 
 @_criterion()
-def check_block_validity(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
+def check_block_validity(h: History, window: int) -> Verdict:
     """Every block a read returns must have been appended beforehand: at an
     earlier tick, or earlier on the reading process."""
     first_time: Dict[str, int] = {}                 # block -> earliest append
@@ -152,18 +139,18 @@ def check_block_validity(h: History, window: EventualityWindow, score: ScoreFn) 
 # -- local monotonic read -----------------------------------------------------
 
 
-@_criterion("score")
-def check_local_monotonic_read(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
+@_criterion()
+def check_local_monotonic_read(h: History, window: int) -> Verdict:
     """Per process, read scores never decrease."""
     for p in h.processes:
         per = h.reads_of(p)
         for earlier, later in zip(per, per[1:]):
-            if score(returned_chain(later)) < score(returned_chain(earlier)):
+            before, after = len(returned_chain(earlier)), len(returned_chain(later))
+            if after < before:
                 return Verdict(
                     "local-monotonic-read", Status.FAIL,
                     (earlier.response.event_id, later.response.event_id),
-                    f"score fell at {p}: "
-                    f"{score(returned_chain(earlier))} -> {score(returned_chain(later))}")
+                    f"score fell at {p}: {before} -> {after}")
     return Verdict("local-monotonic-read", Status.PASS)
 
 
@@ -171,7 +158,7 @@ def check_local_monotonic_read(h: History, window: EventualityWindow, score: Sco
 
 
 @_criterion()
-def check_strong_prefix(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
+def check_strong_prefix(h: History, window: int) -> Verdict:
     """Any two returned chains, whoever read them, must be prefix-comparable.
 
     When every non-empty chain is a prefix of the longest one, all pairs are
@@ -198,17 +185,17 @@ def check_strong_prefix(h: History, window: EventualityWindow, score: ScoreFn) -
 # -- ever growing tree -------------------------------------------------------------
 
 
-@_criterion("window", "score")
-def check_ever_growing_tree(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
+@_criterion(windowed=True)
+def check_ever_growing_tree(h: History, window: int) -> Verdict:
     """Only finitely many later reads may score <= a read's score.
 
     A finite history can never refute this, so the verdict is PASS or
     INCONCLUSIVE: inconclusive iff a low read persists into the window.
     """
     refs, last = _split_window(h, window)
-    scored = [(later, score(returned_chain(later))) for later in last]
+    scored = [(later, len(returned_chain(later))) for later in last]
     for r in refs:
-        s = score(returned_chain(r))
+        s = len(returned_chain(r))
         for later, later_score in scored:
             if later_score <= s and h.po(r.response, later.invocation):
                 return Verdict(
@@ -226,7 +213,7 @@ _Walk = Tuple[List[Tuple[int, int]], List[int]]
 
 
 def _walk_pairs(after: Tuple[int, ...], chains: List[Tuple[str, ...]],
-                agree: Dict[Tuple[int, int], int], score: ScoreFn) -> _Walk:
+                agree: Dict[Tuple[int, int], int]) -> _Walk:
     """Visit the pairs of non-empty chains of an after set, earlier read first,
     and keep the running minimum of their common-prefix scores. Scores are
     shared between walks through `agree`.
@@ -242,7 +229,7 @@ def _walk_pairs(after: Tuple[int, ...], chains: List[Tuple[str, ...]],
                 continue
             m = agree.get((i, j))
             if m is None:
-                m = agree[(i, j)] = mcps(chains[i], chains[j], score)
+                m = agree[(i, j)] = mcps(chains[i], chains[j])
             if m < low:
                 low = m
             pairs.append((i, j))
@@ -250,8 +237,8 @@ def _walk_pairs(after: Tuple[int, ...], chains: List[Tuple[str, ...]],
     return pairs, lows
 
 
-@_criterion("window", "score")
-def check_eventual_prefix(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
+@_criterion(windowed=True)
+def check_eventual_prefix(h: History, window: int) -> Verdict:
     """For each reference read, later reads eventually agree up to its score.
 
     A violating pair inside the trailing window means the divergence has not
@@ -269,11 +256,11 @@ def check_eventual_prefix(h: History, window: EventualityWindow, score: ScoreFn)
     agree: Dict[Tuple[int, int], int] = {}            # window pair -> mcps
     walks: Dict[Tuple[int, ...], _Walk] = {}          # after set -> its walk
     for r in refs:
-        s = score(returned_chain(r))
+        s = len(returned_chain(r))
         after = tuple(i for i, o in enumerate(last) if h.po(r.response, o.response))
         walk = walks.get(after)
         if walk is None:
-            walk = walks[after] = _walk_pairs(after, chains, agree, score)
+            walk = walks[after] = _walk_pairs(after, chains, agree)
         pairs, lows = walk
         if lows and lows[-1] < s:
             i, j = pairs[bisect_left(lows, True, key=lambda low: low < s)]
@@ -306,7 +293,7 @@ def _block_owner(h: History) -> Dict[str, str]:
 
 
 @_criterion()
-def check_update_agreement(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
+def check_update_agreement(h: History, window: int) -> Verdict:
     """R1: own updates are broadcast. R2: foreign updates follow a local
     receive. R3: an updated block is eventually received everywhere."""
     sent = {_key(e) for e in _comm_events(h, "send")}
@@ -346,7 +333,7 @@ def check_update_agreement(h: History, window: EventualityWindow, score: ScoreFn
 
 
 @_criterion()
-def check_lrc(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
+def check_lrc(h: History, window: int) -> Verdict:
     """Broadcast contract: a sender delivers to itself, and a message
     received anywhere correct is received everywhere correct."""
     receives = _comm_events(h, "receive")
@@ -387,35 +374,34 @@ def _conjunction(name: str, parts: List[Verdict]) -> Verdict:
     return Verdict(name, Status.PASS, (), "", by_name)
 
 
-@_criterion("window", "score")
-def check_sc(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
+@_criterion(windowed=True)
+def check_sc(h: History, window: int) -> Verdict:
     """Strong consistency: validity + monotonic reads + strong prefix +
     ever growing tree."""
     return _conjunction("sc", [
         check_block_validity(h),
-        check_local_monotonic_read(h, score=score),
+        check_local_monotonic_read(h),
         check_strong_prefix(h),
-        check_ever_growing_tree(h, window, score),
+        check_ever_growing_tree(h, window),
     ])
 
 
-@_criterion("window", "score")
-def check_ec(h: History, window: EventualityWindow, score: ScoreFn) -> Verdict:
+@_criterion(windowed=True)
+def check_ec(h: History, window: int) -> Verdict:
     """Eventual consistency: validity + monotonic reads + ever growing tree +
     eventual prefix."""
     return _conjunction("ec", [
         check_block_validity(h),
-        check_local_monotonic_read(h, score=score),
-        check_ever_growing_tree(h, window, score),
-        check_eventual_prefix(h, window, score),
+        check_local_monotonic_read(h),
+        check_ever_growing_tree(h, window),
+        check_eventual_prefix(h, window),
     ])
 
 
-def run_checker(name: str, h: History, window: EventualityWindow = DEFAULT_WINDOW,
-                score: ScoreFn = length_score) -> Verdict:
+def run_checker(name: str, h: History, window: int = DEFAULT_WINDOW) -> Verdict:
     try:
         fn = CHECKERS[name]
     except KeyError:
         raise KeyError(f"unknown criterion {name!r}; choose from "
                        f"{', '.join(sorted(CHECKERS))}")
-    return fn(h, window, score)
+    return fn(h, window)

@@ -22,7 +22,7 @@ from typing import List, Optional, Type
 
 from .blocktree import DomainError
 from .campaigns import CORPUS_PRESETS, LABS
-from .checkers import CHECKERS, DEFAULT_WINDOW, EventualityWindow, Status, run_checker
+from .checkers import CHECKERS, DEFAULT_WINDOW, Status, run_checker
 from .history import History, TraceError, restrict
 from .netsim import (Scenario, ScenarioError, evaluate_run, preset,
                      preset_names, run_scenario, scenario_from_dict)
@@ -113,9 +113,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     correct = parsed.correct.difference(args.byzantine or [])
     history = History(restrict(parsed.events, correct), correct=correct,
                       complete=args.complete)
-    if args.window is not None and args.window < 1:
+    if args.window < 1:
         raise TraceError(f"--window must be at least 1, got {args.window}")
-    window = DEFAULT_WINDOW if args.window is None else EventualityWindow(args.window)
     names = args.criterion or ["sc", "ec"]
     for name in names:
         if name not in CHECKERS:
@@ -123,7 +122,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"unknown criterion {name!r}; pick from {', '.join(sorted(CHECKERS))}")
     worst = OK
     for name in names:
-        verdict = run_checker(name, history, window)
+        verdict = run_checker(name, history, args.window)
         print(json.dumps({
             "criterion": verdict.criterion, "status": verdict.status,
             "witness": list(verdict.witness), "detail": verdict.detail,
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="JSON-lines trace path")
     p.add_argument("--criterion", action="append",
                    help="criterion name (repeatable; default: sc, ec)")
-    p.add_argument("--window", type=int, default=None,
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
                    help="stabilization suffix length (reads per process)")
     p.add_argument("--complete", action="store_true",
                    help="treat the trace as a complete (finished) history")

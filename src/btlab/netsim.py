@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import AbstractSet, Any, Container, Dict, List, Optional, Set, Tuple
 
 from .blocktree import Block, BlockTree
-from .checkers import CHECKERS, EventualityWindow, Verdict, run_checker
+from .checkers import CHECKERS, Verdict, run_checker
 from .history import (Event, EventKind, History, Recorder, TraceError, decode_events,
                       restrict)
 from .oracle import Merit, OracleState
@@ -241,8 +241,8 @@ class Scenario:
     def correct_set(self) -> Set[str]:
         return {p.id for p in self.processes if p.correct}
 
-    def window(self) -> EventualityWindow:
-        return EventualityWindow(self.stabilization_suffix)
+    def window(self) -> int:
+        return self.stabilization_suffix
 
     # -- serialization ----------------------------------------------------
 

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional
 
-from .blocktree import Block, BlockTree, SelectionPolicy
+from .blocktree import Block, BlockTree
 from .oracle import OracleState
 
 DEFAULT_MAX_GRANT_ATTEMPTS = 10**6
@@ -44,11 +44,10 @@ class RefinedLedger:
 
     oracle: OracleState
     tree: BlockTree = field(default_factory=BlockTree)
-    policy: SelectionPolicy = field(default_factory=SelectionPolicy)
     max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS
 
     def selected_leaf(self) -> Block:
-        return self.tree.read(self.policy)[-1]
+        return self.tree.read()[-1]
 
     def acquire(self, candidate: Block, caller: str) -> AppendResult:
         """Oracle side of an append: draw a token + consume, no tree change.
@@ -92,4 +91,4 @@ class RefinedLedger:
         return self.tree.fork_count(parent_id)
 
     def read(self):
-        return self.tree.read(self.policy)
+        return self.tree.read()

@@ -176,12 +176,13 @@ class ConsensusOutcome:
     steps: int
 
 
+CONSENSUS_PROPOSERS = 4     # p0..p3
 PROPOSER_MERIT = 0.5        # the chance that one pop of a proposer's tape grants
 
 
-def run_consensus(n: int, seed: int, crash: CrashSchedule = CrashSchedule()) -> ConsensusOutcome:
-    """Drive n proposers to completion under a seeded fair scheduler."""
-    names = [f"p{i}" for i in range(n)]
+def run_consensus(seed: int, crash: CrashSchedule = CrashSchedule()) -> ConsensusOutcome:
+    """Drive the proposers to completion under a seeded fair scheduler."""
+    names = [f"p{i}" for i in range(CONSENSUS_PROPOSERS)]
     oracle = frugal_oracle({p: Merit(PROPOSER_MERIT) for p in names}, k=1, seed=seed)
     live = {p: propose(oracle, p, Block(id=f"v-{p}", payload=f"proposal of {p}"))
             for p in names}

@@ -4,7 +4,8 @@ These are the definitions the indexed checkers in btlab.checkers must agree
 with, verdict for verdict: the same status, witness, detail and parts. Each
 function recomputes what it needs from the event lists on every call (program
 order scans a process's events, `reads` sorts every time), so they are slow
-but short enough to read against the paper's definitions. The trace codec at
+but short enough to read against the paper's definitions. A read's score is
+the length of its chain. The trace codec at
 the end encodes one event per `json.dumps` call and decodes one line per
 `json.loads` call; History.to_jsonl and History.from_jsonl must give the same
 bytes, the same events and the same errors.
@@ -13,9 +14,9 @@ bytes, the same events and the same errors.
 import json
 from typing import Any, Dict, List, Optional, Set
 
-from btlab.blocktree import length_score, mcps, prefix_comparable
-from btlab.checkers import (DEFAULT_WINDOW, EventualityWindow, Status, Verdict,
-                            _block_owner, _comm_events, _conjunction)
+from btlab.blocktree import mcps, prefix_comparable
+from btlab.checkers import (DEFAULT_WINDOW, Status, Verdict, _block_owner, _comm_events,
+                            _conjunction)
 from btlab.history import (_INVOCATION_LIKE, _RESPONSE_LIKE, TRACE_FIELDS, Event,
                            EventKind, History, Operation, TraceError, returned_chain)
 
@@ -60,10 +61,10 @@ def reads_after(h: History, read: Operation) -> List[Operation]:
     return [o for o in reads(h) if o is not read and po(h, read.response, o.response)]
 
 
-def _split_window(h: History, window: EventualityWindow):
+def _split_window(h: History, window: int):
     in_window: Set[int] = set()
     for p in h.processes:
-        for op in reads_of(h, p)[-window.stabilization_suffix:]:
+        for op in reads_of(h, p)[-window:]:
             in_window.add(op.response.event_id)
     refs = [r for r in reads(h) if r.response.event_id not in in_window]
     return refs, in_window
@@ -94,16 +95,16 @@ def check_block_validity(h: History, genesis_id: str = "b0") -> Verdict:
     return Verdict("block-validity", Status.PASS)
 
 
-def check_local_monotonic_read(h: History, score=length_score) -> Verdict:
+def check_local_monotonic_read(h: History) -> Verdict:
     for p in h.processes:
         per = reads_of(h, p)
         for earlier, later in zip(per, per[1:]):
-            if score(returned_chain(later)) < score(returned_chain(earlier)):
+            if len(returned_chain(later)) < len(returned_chain(earlier)):
                 return Verdict(
                     "local-monotonic-read", Status.FAIL,
                     (earlier.response.event_id, later.response.event_id),
                     f"score fell at {p}: "
-                    f"{score(returned_chain(earlier))} -> {score(returned_chain(later))}")
+                    f"{len(returned_chain(earlier))} -> {len(returned_chain(later))}")
     return Verdict("local-monotonic-read", Status.PASS)
 
 
@@ -122,36 +123,34 @@ def check_strong_prefix(h: History) -> Verdict:
     return Verdict("strong-prefix", Status.PASS)
 
 
-def check_ever_growing_tree(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-                            score=length_score) -> Verdict:
+def check_ever_growing_tree(h: History, window: int = DEFAULT_WINDOW) -> Verdict:
     refs, in_window = _split_window(h, window)
     for r in refs:
-        s = score(returned_chain(r))
+        s = len(returned_chain(r))
         for later in reads(h):
             if later is r or later.response.event_id not in in_window:
                 continue
             if not po(h, r.response, later.invocation):
                 continue
-            if score(returned_chain(later)) <= s:
+            if len(returned_chain(later)) <= s:
                 return Verdict(
                     "ever-growing-tree", Status.INCONCLUSIVE,
                     (r.response.event_id, later.response.event_id),
-                    f"window read score {score(returned_chain(later))} <= {s}")
+                    f"window read score {len(returned_chain(later))} <= {s}")
     return Verdict("ever-growing-tree", Status.PASS)
 
 
-def check_eventual_prefix(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-                          score=length_score) -> Verdict:
+def check_eventual_prefix(h: History, window: int = DEFAULT_WINDOW) -> Verdict:
     refs, in_window = _split_window(h, window)
     for r in refs:
-        s = score(returned_chain(r))
+        s = len(returned_chain(r))
         tail = [o for o in reads_after(h, r) if o.response.event_id in in_window]
         for i, a in enumerate(tail):
             for b in tail[i + 1:]:
                 ca, cb = returned_chain(a), returned_chain(b)
                 if not ca or not cb:
                     continue
-                if mcps(ca, cb, score) < s:
+                if mcps(ca, cb) < s:
                     status = Status.FAIL if h.complete else Status.INCONCLUSIVE
                     return Verdict(
                         "eventual-prefix", status,
@@ -226,34 +225,32 @@ def check_lrc(h: History) -> Verdict:
     return Verdict("lrc", Status.PASS)
 
 
-def check_sc(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-             score=length_score) -> Verdict:
+def check_sc(h: History, window: int = DEFAULT_WINDOW) -> Verdict:
     return _conjunction("sc", [
         check_block_validity(h),
-        check_local_monotonic_read(h, score),
+        check_local_monotonic_read(h),
         check_strong_prefix(h),
-        check_ever_growing_tree(h, window, score),
+        check_ever_growing_tree(h, window),
     ])
 
 
-def check_ec(h: History, window: EventualityWindow = DEFAULT_WINDOW,
-             score=length_score) -> Verdict:
+def check_ec(h: History, window: int = DEFAULT_WINDOW) -> Verdict:
     return _conjunction("ec", [
         check_block_validity(h),
-        check_local_monotonic_read(h, score),
-        check_ever_growing_tree(h, window, score),
-        check_eventual_prefix(h, window, score),
+        check_local_monotonic_read(h),
+        check_ever_growing_tree(h, window),
+        check_eventual_prefix(h, window),
     ])
 
 
 CHECKERS = {
-    "block-validity": lambda h, window, score: check_block_validity(h),
-    "local-monotonic-read": lambda h, window, score: check_local_monotonic_read(h, score),
-    "strong-prefix": lambda h, window, score: check_strong_prefix(h),
+    "block-validity": lambda h, window: check_block_validity(h),
+    "local-monotonic-read": lambda h, window: check_local_monotonic_read(h),
+    "strong-prefix": lambda h, window: check_strong_prefix(h),
     "ever-growing-tree": check_ever_growing_tree,
     "eventual-prefix": check_eventual_prefix,
-    "update-agreement": lambda h, window, score: check_update_agreement(h),
-    "lrc": lambda h, window, score: check_lrc(h),
+    "update-agreement": lambda h, window: check_update_agreement(h),
+    "lrc": lambda h, window: check_lrc(h),
     "sc": check_sc,
     "ec": check_ec,
 }

@@ -6,9 +6,7 @@ import pytest
 
 from btlab.blocktree import (GENESIS_ID, Block, BlockTree, DomainError,
                              SelectionPolicy, chain_ids, common_prefix,
-                             is_prefix, length_score, mcps, prefix_comparable)
-
-POLICY = SelectionPolicy()
+                             is_prefix, mcps, prefix_comparable)
 
 
 def build(*edges):
@@ -26,11 +24,11 @@ def test_fresh_tree_holds_exactly_genesis():
     tree = BlockTree()
     assert len(tree) == 1
     assert GENESIS_ID in tree
-    assert tree.read(POLICY) == (Block(GENESIS_ID),)
+    assert tree.read() == (Block(GENESIS_ID),)
 
 
 def test_read_on_genesis_only_tree_returns_one_block_chain():
-    assert chain_ids(BlockTree().read(POLICY)) == ("b0",)
+    assert chain_ids(BlockTree().read()) == ("b0",)
 
 
 def test_insert_rejects_duplicate_unknown_parent_and_second_genesis():
@@ -82,7 +80,7 @@ def test_common_prefix_stops_at_first_divergence():
 
 def test_score_counts_genesis():
     tree = build(("a", "b0"), ("b", "a"))
-    assert length_score(tree.read(POLICY)) == 3
+    assert len(tree.read()) == 3
 
 
 def test_mcps_of_diverging_chains_scores_shared_part():
@@ -114,14 +112,14 @@ def test_mcps_of_prefix_comparable_chains_is_min_score():
 
 def test_longest_chain_wins():
     tree = build(("a", "b0"), ("b", "a"), ("z", "b0"))
-    assert chain_ids(tree.read(POLICY)) == ("b0", "a", "b")
+    assert chain_ids(tree.read()) == ("b0", "a", "b")
 
 
 def test_score_tie_breaks_by_largest_id_sequence():
     tree = build(("a", "b0"), ("z", "b0"))
-    assert chain_ids(tree.read(POLICY)) == ("b0", "z")
+    assert chain_ids(tree.read()) == ("b0", "z")
     tree = build(("p1-1", "b0"), ("p0-1", "b0"), ("p1-2", "p1-1"), ("p0-2", "p0-1"))
-    assert chain_ids(tree.read(POLICY)) == ("b0", "p1-1", "p1-2")
+    assert chain_ids(tree.read()) == ("b0", "p1-1", "p1-2")
 
 
 def test_selection_is_deterministic_under_insertion_order():
@@ -141,29 +139,31 @@ def test_selection_is_deterministic_under_insertion_order():
                 else:
                     rest.append((block_id, parent))
             pending = rest
-        got = chain_ids(tree.read(POLICY))
+        got = chain_ids(tree.read())
         baseline = baseline or got
         assert got == baseline
 
 
-def test_custom_chain_chooser_overrides_longest():
-    tree = build(("a", "b0"), ("b", "a"), ("z", "b0"))
-    shortest = SelectionPolicy(
-        chain_chooser=lambda t: min(t.leaf_chains(), key=len))
-    assert chain_ids(tree.read(shortest)) == ("b0", "z")
-
-
-def test_custom_score_selects_by_that_score():
+def test_the_selection_rule_is_fixed():
+    # read() and append(b) take no selection argument: every tree selects the
+    # longest chain, whatever the blocks' payloads
     tree = build(("a", "b0"), ("b", "a"), ("c", "b"), ("z", "b0"))
     tree.insert(Block(id="y", parent_id="z", payload="heavy"))
-    heavy = SelectionPolicy(score=lambda chain: sum(len(b.payload) for b in chain))
-    assert chain_ids(tree.read(heavy)) == ("b0", "z", "y")
-    assert chain_ids(tree.read(POLICY)) == ("b0", "a", "b", "c")
+    assert chain_ids(tree.read()) == ("b0", "a", "b", "c")
+    assert SelectionPolicy().choose(tree) == tree.read()
+    with pytest.raises(TypeError):
+        tree.read(SelectionPolicy())
+    with pytest.raises(TypeError):
+        tree.append(Block(id="d"), SelectionPolicy())
+
+
+def leaf_chains(tree):
+    return [tree.chain_to(leaf) for leaf in tree.leaves()]
 
 
 def longest_by_rebuild(tree):
     """Reference oracle: rebuild every root-to-leaf chain and take the best."""
-    return max(tree.leaf_chains(), key=lambda c: (len(c), chain_ids(c)))
+    return max(leaf_chains(tree), key=lambda c: (len(c), chain_ids(c)))
 
 
 def bushy_edges(rng, size):
@@ -200,12 +200,12 @@ def test_incremental_selection_matches_the_full_rebuild(seed):
     tree = BlockTree()
     for block_id, parent in shuffled_parent_first(rng, edges):
         tree.insert(Block(id=block_id, parent_id=parent))
-        assert tree.read(POLICY) == longest_by_rebuild(tree)
+        assert tree.read() == longest_by_rebuild(tree)
     back = BlockTree()                    # the same tree, grown in another order
     for block_id, parent in shuffled_parent_first(rng, edges):
         back.insert(Block(id=block_id, parent_id=parent))
     assert back.blocks() == tree.blocks()
-    assert back.read(POLICY) == longest_by_rebuild(back) == tree.read(POLICY)
+    assert back.read() == longest_by_rebuild(back) == tree.read()
 
 
 # -- append/read transitions -----------------------------------------------------------
@@ -213,40 +213,40 @@ def test_incremental_selection_matches_the_full_rebuild(seed):
 
 def test_append_attaches_at_selected_leaf_and_read_sees_it():
     tree = BlockTree()
-    assert tree.append(Block(id="a"), POLICY)
-    assert tree.append(Block(id="b"), POLICY)
-    assert chain_ids(tree.read(POLICY)) == ("b0", "a", "b")
+    assert tree.append(Block(id="a"))
+    assert tree.append(Block(id="b"))
+    assert chain_ids(tree.read()) == ("b0", "a", "b")
     assert tree.block("b").parent_id == "a"
 
 
 def test_append_binds_parent_even_when_candidate_names_none():
     tree = build(("a", "b0"))
-    tree.append(Block(id="c"), POLICY)
+    tree.append(Block(id="c"))
     assert tree.block("c").parent_id == "a"
 
 
 def test_append_refuses_duplicate_id():
     tree = BlockTree()
-    assert tree.append(Block(id="a"), POLICY)
-    assert not tree.append(Block(id="a"), POLICY)
+    assert tree.append(Block(id="a"))
+    assert not tree.append(Block(id="a"))
     assert len(tree) == 2
 
 
 def test_append_refuses_stale_parent_claim():
     tree = build(("a", "b0"), ("b", "a"))
-    assert not tree.append(Block(id="x", parent_id="b0"), POLICY)
-    assert tree.append(Block(id="x", parent_id="b"), POLICY)
+    assert not tree.append(Block(id="x", parent_id="b0"))
+    assert tree.append(Block(id="x", parent_id="b"))
 
 
 def test_append_only_grows_monotonely():
     rng = random.Random(7)
     tree = BlockTree()
     sizes = [len(tree)]
-    scores = [length_score(tree.read(POLICY))]
+    scores = [len(tree.read())]
     for i in range(60):
-        tree.append(Block(id=f"n{i}"), POLICY)
+        tree.append(Block(id=f"n{i}"))
         sizes.append(len(tree))
-        scores.append(length_score(tree.read(POLICY)))
+        scores.append(len(tree.read()))
         assert sizes[-1] == sizes[-2] + 1
         assert scores[-1] >= scores[-2]
     assert scores[-1] == 61
@@ -260,15 +260,15 @@ def test_every_read_is_a_root_to_leaf_chain():
         for i, block_id in enumerate(ids):
             # half via append, half inserted at random parents to force forks
             if rng.random() < 0.5:
-                tree.append(Block(id=block_id), POLICY)
+                tree.append(Block(id=block_id))
             else:
                 parent = rng.choice(sorted(tree._blocks))
                 tree.insert(Block(id=block_id, parent_id=parent))
-        chain = tree.read(POLICY)
+        chain = tree.read()
         assert chain[0].id == GENESIS_ID
         for parent, child in zip(chain, chain[1:]):
             assert child.parent_id == parent.id
         assert tree.fork_count(chain[-1].id) == 0
-        best = max(len(c) for c in tree.leaf_chains())
+        best = max(len(c) for c in leaf_chains(tree))
         assert len(chain) == best
 

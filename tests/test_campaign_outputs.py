@@ -19,7 +19,7 @@ STDOUT_SHA256 = {
     "campaign --lab kfork --runs 40 --seed 2":
         "885936f0b58e79297b27896f12cac0387477b06fd49a22c5141820181ba35645",
     "campaign --lab containment --runs 40 --seed 2":
-        "ae2ea52dd9817d9c9b9c4be574b74b11f04c4b75faf8d535d363343cf51a8215",
+        "d4c5a93b8009153cd164f9022e1b944c2333b03345b8d29e2f293ee05c6526e5",
     "campaign --lab shm --runs 100 --seed 4":
         "b7928d2a20a21dee0f12f066c315001a1b17206f27f683882e486aa437fd1972",
     "campaign --lab cas":

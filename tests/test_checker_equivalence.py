@@ -15,8 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import reference_checkers as reference  # noqa: E402
 from btlab import checkers  # noqa: E402
-from btlab.blocktree import length_score  # noqa: E402
-from btlab.checkers import EventualityWindow, _conjunction  # noqa: E402
+from btlab.checkers import _conjunction  # noqa: E402
 from btlab.history import EventKind, History, make_event  # noqa: E402
 from btlab.netsim import preset, preset_names, run_scenario, scenario_from_dict  # noqa: E402
 from test_golden import GENERATED  # noqa: E402
@@ -27,28 +26,23 @@ COMPOSITE = {"sc": ("block-validity", "local-monotonic-read", "strong-prefix",
                     "ever-growing-tree"),
              "ec": ("block-validity", "local-monotonic-read", "ever-growing-tree",
                     "eventual-prefix")}
-WINDOWS = [EventualityWindow(k) for k in (1, 2, 3, 4)]
+WINDOWS = (1, 2, 3, 4)
 
 
-def heavy_tail_score(chain):
-    """A non-length score: blocks off the 'a' branch count double."""
-    return sum(1 if b.startswith(("b", "a")) else 2 for b in chain)
-
-
-def outcome(table, name, h, window, score):
+def outcome(table, name, h, window):
     try:
-        return table[name](h, window, score)
+        return table[name](h, window)
     except Exception as exc:     # both sides must fail the same way, too
         return ("raises", type(exc), str(exc))
 
 
-def assert_agree(h, windows=WINDOWS, completes=(False, True), score=length_score):
+def assert_agree(h, windows=WINDOWS, completes=(False, True)):
     for complete in completes:
         hc = History(h.events, correct=h.correct, complete=complete)
         for window in windows:
             for name in checkers.CHECKERS:
-                got = outcome(checkers.CHECKERS, name, hc, window, score)
-                want = outcome(reference.CHECKERS, name, hc, window, score)
+                got = outcome(checkers.CHECKERS, name, hc, window)
+                want = outcome(reference.CHECKERS, name, hc, window)
                 assert got == want, (name, window, complete)
 
 
@@ -158,10 +152,9 @@ def event_streams(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(h=event_streams(), restrict=st.booleans(),
-       score=st.sampled_from([length_score, heavy_tail_score]))
-def test_checkers_agree_on_raw_event_streams(h, restrict, score):
-    assert_agree(h.restricted() if restrict else h, score=score)
+@given(h=event_streams(), restrict=st.booleans())
+def test_checkers_agree_on_raw_event_streams(h, restrict):
+    assert_agree(h.restricted() if restrict else h)
 
 
 # -- presets and a golden generated run -----------------------------------------------
@@ -185,13 +178,13 @@ def assert_agree_on_large(h, window, names):
     """Each named base criterion once, and each composite whose parts are all
     named through those parts: the reference takes seconds per criterion at
     this size."""
-    parts = {name: reference.CHECKERS[name](h, window, length_score) for name in names}
+    parts = {name: reference.CHECKERS[name](h, window) for name in names}
     for name in names:
-        assert checkers.CHECKERS[name](h, window, length_score) == parts[name], name
+        assert checkers.CHECKERS[name](h, window) == parts[name], name
     for name, needs in COMPOSITE.items():
         if all(n in parts for n in needs):
             want = _conjunction(name, [parts[n] for n in needs])
-            assert checkers.CHECKERS[name](h, window, length_score) == want, name
+            assert checkers.CHECKERS[name](h, window) == want, name
 
 
 @pytest.mark.parametrize("name", GENERATED)

@@ -6,21 +6,19 @@ import random
 import pytest
 
 from btlab import checkers
-from btlab.checkers import (DEFAULT_WINDOW, EventualityWindow, Status,
-                            check_block_validity, check_ec,
+from btlab.checkers import (DEFAULT_WINDOW, Status, check_block_validity, check_ec,
                             check_eventual_prefix, check_ever_growing_tree,
                             check_local_monotonic_read, check_lrc, check_sc,
                             check_strong_prefix, check_update_agreement,
                             run_checker)
 import reference_checkers as reference
-from btlab.blocktree import length_score
 from btlab.history import EventKind, History, Recorder, TraceError, make_event
 from btlab.netsim import preset, run_scenario, scenario_from_dict
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
 SEND, RECV, UPD = EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE
 
-W1 = EventualityWindow(1)
+W1 = 1
 
 
 def ev(event_id, kind, op, process, t, args=(), returned=None):
@@ -169,7 +167,7 @@ def test_wider_window_turns_pass_into_inconclusive():
         ("p", 6, 7, ("b0", "a", "b", "c")),
     ])
     assert check_ever_growing_tree(h, W1).status == Status.PASS
-    assert check_ever_growing_tree(h, EventualityWindow(2)).status == \
+    assert check_ever_growing_tree(h, 2).status == \
         Status.INCONCLUSIVE
 
 
@@ -257,8 +255,8 @@ def test_eventual_prefix_tells_after_sets_of_one_size_apart():
              ("p", 0, 0, ("b0", "a1", "a2")), ("p", 0, 0, ("b0", "a1", "a2", "a3")),
              ("q", 0, 0, ("b0", "c1")), ("q", 0, 0, ("b0", "a1", "a2"))]
     h = reads_history(spans, complete=True)
-    v = check_eventual_prefix(h, EventualityWindow(2))
-    assert v == reference.check_eventual_prefix(h, EventualityWindow(2))
+    v = check_eventual_prefix(h, 2)
+    assert v == reference.check_eventual_prefix(h, 2)
     assert v.status == Status.FAIL and v.witness == (3, 9, 11)
 
 
@@ -400,12 +398,11 @@ def test_sc_composite_reports_parts():
                             "strong-prefix", "ever-growing-tree"}
 
 
-def test_each_criterion_is_judged_once_per_history_and_arguments():
+def test_each_criterion_is_judged_once_per_history_and_window():
     spans = fork_spans(heals=False)
     h = reads_history(spans, appends=auto_appends(spans), complete=True)
     growing = check_ever_growing_tree(h)
     assert growing is check_ever_growing_tree(h, DEFAULT_WINDOW)
-    assert growing is check_ever_growing_tree(h, DEFAULT_WINDOW, length_score)
     assert growing is check_ever_growing_tree(h, window=DEFAULT_WINDOW)
     assert check_ever_growing_tree(h, W1) is not growing
     sc, ec = check_sc(h, W1), check_ec(h, W1)
@@ -413,38 +410,35 @@ def test_each_criterion_is_judged_once_per_history_and_arguments():
         assert sc.parts[name] is ec.parts[name]
     assert sc.parts["strong-prefix"] is check_strong_prefix(h)
     assert ec.parts["eventual-prefix"] is check_eventual_prefix(h, W1)
-    assert check_block_validity(h) is check_block_validity(h, DEFAULT_WINDOW, length_score)
+    assert check_block_validity(h) is check_block_validity(h, W1)
     again = History(h.events, correct=h.correct, complete=h.complete)
     assert check_sc(again, W1) == sc and check_sc(again, W1) is not sc
 
 
-def test_a_verdict_is_keyed_only_by_the_arguments_its_check_reads():
+def test_a_verdict_is_keyed_by_the_window_only_if_its_check_reads_it():
     # btlab check --criterion block-validity --criterion local-monotonic-read
     #             --criterion sc --window 1
     h = run_scenario(preset("figure-4")).history
     alone = {name: run_checker(name, h, W1)
              for name in ("block-validity", "local-monotonic-read")}
     sc = run_checker("sc", h, W1)
-    criteria = [criterion for criterion, _args in h.verdict_cache]
-    assert sorted(criteria) == ["block-validity", "ever-growing-tree",
-                                "local-monotonic-read", "sc", "strong-prefix"]
+    assert set(h.verdict_cache) == {"block-validity", "local-monotonic-read",
+                                    "strong-prefix", ("ever-growing-tree", W1), ("sc", W1)}
     for name, verdict in alone.items():
         assert sc.parts[name] is verdict
-    assert h.verdict_cache[("block-validity", ())] is alone["block-validity"]
-    assert h.verdict_cache[("local-monotonic-read", (length_score,))] is \
-        alone["local-monotonic-read"]
-    assert h.verdict_cache[("ever-growing-tree", (W1, length_score))] is \
-        sc.parts["ever-growing-tree"]
-    for (criterion, _args), verdict in h.verdict_cache.items():
-        expected = reference.CHECKERS[criterion](h, W1, length_score)
+        assert h.verdict_cache[name] is verdict
+    assert h.verdict_cache[("ever-growing-tree", W1)] is sc.parts["ever-growing-tree"]
+    for key, verdict in h.verdict_cache.items():
+        expected = reference.CHECKERS[key if isinstance(key, str) else key[0]](h, W1)
         assert (verdict.status, verdict.witness) == (expected.status, expected.witness)
-    # update-agreement and lrc read neither argument; one entry each
+    # update-agreement and lrc read no window; one entry each
     for name in ("update-agreement", "lrc"):
         assert run_checker(name, h, W1) is run_checker(name, h)
     assert len(h.verdict_cache) == 7
 
 
-def test_every_criterion_takes_history_window_and_score():
+def test_every_criterion_takes_history_and_window():
+    assert DEFAULT_WINDOW == 3
     assert list(checkers.CHECKERS) == [
         "block-validity", "local-monotonic-read", "strong-prefix", "ever-growing-tree",
         "eventual-prefix", "update-agreement", "lrc", "sc", "ec"]
@@ -452,30 +446,38 @@ def test_every_criterion_takes_history_window_and_score():
         assert check is getattr(checkers, "check_" + name.replace("-", "_"))
         params = inspect.signature(check, follow_wrapped=False).parameters.values()
         assert [(p.name, p.default) for p in params] == [
-            ("h", inspect.Parameter.empty), ("window", DEFAULT_WINDOW),
-            ("score", length_score)], name
-    h = reads_history([("p", 0, 1, ("b0",))], complete=True)
-    monotonic = check_local_monotonic_read(h, score=len)
-    assert h.verdict_cache[("local-monotonic-read", (len,))] is monotonic
-    assert check_local_monotonic_read(h, DEFAULT_WINDOW, len) is monotonic
+            ("h", inspect.Parameter.empty), ("window", DEFAULT_WINDOW)], name
+
+
+def test_a_window_below_one_is_refused_before_any_work():
+    spans = fork_spans(heals=False)
+    h = reads_history(spans, appends=auto_appends(spans), complete=True)
+    check_strong_prefix(h)
+    kept = dict(h.verdict_cache)
+    for window in (0, -1):
+        for judge in (lambda: check_sc(h, window), lambda: check_ever_growing_tree(h, window),
+                      lambda: run_checker("ec", h, window)):
+            with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+                judge()
+            assert h.verdict_cache == kept
 
 
 def test_a_raised_error_is_not_kept(monkeypatch):
-    # only eventual prefix scores a common prefix no read returned: ("b0",)
+    # only eventual prefix compares two chains by their common prefix
     h = reads_history([("p", 0, 1, ("b0", "a1")), ("p", 4, 5, ("b0", "a1", "a2")),
                        ("q", 4, 6, ("b0", "c1"))], complete=True)
+    mcps_calls = []
 
-    def score(chain):
-        if chain == ("b0",):
-            raise ValueError("unscorable")
-        return len(chain)
-    mcps_calls = counting(monkeypatch, checkers, "mcps")
+    def incomparable(a, b):
+        mcps_calls.append(1)
+        raise ValueError("incomparable")
+    monkeypatch.setattr(checkers, "mcps", incomparable)
     for _ in range(2):
-        with pytest.raises(ValueError, match="unscorable"):
-            check_ec(h, W1, score)
+        with pytest.raises(ValueError, match="incomparable"):
+            check_ec(h, W1)
     assert len(mcps_calls) == 2
-    kept = {criterion for criterion, _args in h.verdict_cache}
-    assert kept == {"block-validity", "local-monotonic-read", "ever-growing-tree"}
+    assert set(h.verdict_cache) == {"block-validity", "local-monotonic-read",
+                                    ("ever-growing-tree", W1)}
 
 
 def test_unknown_criterion_is_rejected():
@@ -499,7 +501,7 @@ def test_strong_pass_implies_eventual_not_fail_on_random_read_patterns():
             t += 2
         h = reads_history(spans, appends=auto_appends(spans),
                           complete=bool(rng.getrandbits(1)))
-        window = EventualityWindow(rng.choice([1, 2, 3]))
+        window = rng.choice([1, 2, 3])
         sc = check_sc(h, window)
         ec = check_ec(h, window)
         assert not (sc.status == Status.PASS and ec.status == Status.FAIL)
@@ -539,7 +541,7 @@ def test_indexed_checkers_stay_within_their_call_bounds(monkeypatch):
     h = cap1_history()
     reads = h.reads()
     window = DEFAULT_WINDOW
-    w = sum(min(len(h.reads_of(p)), window.stabilization_suffix) for p in h.processes)
+    w = sum(min(len(h.reads_of(p)), window) for p in h.processes)
     refs = len(reads) - w
     assert refs > 10 * w                          # the bounds below are not vacuous
     mcps_calls = counting(monkeypatch, checkers, "mcps")
@@ -561,7 +563,7 @@ def test_indexed_checkers_stay_within_their_call_bounds(monkeypatch):
 def test_judging_all_nine_criteria_stays_within_the_call_bounds(monkeypatch):
     # sc and ec reuse the standalone criteria judged on the same history
     h = cap1_history()
-    w = sum(min(len(h.reads_of(p)), DEFAULT_WINDOW.stabilization_suffix)
+    w = sum(min(len(h.reads_of(p)), DEFAULT_WINDOW)
             for p in h.processes)
     mcps_calls = counting(monkeypatch, checkers, "mcps")
     comparable_calls = counting(monkeypatch, checkers, "prefix_comparable")

@@ -552,7 +552,7 @@ def every_seeded_run_fails(monkeypatch):
     monkeypatch.setattr(campaigns, "_successes",
                         lambda run: [("p0", f"x{i}", "b0") for i in range(4)])
     # one decision, of a value nobody proposed
-    monkeypatch.setattr(campaigns, "run_consensus", lambda n, seed, crash: ConsensusOutcome(
+    monkeypatch.setattr(campaigns, "run_consensus", lambda seed, crash: ConsensusOutcome(
         decided={"p0": Block(id="foreign")}, crashed=[], exhausted=["p1", "p2", "p3"],
         steps=0))
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from btlab.checkers import CHECKERS, EventualityWindow, run_checker
+from btlab.checkers import CHECKERS, run_checker
 from btlab.history import History
 from btlab.netsim import run_scenario
 from test_golden import NAMES, scenario
@@ -33,7 +33,7 @@ def verdict_digests(name):
         hc = History(h.events, correct=h.correct, complete=complete)
         for window in WINDOWS:
             for criterion in CHECKERS:
-                v = run_checker(criterion, hc, EventualityWindow(window))
+                v = run_checker(criterion, hc, window)
                 line = json.dumps([v.status, list(v.witness), v.detail])
                 key = f"{criterion} window={window} complete={complete}"
                 digests[key] = hashlib.sha256(line.encode()).hexdigest()

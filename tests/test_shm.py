@@ -210,7 +210,7 @@ def test_crash_schedule_fires_at_or_after_its_step():
 
 def test_fault_free_runs_decide_one_proposed_value_everywhere():
     for seed in range(25):
-        outcome = run_consensus(4, seed)
+        outcome = run_consensus(seed)
         assert set(outcome.decided) == {"p0", "p1", "p2", "p3"}
         ids = {b.id for b in outcome.decided.values()}
         assert len(ids) == 1                               # agreement
@@ -225,7 +225,7 @@ def test_crashy_runs_keep_agreement_and_terminate_for_survivors():
         seed = rng.randrange(10**6)
         victim = f"p{rng.randrange(4)}"
         crash = CrashSchedule(victims=((victim, rng.randint(1, 10)),))
-        outcome = run_consensus(4, seed, crash)
+        outcome = run_consensus(seed, crash)
         decided = list(outcome.decided.values())
         assert len({b.id for b in decided}) <= 1
         survivors = {f"p{i}" for i in range(4)} - set(outcome.crashed)
@@ -237,8 +237,8 @@ def test_crashy_runs_keep_agreement_and_terminate_for_survivors():
 
 
 def test_equal_seeds_reproduce_the_same_outcome():
-    a = run_consensus(4, 99, CrashSchedule(victims=(("p2", 3),)))
-    b = run_consensus(4, 99, CrashSchedule(victims=(("p2", 3),)))
+    a = run_consensus(99, CrashSchedule(victims=(("p2", 3),)))
+    b = run_consensus(99, CrashSchedule(victims=(("p2", 3),)))
     assert {p: blk.id for p, blk in a.decided.items()} == \
         {p: blk.id for p, blk in b.decided.items()}
     assert a.steps == b.steps and a.crashed == b.crashed
