@@ -10,7 +10,7 @@ declared complete — a fork that *might* still heal is not a violation.
 from btlab import EventKind, Recorder, run_checker
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
-WINDOW = 1                   # trailing reads per process that must agree
+WINDOW = 1               # trailing reads per process that must agree
 
 
 def forked_history(heals: bool, complete: bool):
