@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Set, Tuple
 
 from .blocktree import GENESIS_ID, mcps, prefix_comparable
-from .history import Event, EventKind, History, Operation, returned_chain
+from .history import Event, EventKind, History, Operation, canonical_order, returned_chain
 
 
 class Status:
@@ -117,19 +117,20 @@ def check_block_validity(h: History, window: int) -> Verdict:
     """Every block a read returns must have been appended beforehand: at an
     earlier tick, or earlier on the reading process."""
     first_time: Dict[str, int] = {}                 # block -> earliest append
-    first_seq: Dict[Tuple[str, str], int] = {}      # (block, process) -> earliest
+    first_key: Dict[Tuple[str, str], Tuple[int, int]] = {}   # (block, process) -> earliest
     for e in h.events:                              # canonical order: first is least
         if e.op == "append" and e.kind is EventKind.INVOCATION and e.args:
             block_id = str(e.args[0])
             first_time.setdefault(block_id, e.logical_time)
-            first_seq.setdefault((block_id, e.process), h.seq(e))
+            first_key.setdefault((block_id, e.process), canonical_order(e))
     for read in h.reads():
         rsp = read.response
         for block_id in returned_chain(read):
             if block_id == GENESIS_ID:
                 continue
             if not (first_time.get(block_id, math.inf) < rsp.logical_time
-                    or first_seq.get((block_id, rsp.process), math.inf) < h.seq(rsp)):
+                    or first_key.get((block_id, rsp.process), (math.inf,))
+                    < canonical_order(rsp)):
                 return Verdict(
                     "block-validity", Status.FAIL, (rsp.event_id,),
                     f"read returned {block_id!r} with no prior append")
@@ -297,9 +298,10 @@ def check_update_agreement(h: History, window: int) -> Verdict:
     """R1: own updates are broadcast. R2: foreign updates follow a local
     receive. R3: an updated block is eventually received everywhere."""
     sent = {_key(e) for e in _comm_events(h, "send")}
-    received: Dict[Tuple[str, str, str], int] = {}   # key -> position of first receive
+    # key -> canonical order of its first receive, which is on the key's process
+    received: Dict[Tuple[str, str, str], Tuple[int, int]] = {}
     for e in _comm_events(h, "receive"):
-        received.setdefault(_key(e), h.seq(e))
+        received.setdefault(_key(e), canonical_order(e))
     updates = _comm_events(h, "update")
     owner = _block_owner(h)
     correct = sorted(h.correct)
@@ -309,7 +311,7 @@ def check_update_agreement(h: History, window: int) -> Verdict:
         if owner.get(key[2]) == u.process:
             continue
         first = received.get(key)
-        if first is None or first > h.seq(u):
+        if first is None or first > canonical_order(u):
             return Verdict("update-agreement", Status.FAIL, (u.event_id,),
                            f"R2: {u.process} updated {key[2]!r} without a "
                            "prior local receive")

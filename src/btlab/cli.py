@@ -46,7 +46,7 @@ def _load_scenario(ref: str, seed: Optional[int]) -> Scenario:
         text = _read_input(ref, ScenarioError, "no preset or readable scenario file")
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:    # JSONDecodeError is a ValueError
             raise ScenarioError(f"{ref}: not valid JSON ({exc})")
         scenario = scenario_from_dict(payload)
     if seed is not None:

@@ -4,7 +4,8 @@ A history is a finite set of events: invocation/response pairs for append()
 and read(), plus single send/receive/update communication events. Three
 orders matter:
 
-  process order   per-process sequence of events;
+  process order   per-process sequence of events: on each process, the
+                  canonical order below;
   operation order invocation precedes its own response, and a response at
                   time t precedes any invocation at a strictly later time;
   program order   the transitive closure of the union of the two.
@@ -12,15 +13,17 @@ orders matter:
 Histories are recorded from a single global logical clock; two events may
 share a tick (they are then concurrent across processes). Traces serialize
 one event per line as JSON, canonically ordered by (logical_time, event_id).
+A History keeps its events in that one order and no per-process copy of it.
 
 A History validates and sorts its events when it is built; the indexes that
 program order and the read queries use are built on first use, so a history
 that is only parsed, re-wrapped or written out never pays for them. A History
-is immutable: its events, processes and operations are tuples, its correct
-set is a frozenset and `complete` is read-only, so whatever is computed from
-it (an index, a checker's verdict in `verdict_cache`, an event's trace line in
-`line_memo`) never goes stale. A run's restricted and full histories share
-one line memo, so writing both traces encodes each event once.
+is immutable: its events, processes and operations are tuples, each event and
+operation is a named tuple, its correct set is a frozenset and `complete` is
+read-only, so whatever is computed from it (an index, a checker's verdict in
+`verdict_cache`, an event's trace line in `line_memo`) never goes stale. A
+run's restricted and full histories share one line memo, so writing both
+traces encodes each event once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
@@ -76,12 +78,8 @@ class Event(NamedTuple):
     logical_time: int
     returned: Any = None
 
-    def sort_key(self) -> Tuple[int, int]:
-        return (self.logical_time, self.event_id)
 
-
-@dataclass
-class Operation:
+class Operation(NamedTuple):
     """A matched invocation/response pair (response may be missing)."""
 
     process: str
@@ -100,7 +98,8 @@ def make_event(event_id, kind, op, args=(), process="", logical_time=0, returned
     return Event(event_id, kind, op, tuple(args), process, logical_time, returned)
 
 
-_canonical_order = attrgetter("logical_time", "event_id")    # == Event.sort_key
+# the one event order: a History's events, and on each process its process order
+canonical_order = attrgetter("logical_time", "event_id")
 
 
 class History:
@@ -109,7 +108,7 @@ class History:
 
     def __init__(self, events: Iterable[Event], correct: Optional[Iterable[str]] = None,
                  complete: bool = False, line_memo: Optional[Dict[int, str]] = None):
-        self.events: Tuple[Event, ...] = tuple(sorted(events, key=_canonical_order))
+        self.events: Tuple[Event, ...] = tuple(sorted(events, key=canonical_order))
         self._complete = complete
         self.processes: Tuple[str, ...] = tuple(sorted({e.process for e in self.events}))
         self.correct: FrozenSet[str] = frozenset(self.processes if correct is None
@@ -135,30 +134,15 @@ class History:
     # -- indexes, built on first use; they depend on `events` alone --------------
 
     @cached_property
-    def _proc_events(self) -> Dict[str, List[Event]]:
-        """process -> its events, in canonical order."""
-        out: Dict[str, List[Event]] = {p: [] for p in self.processes}
-        for e in self.events:
-            out[e.process].append(e)
-        return out
-
-    @cached_property
-    def _seq(self) -> Dict[int, int]:
-        """event_id -> position on its process."""
-        return {e.event_id: i for lst in self._proc_events.values()
-                for i, e in enumerate(lst)}
-
-    @cached_property
     def _out(self) -> Dict[int, float]:
         """event_id -> time of the first response-like event at or after it on
         its process (inf if none): the tail of a cross-process edge."""
         out: Dict[int, float] = {}
-        for lst in self._proc_events.values():   # per-process times never regress
-            t: float = math.inf
-            for e in reversed(lst):
-                if e.kind in _RESPONSE_LIKE:
-                    t = e.logical_time
-                out[e.event_id] = t
+        t = dict.fromkeys(self.processes, math.inf)     # process -> latest seen
+        for e in reversed(self.events):
+            if e.kind in _RESPONSE_LIKE:
+                t[e.process] = e.logical_time
+            out[e.event_id] = t[e.process]
         return out
 
     @cached_property
@@ -166,42 +150,42 @@ class History:
         """event_id -> time of the last invocation-like event at or before it on
         its process (-inf if none): the head of a cross-process edge."""
         out: Dict[int, float] = {}
-        for lst in self._proc_events.values():
-            t: float = -math.inf
-            for e in lst:
-                if e.kind in _INVOCATION_LIKE:
-                    t = e.logical_time
-                out[e.event_id] = t
+        t = dict.fromkeys(self.processes, -math.inf)    # process -> latest seen
+        for e in self.events:
+            if e.kind in _INVOCATION_LIKE:
+                t[e.process] = e.logical_time
+            out[e.event_id] = t[e.process]
         return out
 
     @cached_property
-    def _reads(self) -> List[Operation]:
+    def _reads(self) -> Tuple[Operation, ...]:
         """Completed reads, sorted by response."""
-        return sorted((o for o in self.operations if o.op == "read" and o.complete),
-                      key=lambda o: _canonical_order(o.response))
+        return tuple(sorted((o for o in self.operations if o.op == "read" and o.complete),
+                            key=lambda o: canonical_order(o.response)))
 
     @cached_property
-    def _reads_of(self) -> Dict[str, List[Operation]]:
+    def _reads_of(self) -> Dict[str, Tuple[Operation, ...]]:
         out: Dict[str, List[Operation]] = {p: [] for p in self.processes}
         for o in self._reads:
             out[o.process].append(o)
-        return out
+        return {p: tuple(ops) for p, ops in out.items()}
 
     # -- construction ------------------------------------------------------
 
     def _match_operations(self) -> Tuple[Operation, ...]:
         """Pair responses with invocations, FIFO per (process, op name)."""
-        open_ops: Dict[Tuple[str, str], List[Operation]] = {}
-        out: List[Operation] = []
+        open_ops: Dict[Tuple[str, str], List[int]] = {}  # -> positions in `invocations`
+        invocations: List[Event] = []
+        responses: List[Optional[Event]] = []            # one per invocation
         for e in self.events:
             if e.kind is EventKind.INVOCATION:
-                op = Operation(e.process, e.op, e)
                 queue = open_ops.get((e.process, e.op))
                 if queue is None:
-                    open_ops[e.process, e.op] = [op]
+                    open_ops[e.process, e.op] = [len(invocations)]
                 else:
-                    queue.append(op)
-                out.append(op)
+                    queue.append(len(invocations))
+                invocations.append(e)
+                responses.append(None)
             elif e.kind is EventKind.RESPONSE:
                 queue = open_ops.get((e.process, e.op))
                 if not queue:
@@ -213,24 +197,19 @@ class History:
                     raise TraceError(
                         f"a read's returned must start at genesis {GENESIS_ID!r}, "
                         f"got {e.returned!r} (event {e.event_id})")
-                queue.pop(0).response = e
-        return tuple(out)
+                responses[queue.pop(0)] = e
+        return tuple([Operation(inv.process, inv.op, inv, rsp)
+                      for inv, rsp in zip(invocations, responses)])
 
     def event(self, event_id: int) -> Event:
         return self._by_id[event_id]
 
-    def process_events(self, process: str) -> List[Event]:
-        return self._proc_events.get(process, [])
-
     # -- orders --------------------------------------------------------------
-
-    def seq(self, e: Event) -> int:
-        return self._seq[e.event_id]
 
     def po(self, a: Event, b: Event) -> bool:
         """Program order: a happens before b.
 
-        Same process: sequence order. Across processes: there must be a
+        Same process: canonical order. Across processes: there must be a
         response-like event after a on a's process whose time strictly
         precedes an invocation-like event before b on b's process; since
         per-process streams are time ordered and operations are sequential,
@@ -238,17 +217,17 @@ class History:
         b's latest invocation-like lead-in, both indexed on first use.
         """
         if a.process == b.process:
-            return self._seq[a.event_id] < self._seq[b.event_id]
+            return canonical_order(a) < canonical_order(b)
         return self._out[a.event_id] < self._in[b.event_id]
 
     # -- reads -----------------------------------------------------------------
 
-    def reads(self) -> List[Operation]:
+    def reads(self) -> Tuple[Operation, ...]:
         """Completed reads, ordered by response time."""
-        return list(self._reads)
+        return self._reads
 
-    def reads_of(self, process: str) -> List[Operation]:
-        return list(self._reads_of.get(process, ()))
+    def reads_of(self, process: str) -> Tuple[Operation, ...]:
+        return self._reads_of.get(process, ())
 
     # -- restriction -------------------------------------------------------------
 
@@ -308,12 +287,12 @@ def _json_lines(text: str) -> Iterator[Tuple[int, Any]]:
             continue
         try:
             doc, end = _raw_decode(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):   # JSONDecodeError is a ValueError
             end = -1
         if end != len(line):        # let json.loads word the error, as it always has
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TraceError(f"line {n}: not JSON ({exc})") from exc
         yield n, doc
 

@@ -211,8 +211,8 @@ class Scenario:
     def __post_init__(self):
         _require(type(self.name) is str and self.name, "name must be a string")
         # `btlab run --out DIR` writes DIR/<name>.trace.jsonl and its siblings
-        _require(not any(part in self.name for part in ("/", "\\", "..")),
-                 f"name must not hold '/', '\\' or '..', got {self.name!r}")
+        _require(not any(part in self.name for part in ("/", "\\", "..", "\x00")),
+                 f"name must not hold '/', '\\', '..' or NUL, got {self.name!r}")
         _require(type(self.processes) is list and self.processes,
                  "processes must be a non-empty list")
         ids = [p.id for p in self.processes]
@@ -386,7 +386,7 @@ def run_scenario(scenario: Scenario) -> SimRun:
                 push(t, _READ, p.id)
 
     while heap:
-        tick, klass, _seq, payload = heapq.heappop(heap)
+        tick, klass, _, payload = heapq.heappop(heap)
         if klass == _APPEND:
             rep = replicas[payload]
             rep.blocks_made += 1

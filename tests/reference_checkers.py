@@ -4,15 +4,18 @@ These are the definitions the indexed checkers in btlab.checkers must agree
 with, verdict for verdict: the same status, witness, detail and parts. Each
 function recomputes what it needs from the event lists on every call (program
 order scans a process's events, `reads` sorts every time), so they are slow
-but short enough to read against the paper's definitions. A read's score is
-the length of its chain. The trace codec at
-the end encodes one event per `json.dumps` call and decodes one line per
+but short enough to read against the paper's definitions. Process order is
+the order of a process's events in `h.events`: each history's per-process
+lists and positions are the one thing kept, so the checks stay quadratic.
+A read's score is the length of its chain. The trace codec at the end
+encodes one event per `json.dumps` call and decodes one line per
 `json.loads` call; History.to_jsonl and History.from_jsonl must give the same
 bytes, the same events and the same errors.
 """
 
 import json
-from typing import Any, Dict, List, Optional, Set
+import weakref
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from btlab.blocktree import mcps, prefix_comparable
 from btlab.checkers import (DEFAULT_WINDOW, Status, Verdict, _block_owner, _comm_events,
@@ -23,26 +26,48 @@ from btlab.history import (_INVOCATION_LIKE, _RESPONSE_LIKE, TRACE_FIELDS, Event
 
 # -- orders and reads -----------------------------------------------------------
 
+# History -> (process -> its events, event_id -> position there)
+_PROCESS_ORDER: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _process_order(h: History) -> Tuple[Dict[str, List[Event]], Dict[int, int]]:
+    """(process -> its events, event_id -> position there), from `h.events`."""
+    if h not in _PROCESS_ORDER:
+        events: Dict[str, List[Event]] = {}
+        for e in h.events:
+            events.setdefault(e.process, []).append(e)
+        position = {e.event_id: i for lst in events.values() for i, e in enumerate(lst)}
+        _PROCESS_ORDER[h] = (events, position)
+    return _PROCESS_ORDER[h]
+
 
 def _first_response_like_time(h: History, e: Event) -> Optional[int]:
-    for ev in h.process_events(e.process)[h.seq(e):]:
+    events, position = _process_order(h)
+    for ev in events[e.process][position[e.event_id]:]:
         if ev.kind in _RESPONSE_LIKE:
             return ev.logical_time
     return None
 
 
 def _last_invocation_like_time(h: History, e: Event) -> Optional[int]:
-    for ev in reversed(h.process_events(e.process)[: h.seq(e) + 1]):
+    events, position = _process_order(h)
+    for ev in reversed(events[e.process][: position[e.event_id] + 1]):
         if ev.kind in _INVOCATION_LIKE:
             return ev.logical_time
     return None
+
+
+def _before_on_process(h: History, a: Event, b: Event) -> bool:
+    """a precedes b on their common process."""
+    position = _process_order(h)[1]
+    return position[a.event_id] < position[b.event_id]
 
 
 def po(h: History, a: Event, b: Event) -> bool:
     if a.event_id == b.event_id:
         return False
     if a.process == b.process:
-        return h.seq(a) < h.seq(b)
+        return _before_on_process(h, a, b)
     t_out = _first_response_like_time(h, a)
     t_in = _last_invocation_like_time(h, b)
     return t_out is not None and t_in is not None and t_out < t_in
@@ -50,7 +75,7 @@ def po(h: History, a: Event, b: Event) -> bool:
 
 def reads(h: History) -> List[Operation]:
     done = [o for o in h.operations if o.op == "read" and o.complete]
-    return sorted(done, key=lambda o: o.response.sort_key())
+    return sorted(done, key=lambda o: (o.response.logical_time, o.response.event_id))
 
 
 def reads_of(h: History, process: str) -> List[Operation]:
@@ -85,7 +110,7 @@ def check_block_validity(h: History, genesis_id: str = "b0") -> Verdict:
                 continue
             ok = any(
                 inv.logical_time < rsp.logical_time
-                or (inv.process == rsp.process and h.seq(inv) < h.seq(rsp))
+                or (inv.process == rsp.process and _before_on_process(h, inv, rsp))
                 for inv in appends.get(block_id, [])
             )
             if not ok:
@@ -175,7 +200,7 @@ def check_update_agreement(h: History) -> Verdict:
         if owner.get(block) == u.process:
             continue
         prior = [e for e in has(receives, u.process, parent, block)
-                 if h.seq(e) < h.seq(u)]
+                 if _before_on_process(h, e, u)]
         if not prior:
             return Verdict("update-agreement", Status.FAIL, (u.event_id,),
                            f"R2: {u.process} updated {block!r} without a "
@@ -288,7 +313,7 @@ def from_jsonl(text: str, correct: Optional[Set[str]] = None,
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise TraceError(f"line {n}: not JSON ({exc})") from exc
         if not isinstance(doc, dict) or set(doc) != set(TRACE_FIELDS):
             raise TraceError(f"line {n}: fields must be exactly {TRACE_FIELDS}")

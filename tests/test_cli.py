@@ -119,7 +119,18 @@ def test_run_rejects_unknown_names_and_bad_files(tmp_path, capsys):
     assert run_cli("run", str(invalid)) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "merit" in err
+    for text in UNDECODABLE_JSON:
+        bad.write_text(text)
+        assert run_cli("run", str(bad)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "not valid JSON" in captured.err
+        assert captured.out == ""
     assert_unreadable_inputs_exit_two(tmp_path, capsys, "run")
+
+
+# JSON the decoder refuses without a JSONDecodeError: nesting past the
+# recursion limit (RecursionError), an integer past int's digit limit (ValueError)
+UNDECODABLE_JSON = ["[" * 200_000, "1" * 5_000]
 
 
 def assert_unreadable_inputs_exit_two(tmp_path, capsys, *verb):
@@ -187,6 +198,7 @@ def _set(path, value):
     ("bitcoin-like", _set(["name"], "sub/name")),
     ("bitcoin-like", _set(["name"], "sub\\name")),
     ("bitcoin-like", _set(["name"], "..")),
+    ("bitcoin-like", _set(["name"], "a\u0000b")),
 ])
 def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
     doc = preset(name).to_dict()
@@ -452,6 +464,13 @@ def test_check_rejects_malformed_traces(tmp_path, capsys):
         assert run_cli("check", str(bad)) == 2, (field, value)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err, (field, value, err)
+    for text in UNDECODABLE_JSON:
+        capsys.readouterr()
+        bad.write_text(json.dumps(READ_INVOCATION) + "\n" + text + "\n")
+        assert run_cli("check", str(bad)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "line 2: not JSON" in captured.err
+        assert captured.out == ""
     for window in ("0", "-1"):
         capsys.readouterr()
         assert run_cli("check", str(good), "--window", window) == 2, window

@@ -150,6 +150,8 @@ def mutated_traces(draw):
 @example(text='{"args":[],"event_id":0,"kind":[],"logical_time":0,'
               '"op":"read","process":"p","returned":null}')
 @example(text="\ufeff{}")
+@example(text="[" * 200_000)          # past the recursion limit
+@example(text="1" * 5_000)            # past int's digit limit
 @example(text='{"args":[],"event_id":true,"kind":"invocation","logical_time":0,'
               '"op":"read","process":"p","returned":null}')
 def test_from_jsonl_matches_per_line_decoding(text):
