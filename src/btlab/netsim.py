@@ -5,9 +5,16 @@ trusted zero-latency shared service): grant loop against the local selected
 leaf, then consume. A winning block is disseminated with a reliable
 broadcast with echo forwarding: the origin sends to everybody including
 itself, and every correct process re-forwards a message once on first
-receive. Replicas apply blocks on receive (an update event), so a process's
-own update can land after a cross receive when the channel is slower to
-self-deliver. Blocks arriving before their parent wait in an orphan buffer.
+receive; a later copy of a block is ignored. Replicas apply blocks on
+receive (an update event), so a process's own update can land after a cross
+receive when the channel is slower to self-deliver. Blocks arriving before
+their parent wait in an orphan buffer.
+
+A send matching a `drops` rule is lost; any other send's delay is that of
+the first matching `delays` rule, else a seeded draw in [1, delta]
+(synchronous) or [1, async_max_delay] (asynchronous). A byzantine process
+never reads or echoes, and only its append invocations reach the checked
+history; a block it withholds is a `drops` rule with its id as `from`.
 
 Everything runs on a single-threaded event loop keyed by
 (tick, action class, schedule order), so equal seeds give byte-identical
@@ -25,14 +32,14 @@ import random
 from dataclasses import MISSING, asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import AbstractSet, Any, Container, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Set, Tuple
 
 from .blocktree import Block, BlockTree
 from .checkers import CHECKERS, Verdict, run_checker
 from .history import (Event, EventKind, History, Recorder, TraceError, decode_events,
                       restrict)
 from .oracle import Merit, OracleState
-from .refinement import DEFAULT_MAX_GRANT_ATTEMPTS, AppendStatus, RefinedLedger
+from .refinement import AppendStatus, RefinedLedger
 
 
 class ScenarioError(ValueError):
@@ -48,7 +55,6 @@ _DELIVER, _APPEND, _READ = 0, 1, 2
 class ChannelKind(enum.Enum):
     ASYNCHRONOUS = "asynchronous"
     SYNCHRONOUS = "synchronous"
-    WEAKLY_SYNCHRONOUS = "weakly-synchronous"
 
 
 def _require(cond: bool, msg: str):
@@ -79,21 +85,18 @@ def _known_keys(doc: Dict[str, Any], known: AbstractSet[str], what: str) -> None
 # run_scenario schedules one heap entry per append or read tick
 MAX_DURATION = 10**6
 
-# the keys a channel rule or a process script may hold
+# the keys a channel rule may hold
 _DELAY_KEYS = frozenset(("from", "to", "delay"))
 _DROP_KEYS = frozenset(("block", "from", "to"))
-_SCRIPT_KEYS = frozenset(("withhold_from", "send_delay"))
 
 
 @dataclass
 class ChannelModel:
     kind: ChannelKind = ChannelKind.SYNCHRONOUS
     delta: int = 3                    # synchronous delivery bound
-    tau: int = 0                      # weakly synchronous: when delta kicks in
     async_max_delay: int = 30
     delays: List[Dict[str, Any]] = field(default_factory=list)   # {from,to,delay}
     drops: List[Dict[str, Any]] = field(default_factory=list)    # {block?,from?,to?}
-    duplication: bool = False
 
     def __post_init__(self):
         try:
@@ -101,7 +104,6 @@ class ChannelModel:
         except ValueError:
             raise ScenarioError(f"unknown channel kind {self.kind!r}") from None
         _integer(self.delta, "channel delta", 1)
-        _integer(self.tau, "channel tau")
         _integer(self.async_max_delay, "async_max_delay", 1)
         _require(type(self.delays) is list and all(
             type(r) is dict and type(r.get("delay")) is int for r in self.delays),
@@ -116,22 +118,13 @@ class ChannelModel:
         _require(all(type(v) is str for rules in (self.delays, self.drops) for rule in rules
                      for k, v in rule.items() if k != "delay"),
                  "a channel rule's from, to and block must be strings")
-        _require(type(self.duplication) is bool, "channel duplication must be a boolean")
 
-    def delay(self, sender: str, to: str, tick: int, rng: random.Random) -> int:
+    def delay(self, sender: str, to: str, rng: random.Random) -> int:
         for rule in self.delays:
             if rule.get("from", sender) == sender and rule.get("to", to) == to:
                 return rule["delay"]
-        if self.kind is ChannelKind.SYNCHRONOUS:
-            return rng.randint(1, self.delta)
-        if self.kind is ChannelKind.ASYNCHRONOUS:
-            return rng.randint(1, self.async_max_delay)
-        # weakly synchronous: unbounded before tau, bounded after
-        if tick >= self.tau:
-            return rng.randint(1, self.delta)
-        free = rng.randint(1, self.async_max_delay)
-        capped = (self.tau - tick) + rng.randint(1, self.delta)
-        return min(free, capped)
+        return rng.randint(1, self.delta if self.kind is ChannelKind.SYNCHRONOUS
+                           else self.async_max_delay)
 
     def dropped(self, block_id: str, sender: str, to: str) -> bool:
         for rule in self.drops:
@@ -147,7 +140,6 @@ class ProcessSpec:
     id: str
     merit: float = 1.0
     behavior: str = "correct"                      # correct | byzantine
-    script: Dict[str, Any] = field(default_factory=dict)
     block_interval: Optional[int] = None           # None: never appends
     append_offset: Optional[int] = None            # default: block_interval
     read_interval: Optional[int] = None            # None: never reads
@@ -163,24 +155,10 @@ class ProcessSpec:
         _integer(self.append_offset, "append_offset", 0, null=True)
         _integer(self.read_interval, "read_interval", 1, null=True)
         _integer(self.read_offset, "read_offset", 0)
-        _require(type(self.script) is dict, "a process script must be an object")
-        _known_keys(self.script, _SCRIPT_KEYS, "a process script")
-        _require(type(self.withhold_from) is list
-                 and all(type(q) is str for q in self.withhold_from),
-                 "withhold_from must be a list of process ids")
-        _integer(self.send_delay, "send_delay", 0)
 
     @property
     def correct(self) -> bool:
         return self.behavior == "correct"
-
-    @property
-    def withhold_from(self) -> List[str]:
-        return self.script.get("withhold_from", [])
-
-    @property
-    def send_delay(self) -> int:
-        return self.script.get("send_delay", 0)
 
 
 @dataclass
@@ -206,7 +184,6 @@ class Scenario:
     expected_verdicts: Dict[str, str] = field(default_factory=dict)
     script: List[Dict[str, Any]] = field(default_factory=list)
     description: str = ""
-    max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS
 
     def __post_init__(self):
         _require(type(self.name) is str and self.name, "name must be a string")
@@ -236,7 +213,6 @@ class Scenario:
                 raise TraceError(f"script event {n}: its id is its position, not an event_id")
         _script_events(self.script)
         _require(type(self.description) is str, "description must be a string")
-        _integer(self.max_grant_attempts, "max_grant_attempts", 1, DEFAULT_MAX_GRANT_ATTEMPTS)
 
     def correct_set(self) -> Set[str]:
         return {p.id for p in self.processes if p.correct}
@@ -311,11 +287,9 @@ class SimRun:
 
 
 class _Replica:
-    def __init__(self, spec: ProcessSpec, oracle: OracleState,
-                 max_grant_attempts: int):
+    def __init__(self, spec: ProcessSpec, oracle: OracleState):
         self.spec = spec
-        self.ledger = RefinedLedger(oracle=oracle, tree=BlockTree(),
-                                    max_grant_attempts=max_grant_attempts)
+        self.ledger = RefinedLedger(oracle=oracle, tree=BlockTree())
         self.seen: Set[str] = set()
         self.orphans: Dict[str, List[Block]] = {}
         self.blocks_made = 0
@@ -344,8 +318,7 @@ def run_scenario(scenario: Scenario) -> SimRun:
     oracle = OracleState(
         {p.id: Merit(p.merit) for p in scenario.processes},
         capacity=scenario.oracle.capacity, seed=scenario.oracle.seed)
-    replicas = {p.id: _Replica(p, oracle, scenario.max_grant_attempts)
-                for p in scenario.processes}
+    replicas = {p.id: _Replica(p, oracle) for p in scenario.processes}
     order = [p.id for p in scenario.processes]
 
     heap: List[Tuple[int, int, int, Any]] = []      # (tick, action class, order, payload)
@@ -359,17 +332,16 @@ def run_scenario(scenario: Scenario) -> SimRun:
     undelivered = 0
     dropped = 0
 
-    def send(sender: str, block: Block, tick: int, skip: Container[str], extra: int):
-        """Deliver block to every process not in skip, after channel delays
-        plus extra ticks."""
+    def send(sender: str, block: Block, tick: int, skip: Optional[str]):
+        """Deliver block to every process but skip, after channel delays."""
         nonlocal dropped, undelivered
         for dest in order:
-            if dest in skip:
+            if dest == skip:
                 continue
             if scenario.channel.dropped(block.id, sender, dest):
                 dropped += 1
                 continue
-            at = tick + extra + scenario.channel.delay(sender, dest, tick, rng)
+            at = tick + scenario.channel.delay(sender, dest, rng)
             if at > scenario.duration:
                 undelivered += 1
                 continue
@@ -410,22 +382,18 @@ def run_scenario(scenario: Scenario) -> SimRun:
             if res:
                 rec.emit(EventKind.SEND, "send", payload, tick,
                          args=(res.block.parent_id, res.block.id))
-                send(payload, res.block, tick, set(rep.spec.withhold_from),
-                     rep.spec.send_delay)
+                send(payload, res.block, tick, None)
         elif klass == _DELIVER:
             dest, block = payload
             rep = replicas[dest]
-            first = block.id not in rep.seen
-            if not first and not scenario.channel.duplication:
+            if block.id in rep.seen:
                 continue
+            rep.seen.add(block.id)
             if rep.spec.correct:
                 rec.emit(EventKind.RECEIVE, "receive", dest, tick,
                          args=(block.parent_id, block.id))
-            if first:
-                rep.seen.add(block.id)
-                if rep.spec.correct:
-                    rep.integrate(block, tick, rec)
-                    send(dest, block, tick, (dest,), 0)    # echo to every other process
+                rep.integrate(block, tick, rec)
+                send(dest, block, tick, dest)          # echo to every other process
         else:                                       # _READ
             rep = replicas[payload]
             chain = tuple([b.id for b in rep.ledger.read()])

@@ -46,16 +46,13 @@ class RefinedLedger:
     tree: BlockTree = field(default_factory=BlockTree)
     max_grant_attempts: int = DEFAULT_MAX_GRANT_ATTEMPTS
 
-    def selected_leaf(self) -> Block:
-        return self.tree.read()[-1]
-
     def acquire(self, candidate: Block, caller: str) -> AppendResult:
         """Oracle side of an append: draw a token + consume, no tree change.
 
         Used directly by replicated settings where the local tree is updated
         by a separate (possibly delayed) update event.
         """
-        stamped, attempts = self.oracle.draw_token(self.selected_leaf().id, candidate,
+        stamped, attempts = self.oracle.draw_token(self.tree.read()[-1].id, candidate,
                                                    caller, self.max_grant_attempts)
         if stamped is None:
             return AppendResult(AppendStatus.EXHAUSTED, candidate, frozenset(), attempts)
@@ -86,9 +83,6 @@ class RefinedLedger:
             return False
         self.tree.insert(block)
         return True
-
-    def fork_count(self, parent_id: str) -> int:
-        return self.tree.fork_count(parent_id)
 
     def read(self):
         return self.tree.read()

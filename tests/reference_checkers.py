@@ -7,10 +7,13 @@ order scans a process's events, `reads` sorts every time), so they are slow
 but short enough to read against the paper's definitions. Process order is
 the order of a process's events in `h.events`: each history's per-process
 lists and positions are the one thing kept, so the checks stay quadratic.
-A read's score is the length of its chain. The trace codec at the end
-encodes one event per `json.dumps` call and decodes one line per
-`json.loads` call; History.to_jsonl and History.from_jsonl must give the same
-bytes, the same events and the same errors.
+A read's score is the length of its chain. Of btlab.checkers they take only
+Verdict, Status and DEFAULT_WINDOW: how events are selected and how verdicts
+compose is restated here, so a change there cannot move both sides at once.
+The trace codec at the end encodes one event per `json.dumps` call and
+decodes one line per `json.loads` call; History.to_jsonl and
+History.from_jsonl must give the same bytes, the same events and the same
+errors.
 """
 
 import json
@@ -18,8 +21,7 @@ import weakref
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from btlab.blocktree import mcps, prefix_comparable
-from btlab.checkers import (DEFAULT_WINDOW, Status, Verdict, _block_owner, _comm_events,
-                            _conjunction)
+from btlab.checkers import DEFAULT_WINDOW, Status, Verdict
 from btlab.history import (_INVOCATION_LIKE, _RESPONSE_LIKE, TRACE_FIELDS, Event,
                            EventKind, History, Operation, TraceError, returned_chain)
 
@@ -184,6 +186,21 @@ def check_eventual_prefix(h: History, window: int = DEFAULT_WINDOW) -> Verdict:
     return Verdict("eventual-prefix", Status.PASS)
 
 
+def _comm_events(h: History, kind: str) -> List[Event]:
+    """The send, receive or update events naming a (parent, block) pair."""
+    return [e for e in h.events if e.kind.value == kind and len(e.args) >= 2]
+
+
+def _block_owner(h: History) -> Dict[str, str]:
+    """block -> the process of the first send or update naming it: walking
+    the history backwards, the last one written."""
+    owner: Dict[str, str] = {}
+    for e in reversed(h.events):
+        if e.kind in (EventKind.SEND, EventKind.UPDATE) and len(e.args) >= 2:
+            owner[str(e.args[1])] = e.process
+    return owner
+
+
 def check_update_agreement(h: History) -> Verdict:
     sends = _comm_events(h, "send")
     receives = _comm_events(h, "receive")
@@ -250,8 +267,20 @@ def check_lrc(h: History) -> Verdict:
     return Verdict("lrc", Status.PASS)
 
 
+def conjunction(name: str, parts: List[Verdict]) -> Verdict:
+    """The first failing part's verdict, else the first inconclusive one's,
+    else a pass; every part is kept by criterion."""
+    by_name = {v.criterion: v for v in parts}
+    for status, verb in ((Status.FAIL, "failed"), (Status.INCONCLUSIVE, "inconclusive")):
+        for v in parts:
+            if v.status == status:
+                return Verdict(name, status, v.witness, f"{v.criterion} {verb}: {v.detail}",
+                               by_name)
+    return Verdict(name, Status.PASS, (), "", by_name)
+
+
 def check_sc(h: History, window: int = DEFAULT_WINDOW) -> Verdict:
-    return _conjunction("sc", [
+    return conjunction("sc", [
         check_block_validity(h),
         check_local_monotonic_read(h),
         check_strong_prefix(h),
@@ -260,7 +289,7 @@ def check_sc(h: History, window: int = DEFAULT_WINDOW) -> Verdict:
 
 
 def check_ec(h: History, window: int = DEFAULT_WINDOW) -> Verdict:
-    return _conjunction("ec", [
+    return conjunction("ec", [
         check_block_validity(h),
         check_local_monotonic_read(h),
         check_ever_growing_tree(h, window),

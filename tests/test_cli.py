@@ -171,9 +171,6 @@ def _set(path, value):
     ("bitcoin-like", _set(["channel", "delays"], 5)),
     ("bitcoin-like", _set(["channel", "drops"], 5)),
     ("bitcoin-like", _set(["channel", "drops"], [5])),
-    ("bitcoin-like", _set(["processes", 0, "script"], 5)),
-    ("bitcoin-like", _set(["processes", 0, "script"], {"withhold_from": 5})),
-    ("bitcoin-like", _set(["processes", 0, "script"], {"send_delay": "x"})),
     ("figure-3", _set(["script"], [5])),
     ("figure-3", _set(["script", 0, "args"], 5)),
     ("figure-3", _set(["script", 0, "logical_time"], None)),
@@ -184,16 +181,11 @@ def _set(path, value):
     ("bitcoin-like", _set(["processes", 0, "read_offset"], -1)),
     ("bitcoin-like", _set(["processes", 0, "append_offset"], -1)),
     ("bitcoin-like", _set(["declared_complete"], 1)),
-    ("bitcoin-like", _set(["channel", "duplication"], "false")),
     ("update-drop", _set(["channel", "delays"], [{"from": "p0", "delay": -7}])),
     ("update-drop", _set(["channel", "delays"], [{"from": "p0", "delay": 0}])),
     ("update-drop", _set(["channel", "async_max_delay"], 0)),
     ("update-drop", _set(["channel", "async_max_delay"], -3)),
     ("bitcoin-like", _set(["description"], 5)),
-    ("bitcoin-like", _set(["max_grant_attempts"], 0)),
-    ("bitcoin-like", _set(["max_grant_attempts"], -1)),
-    ("bitcoin-like", _set(["max_grant_attempts"], 10**6 + 1)),
-    ("bitcoin-like", _set(["max_grant_attempts"], 10**9)),
     ("bitcoin-like", _set(["name"], "../escaped")),
     ("bitcoin-like", _set(["name"], "sub/name")),
     ("bitcoin-like", _set(["name"], "sub\\name")),
@@ -211,14 +203,20 @@ def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
     assert captured.out == ""
 
 
-# A key no object of the schema defines, or a channel rule naming a process or
-# block by a non-string, on the update-drop preset (one drop rule, no delays):
-# probe -> (path, value, what the error names).
+# A key no object of the schema defines, a channel kind it does not know, or a
+# channel rule naming a process or block by a non-string, on the update-drop
+# preset (one drop rule, no delays): probe -> (path, value, what the error
+# names). The keys and the kind the schema dropped are refused with the value
+# every shipped file held.
 SCHEMA_KEY_PROBES = {
     "duraton": (["duraton"], 5, "'duraton'"),
     "blok": (["channel", "drops", 0], {"blok": "p0-1", "to": "p2"}, "'blok'"),
     "form": (["channel", "delays"], [{"form": "p0", "delay": 1}], "'form'"),
-    "withold_from": (["processes", 0, "script"], {"withold_from": ["p1"]}, "'withold_from'"),
+    "script": (["processes", 0, "script"], {}, "'script'"),
+    "tau": (["channel", "tau"], 0, "'tau'"),
+    "duplication": (["channel", "duplication"], False, "'duplication'"),
+    "max_grant_attempts": (["max_grant_attempts"], 10**6, "'max_grant_attempts'"),
+    "weakly-synchronous": (["channel", "kind"], "weakly-synchronous", "'weakly-synchronous'"),
     "intervall": (["processes", 0, "intervall"], 3, "'intervall'"),
     "dleta": (["channel", "dleta"], 1, "'dleta'"),
     "capcity": (["oracle", "capcity"], 1, "'capcity'"),
@@ -241,12 +239,12 @@ def test_run_refuses_an_unknown_scenario_key(tmp_path, capsys, probe):
     assert captured.out == ""
 
 
-INTEGER_FIELDS = [["seed"], ["duration"], ["stabilization_suffix"], ["max_grant_attempts"],
+INTEGER_FIELDS = [["seed"], ["duration"], ["stabilization_suffix"],
                   ["oracle", "seed"], ["oracle", "capacity"], ["channel", "delta"],
-                  ["channel", "tau"], ["channel", "async_max_delay"],
+                  ["channel", "async_max_delay"],
                   ["channel", "delays", 0, "delay"], ["processes", 0, "block_interval"],
                   ["processes", 0, "append_offset"], ["processes", 0, "read_interval"],
-                  ["processes", 0, "read_offset"], ["processes", 0, "script", "send_delay"]]
+                  ["processes", 0, "read_offset"]]
 
 
 @pytest.mark.parametrize("path", INTEGER_FIELDS, ids=lambda path: "/".join(map(str, path)))

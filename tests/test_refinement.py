@@ -160,4 +160,4 @@ def test_fork_width_never_exceeds_capacity_without_propagation():
             ledgers[who].refined_append(Block(id=f"k{k}-{step}"), f"p{who}")
         for parent in ("b0",):
             assert len(shared.consumed_view(parent)) <= k
-        assert max(led.fork_count("b0") for led in ledgers) <= k
+        assert max(led.tree.fork_count("b0") for led in ledgers) <= k
