@@ -195,6 +195,13 @@ class Scenario:
         ids = [p.id for p in self.processes]
         if len(set(ids)) != len(ids):
             raise ScenarioError(f"duplicate process id {max(ids, key=ids.count)!r}")
+        # a rule naming no process of the scenario would match nothing
+        for what, rules in (("delays", self.channel.delays), ("drops", self.channel.drops)):
+            for rule in rules:
+                for end in ("from", "to"):
+                    if end in rule and rule[end] not in ids:
+                        raise ScenarioError(f"a channel {what} rule's {end} names unknown "
+                                            f"process {rule[end]!r}; processes: {', '.join(ids)}")
         _integer(self.seed, "seed")
         _integer(self.duration, "duration", 0, MAX_DURATION)
         _require(type(self.declared_complete) is bool, "declared_complete must be a boolean")
@@ -253,7 +260,7 @@ _SCENARIO_KEYS = frozenset(("version", *Scenario.__dataclass_fields__))
 
 def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
     _require(type(doc) is dict, "scenario must be a JSON object")
-    if doc.get("version") != SCENARIO_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != SCENARIO_VERSION:
         raise ScenarioError(f"unsupported scenario version {doc.get('version')!r}")
     processes = doc.get("processes")
     if type(processes) is list:

@@ -191,6 +191,8 @@ def _set(path, value):
     ("bitcoin-like", _set(["name"], "sub\\name")),
     ("bitcoin-like", _set(["name"], "..")),
     ("bitcoin-like", _set(["name"], "a\u0000b")),
+    ("bitcoin-like", _set(["channel", "kind"], 5)),
+    ("bitcoin-like", _set(["channel", "delta"], -1)),
 ])
 def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
     doc = preset(name).to_dict()
@@ -239,7 +241,32 @@ def test_run_refuses_an_unknown_scenario_key(tmp_path, capsys, probe):
     assert captured.out == ""
 
 
-INTEGER_FIELDS = [["seed"], ["duration"], ["stabilization_suffix"],
+# A channel rule whose from or to names no process of update-drop (p0, p1,
+# p2) would match nothing and leave the run as if it were not there: probe ->
+# the rule's path and value, and the name the error quotes.
+UNKNOWN_PROCESS_PROBES = {
+    "drops-to": (["channel", "drops", 0, "to"], "P2", "P2"),
+    "drops-from": (["channel", "drops"], [{"from": "p3", "to": "p2"}], "p3"),
+    "delays-from": (["channel", "delays"], [{"from": "q0", "delay": 2}], "q0"),
+    "delays-to": (["channel", "delays"], [{"from": "p0", "to": "p 1", "delay": 2}], "p 1"),
+}
+
+
+@pytest.mark.parametrize("probe", UNKNOWN_PROCESS_PROBES)
+def test_run_refuses_a_channel_rule_naming_an_unknown_process(tmp_path, capsys, probe):
+    path, value, unknown = UNKNOWN_PROCESS_PROBES[probe]
+    doc = preset("update-drop").to_dict()
+    _set(path, value)(doc)
+    scenario = tmp_path / "mutated.json"
+    scenario.write_text(json.dumps(doc))
+    assert run_cli("run", str(scenario)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and f"unknown process {unknown!r}" in captured.err, \
+        captured.err
+    assert captured.out == ""
+
+
+INTEGER_FIELDS = [["version"], ["seed"], ["duration"], ["stabilization_suffix"],
                   ["oracle", "seed"], ["oracle", "capacity"], ["channel", "delta"],
                   ["channel", "async_max_delay"],
                   ["channel", "delays", 0, "delay"], ["processes", 0, "block_interval"],

@@ -73,6 +73,12 @@ def test_drop_rules_match_block_sender_and_destination():
     assert ch.dropped("anything", "evil", "p0")
 
 
+def test_only_the_synchronous_and_asynchronous_kinds_remain():
+    assert {kind.value for kind in ChannelKind} == {"synchronous", "asynchronous"}
+    with pytest.raises(ScenarioError, match="'weakly-synchronous'"):
+        ChannelModel(kind="weakly-synchronous")
+
+
 # -- scenario schema ----------------------------------------------------------------
 
 
@@ -114,6 +120,10 @@ def test_minimal_scenario_parses_with_defaults():
     (lambda d: d["channel"].update(delta="x"), "delta must be a number"),
     (lambda d: d.update(oracle=[]), "oracle"),
     (lambda d: d.update(seed=None), "seed"),
+    (lambda d: d["channel"].update(drops=[{"to": "p1"}]), "unknown process 'p1'"),
+    (lambda d: d["channel"].update(delays=[{"from": "P0", "delay": 1}]), "unknown process"),
+    (lambda d: d.update(version=True), "version"),
+    (lambda d: d.update(version=1.0), "version"),
 ])
 def test_schema_violations_raise_scenario_errors(mutate, fragment):
     doc = valid_doc()
@@ -318,6 +328,48 @@ def test_a_withholding_byzantine_process_is_a_drop_rule():
     assert hashlib.sha256(run.full_history.to_jsonl().encode()).hexdigest() == \
         "dc9ed6f0b47cb5abdb55c620c0efd8200255406ee1cc551dacc8f6023257ddac"
     assert run.dropped == 18
+
+
+def test_a_byzantine_process_dropped_on_every_link_reaches_no_one():
+    run = run_scenario(small_scenario(9, byzantine=("p2",), drops=({"from": "p2"},)))
+    assert not [e for e in run.history.events
+                if e.kind in (EventKind.RECEIVE, EventKind.UPDATE) and e.args[1].startswith("p2-")]
+    sends = [e for e in run.full_history.events if e.kind is EventKind.SEND and e.process == "p2"]
+    assert sends and run.dropped == 3 * len(sends)      # to each process, p2 included
+
+
+@pytest.mark.parametrize("rule,lag", [({"from": "p0"}, 1), ({"from": "p0"}, 5),
+                                      ({"to": "p2"}, 1), ({"to": "p2"}, 5)])
+def test_a_delays_rule_sets_the_first_arrival_on_the_links_it_matches(rule, lag):
+    # the direct copy is the first to arrive: a relayed one takes a second hop
+    sc = small_scenario(5, duration=60)
+    run = run_scenario(dataclasses.replace(
+        sc, channel=dataclasses.replace(sc.channel, delays=[{**rule, "delay": lag}])))
+    sent = {e.args[1]: (e.process, e.logical_time) for e in run.history.events
+            if e.kind is EventKind.SEND}
+    first = {}
+    for e in run.history.events:
+        if e.kind is EventKind.RECEIVE:
+            first.setdefault((e.process, e.args[1]), e.logical_time)
+    matched = [(dest, block) for dest, block in first
+               if sent[block][0] != dest and rule.get("from", sent[block][0]) == sent[block][0]
+               and rule.get("to", dest) == dest]
+    assert len(matched) >= 5
+    assert all(first[key] == sent[key[1]][1] + lag for key in matched)
+
+
+def test_no_process_receives_or_updates_a_block_twice():
+    # every correct process echoes what it receives, so each block reaches
+    # each process once directly and up to twice more as a relay
+    run = run_scenario(small_scenario(2, n=4))
+    seen = [(e.kind, e.process, e.args[1]) for e in run.history.events
+            if e.kind in (EventKind.RECEIVE, EventKind.UPDATE)]
+    assert len(seen) == len(set(seen))
+    made = {e.args[1] for e in run.history.events     # in time to arrive: delta is 2
+            if e.kind is EventKind.SEND and e.logical_time <= 40 - 2}
+    received = {(p, b) for kind, p, b in seen if kind is EventKind.RECEIVE}
+    assert made and all((f"p{i}", b) in received
+                        for b in made for i in range(4) if not b.startswith(f"p{i}-"))
 
 
 def test_a_run_builds_one_history_and_the_full_one_on_first_read(monkeypatch):
