@@ -16,7 +16,7 @@ slow = RefinedLedger(oracle=oracle, tree=BlockTree())   # same oracle, own repli
 
 res = fast.refined_append(Block("f1"), "fast")
 print("fast appends f1:", res.status, "after", res.attempts, "attempt(s)")
-print("fast's chain:", [b.id for b in fast.read()])
+print("fast's chain:", list(fast.read()))
 
 # slow still sees only genesis, so it also targets parent b0 — and the
 # oracle's k=1 capacity for b0 is already spent.
@@ -30,7 +30,7 @@ winner = next(iter(res.consumed))
 print("slow integrates", winner.id, "->", slow.integrate(winner))
 res = slow.refined_append(Block("s2"), "slow")
 print("slow retries:", res.status,
-      "chain:", [b.id for b in slow.read()])
+      "chain:", list(slow.read()))
 
 # Forged or duplicate blocks never integrate.
 print("forged block integrates:", slow.integrate(Block("fake", "b0")))
@@ -43,5 +43,5 @@ broke = RefinedLedger(
 broke.max_grant_attempts = 5
 res = broke.refined_append(Block("u1"), "unlucky")
 print("unlucky:", res.status, "after", res.attempts, "attempts",
-      "| tree untouched:", [b.id for b in broke.read()])
+      "| tree untouched:", list(broke.read()))
 assert res.status is AppendStatus.EXHAUSTED

@@ -8,9 +8,9 @@ update agreement, reliable communication), a shared-memory equivalence lab,
 and a deterministic message-passing simulator with scenario presets.
 """
 
-from .blocktree import (GENESIS_ID, Block, BlockTree, Blockchain, DomainError,
-                        SelectionPolicy, chain_ids, common_prefix, is_prefix,
-                        mcps, prefix_comparable)
+from .blocktree import (GENESIS_ID, Block, BlockTree, DomainError,
+                        SelectionPolicy, common_prefix, is_prefix, mcps,
+                        prefix_comparable)
 from .campaigns import (LABS, CampaignResult, cas_equivalence_suite,
                         consensus_campaign, containment_campaign,
                         hierarchy_campaign, kfork_campaign,

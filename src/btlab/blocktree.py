@@ -4,7 +4,8 @@ A block tree is an in-tree of blocks rooted at the genesis block `GENESIS_ID`,
 the one root every tree, trace, script and history shares. It has the two
 operations of the block tree abstract data type: `append(b)` attaches a valid
 block as a child of the leaf of the selected chain, and `read()` returns that
-selected chain (genesis included). Appending never removes anything.
+selected chain. Appending never removes anything. A chain, here as in every
+history and trace, is the tuple of its block ids, genesis first.
 
 The selection rule is fixed: the longest chain wins (a chain's score is its
 length, genesis counted), and ties go to the lexicographically largest id
@@ -21,10 +22,6 @@ from typing import Dict, List, Optional, Tuple
 # chain a read returns.
 GENESIS_ID = "b0"
 
-# A blockchain is a root-to-leaf path, genesis first.
-Blockchain = Tuple["Block", ...]
-
-
 class DomainError(ValueError):
     """Raised when an operation is applied outside its domain."""
 
@@ -39,12 +36,7 @@ class Block:
 
     id: str
     parent_id: Optional[str] = None
-    payload: str = ""
     token_tag: Optional[str] = None
-
-
-def chain_ids(chain: Blockchain) -> Tuple[str, ...]:
-    return tuple(b.id for b in chain)
 
 
 def is_prefix(shorter: Tuple, longer: Tuple) -> bool:
@@ -79,7 +71,7 @@ def mcps(a: Tuple, b: Tuple) -> int:
 class SelectionPolicy:
     """The chain selection of every block tree: the longest chain."""
 
-    def choose(self, tree: "BlockTree") -> Blockchain:
+    def choose(self, tree: "BlockTree") -> Tuple[str, ...]:
         return tree.longest_chain()
 
 
@@ -102,7 +94,7 @@ class BlockTree:
         self._children: Dict[str, List[str]] = {GENESIS_ID: []}
         self._depth: Dict[str, int] = {GENESIS_ID: 1}
         self._longest_leaf = GENESIS_ID
-        self._longest_chain: Optional[Blockchain] = None
+        self._longest_chain: Optional[Tuple[str, ...]] = None
 
     # -- structure -----------------------------------------------------
 
@@ -128,20 +120,19 @@ class BlockTree:
     def leaves(self) -> List[str]:
         return sorted(i for i, kids in self._children.items() if not kids)
 
-    def chain_to(self, block_id: str) -> Blockchain:
-        """Root-to-block path."""
+    def chain_to(self, block_id: str) -> Tuple[str, ...]:
+        """The ids of the root-to-block path."""
         out = []
         cur: Optional[str] = block_id
         while cur is not None:
-            b = self._blocks[cur]
-            out.append(b)
-            cur = b.parent_id
+            out.append(cur)
+            cur = self._blocks[cur].parent_id
         return tuple(reversed(out))
 
-    def longest_chain(self) -> Blockchain:
+    def longest_chain(self) -> Tuple[str, ...]:
         """The deepest chain; ties go to the lexicographically largest ids.
 
-        Equal to the max over leaves of chain_to(leaf) by (len, chain_ids),
+        Equal to the max over leaves of chain_to(leaf) by (len, chain),
         kept up to date by insert() and built once per change of leaf.
         """
         if self._longest_chain is None:
@@ -191,12 +182,12 @@ class BlockTree:
         if candidate.id in self._blocks:
             return False
         leaf = self.read()[-1]
-        if candidate.parent_id not in (None, leaf.id):
+        if candidate.parent_id not in (None, leaf):
             return False
-        self.insert(replace(candidate, parent_id=leaf.id))
+        self.insert(replace(candidate, parent_id=leaf))
         return True
 
-    def read(self) -> Blockchain:
-        """The selected chain, genesis first. Genesis-only trees read as (g,)."""
+    def read(self) -> Tuple[str, ...]:
+        """The selected chain, genesis first: (GENESIS_ID,) on a bare tree."""
         return _SELECTION.choose(self)
 

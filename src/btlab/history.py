@@ -192,11 +192,13 @@ class History:
                     raise TraceError(
                         f"response without invocation: {e.op} at {e.process} "
                         f"(event {e.event_id})")
-                if e.op == "read" and type(e.returned) is tuple and e.returned \
-                        and e.returned[0] != GENESIS_ID:
+                if e.op == "read" and e.returned is not None and (
+                        type(e.returned) is not tuple
+                        or e.returned and e.returned[0] != GENESIS_ID):
                     raise TraceError(
-                        f"a read's returned must start at genesis {GENESIS_ID!r}, "
-                        f"got {e.returned!r} (event {e.event_id})")
+                        f"a read's returned must be None or a tuple of block ids that "
+                        f"start at genesis {GENESIS_ID!r}, got {e.returned!r} "
+                        f"(event {e.event_id})")
                 responses[queue.pop(0)] = e
         return tuple([Operation(inv.process, inv.op, inv, rsp)
                       for inv, rsp in zip(invocations, responses)])
@@ -367,8 +369,7 @@ def _append_is_valid(e: Event) -> bool:
 
 def returned_chain(read: Operation) -> Tuple[str, ...]:
     """The id sequence a completed read returned, as stored."""
-    ret = read.response.returned
-    return () if ret is None else ret
+    return read.response.returned or ()
 
 
 class Recorder:

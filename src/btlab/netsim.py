@@ -29,13 +29,14 @@ import enum
 import heapq
 import json
 import random
+import re
 from dataclasses import MISSING, asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import AbstractSet, Any, Dict, List, Optional, Set, Tuple
 
 from .blocktree import Block, BlockTree
-from .checkers import CHECKERS, Verdict, run_checker
+from .checkers import CHECKERS, DEFAULT_WINDOW, Verdict, run_checker
 from .history import (Event, EventKind, History, Recorder, TraceError, decode_events,
                       restrict)
 from .oracle import Merit, OracleState
@@ -180,7 +181,7 @@ class Scenario:
     seed: int = 0
     duration: int = 50
     declared_complete: bool = True
-    stabilization_suffix: int = 3
+    stabilization_suffix: int = DEFAULT_WINDOW
     expected_verdicts: Dict[str, str] = field(default_factory=dict)
     script: List[Dict[str, Any]] = field(default_factory=list)
     description: str = ""
@@ -195,13 +196,19 @@ class Scenario:
         ids = [p.id for p in self.processes]
         if len(set(ids)) != len(ids):
             raise ScenarioError(f"duplicate process id {max(ids, key=ids.count)!r}")
-        # a rule naming no process of the scenario would match nothing
+        # a rule naming no process of the scenario, or a block the simulator
+        # never names (the k-th block of process p is "p-k"), would match nothing
         for what, rules in (("delays", self.channel.delays), ("drops", self.channel.drops)):
             for rule in rules:
                 for end in ("from", "to"):
                     if end in rule and rule[end] not in ids:
                         raise ScenarioError(f"a channel {what} rule's {end} names unknown "
                                             f"process {rule[end]!r}; processes: {', '.join(ids)}")
+                owner, _, k = rule.get("block", "").rpartition("-")
+                if "block" in rule and (owner not in ids or not re.fullmatch("[1-9][0-9]*", k)):
+                    raise ScenarioError(f"a channel drops rule's block must be '<process>-<k>' "
+                                        f"with k >= 1, got {rule['block']!r}; processes: "
+                                        f"{', '.join(ids)}")
         _integer(self.seed, "seed")
         _integer(self.duration, "duration", 0, MAX_DURATION)
         _require(type(self.declared_complete) is bool, "declared_complete must be a boolean")
@@ -218,7 +225,10 @@ class Scenario:
         for n, ev in enumerate(self.script):
             if type(ev) is dict and "event_id" in ev:
                 raise TraceError(f"script event {n}: its id is its position, not an event_id")
-        _script_events(self.script)
+        for e in _script_events(self.script):
+            if e.process not in ids:
+                raise ScenarioError(f"script event {e.event_id} names unknown process "
+                                    f"{e.process!r}; processes: {', '.join(ids)}")
         _require(type(self.description) is str, "description must be a string")
 
     def correct_set(self) -> Set[str]:
@@ -403,9 +413,9 @@ def run_scenario(scenario: Scenario) -> SimRun:
                 send(dest, block, tick, dest)          # echo to every other process
         else:                                       # _READ
             rep = replicas[payload]
-            chain = tuple([b.id for b in rep.ledger.read()])
             rec.emit(EventKind.INVOCATION, "read", payload, tick)
-            rec.emit(EventKind.RESPONSE, "read", payload, tick, returned=chain)
+            rec.emit(EventKind.RESPONSE, "read", payload, tick,
+                     returned=rep.ledger.read())
 
     correct = scenario.correct_set()
     history = History(restrict(rec.events, correct), correct=correct,

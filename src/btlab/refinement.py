@@ -52,7 +52,7 @@ class RefinedLedger:
         Used directly by replicated settings where the local tree is updated
         by a separate (possibly delayed) update event.
         """
-        stamped, attempts = self.oracle.draw_token(self.tree.read()[-1].id, candidate,
+        stamped, attempts = self.oracle.draw_token(self.tree.read()[-1], candidate,
                                                    caller, self.max_grant_attempts)
         if stamped is None:
             return AppendResult(AppendStatus.EXHAUSTED, candidate, frozenset(), attempts)
@@ -75,11 +75,8 @@ class RefinedLedger:
         forged). Returns False for duplicates and for orphans (parent not
         here yet); callers buffer orphans.
         """
-        if block.id in self.tree:
-            return False
-        if block.parent_id is None or block.parent_id not in self.tree:
-            return False
-        if not self.oracle.is_consumed_block(block):
+        if (block.id in self.tree or block.parent_id not in self.tree
+                or not self.oracle.is_consumed_block(block)):
             return False
         self.tree.insert(block)
         return True

@@ -184,7 +184,7 @@ def run_consensus(seed: int, crash: CrashSchedule = CrashSchedule()) -> Consensu
     """Drive the proposers to completion under a seeded fair scheduler."""
     names = [f"p{i}" for i in range(CONSENSUS_PROPOSERS)]
     oracle = frugal_oracle({p: Merit(PROPOSER_MERIT) for p in names}, k=1, seed=seed)
-    live = {p: propose(oracle, p, Block(id=f"v-{p}", payload=f"proposal of {p}"))
+    live = {p: propose(oracle, p, Block(id=f"v-{p}"))
             for p in names}
     responses: Dict[str, Optional[Block]] = {}
     crashed = set()

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from btlab.blocktree import (GENESIS_ID, Block, BlockTree, DomainError,
-                             SelectionPolicy, chain_ids, common_prefix,
-                             is_prefix, mcps, prefix_comparable)
+                             SelectionPolicy, common_prefix, is_prefix, mcps,
+                             prefix_comparable)
 
 
 def build(*edges):
@@ -24,11 +24,11 @@ def test_fresh_tree_holds_exactly_genesis():
     tree = BlockTree()
     assert len(tree) == 1
     assert GENESIS_ID in tree
-    assert tree.read() == (Block(GENESIS_ID),)
+    assert tree.read() == (GENESIS_ID,)
 
 
 def test_read_on_genesis_only_tree_returns_one_block_chain():
-    assert chain_ids(BlockTree().read()) == ("b0",)
+    assert BlockTree().read() == ("b0",)
 
 
 def test_insert_rejects_duplicate_unknown_parent_and_second_genesis():
@@ -49,7 +49,7 @@ def test_every_tree_roots_at_the_one_genesis():
 
 def test_chain_to_walks_root_to_block():
     tree = build(("a", "b0"), ("b", "a"), ("c", "b"))
-    assert chain_ids(tree.chain_to("c")) == ("b0", "a", "b", "c")
+    assert tree.chain_to("c") == ("b0", "a", "b", "c")
 
 
 def test_fork_count_is_child_width():
@@ -112,14 +112,14 @@ def test_mcps_of_prefix_comparable_chains_is_min_score():
 
 def test_longest_chain_wins():
     tree = build(("a", "b0"), ("b", "a"), ("z", "b0"))
-    assert chain_ids(tree.read()) == ("b0", "a", "b")
+    assert tree.read() == ("b0", "a", "b")
 
 
 def test_score_tie_breaks_by_largest_id_sequence():
     tree = build(("a", "b0"), ("z", "b0"))
-    assert chain_ids(tree.read()) == ("b0", "z")
+    assert tree.read() == ("b0", "z")
     tree = build(("p1-1", "b0"), ("p0-1", "b0"), ("p1-2", "p1-1"), ("p0-2", "p0-1"))
-    assert chain_ids(tree.read()) == ("b0", "p1-1", "p1-2")
+    assert tree.read() == ("b0", "p1-1", "p1-2")
 
 
 def test_selection_is_deterministic_under_insertion_order():
@@ -139,17 +139,16 @@ def test_selection_is_deterministic_under_insertion_order():
                 else:
                     rest.append((block_id, parent))
             pending = rest
-        got = chain_ids(tree.read())
+        got = tree.read()
         baseline = baseline or got
         assert got == baseline
 
 
 def test_the_selection_rule_is_fixed():
     # read() and append(b) take no selection argument: every tree selects the
-    # longest chain, whatever the blocks' payloads
-    tree = build(("a", "b0"), ("b", "a"), ("c", "b"), ("z", "b0"))
-    tree.insert(Block(id="y", parent_id="z", payload="heavy"))
-    assert chain_ids(tree.read()) == ("b0", "a", "b", "c")
+    # longest chain
+    tree = build(("a", "b0"), ("b", "a"), ("c", "b"), ("z", "b0"), ("y", "z"))
+    assert tree.read() == ("b0", "a", "b", "c")
     assert SelectionPolicy().choose(tree) == tree.read()
     with pytest.raises(TypeError):
         tree.read(SelectionPolicy())
@@ -163,7 +162,7 @@ def leaf_chains(tree):
 
 def longest_by_rebuild(tree):
     """Reference oracle: rebuild every root-to-leaf chain and take the best."""
-    return max(leaf_chains(tree), key=lambda c: (len(c), chain_ids(c)))
+    return max(leaf_chains(tree), key=lambda c: (len(c), c))
 
 
 def bushy_edges(rng, size):
@@ -215,7 +214,7 @@ def test_append_attaches_at_selected_leaf_and_read_sees_it():
     tree = BlockTree()
     assert tree.append(Block(id="a"))
     assert tree.append(Block(id="b"))
-    assert chain_ids(tree.read()) == ("b0", "a", "b")
+    assert tree.read() == ("b0", "a", "b")
     assert tree.block("b").parent_id == "a"
 
 
@@ -265,10 +264,10 @@ def test_every_read_is_a_root_to_leaf_chain():
                 parent = rng.choice(sorted(tree._blocks))
                 tree.insert(Block(id=block_id, parent_id=parent))
         chain = tree.read()
-        assert chain[0].id == GENESIS_ID
+        assert chain[0] == GENESIS_ID
         for parent, child in zip(chain, chain[1:]):
-            assert child.parent_id == parent.id
-        assert tree.fork_count(chain[-1].id) == 0
+            assert tree.block(child).parent_id == parent
+        assert tree.fork_count(chain[-1]) == 0
         best = max(len(c) for c in leaf_chains(tree))
         assert len(chain) == best
 

@@ -156,6 +156,16 @@ def test_run_rejects_a_script_response_without_invocation(tmp_path, capsys):
     assert err.count("\n") == 1 and "response without invocation" in err
 
 
+def _rename(process, op, new):
+    """A mutation of a scripted preset's dict form: `process`'s `op` events
+    name the process `new`."""
+    def mutate(doc):
+        for ev in doc["script"]:
+            if (ev["process"], ev["op"]) == (process, op):
+                ev["process"] = new
+    return mutate
+
+
 def _set(path, value):
     """A mutation of a preset's dict form: the field at `path` becomes `value`."""
     def mutate(doc):
@@ -176,6 +186,7 @@ def _set(path, value):
     ("figure-3", _set(["script", 0, "logical_time"], None)),
     ("figure-3", _set(["script", 0, "process"], 5)),
     ("figure-3", _set(["script", 0, "event_id"], 0)),
+    ("figure-4", _rename("j", "read", "J")),
     ("bitcoin-like", _set(["duration"], 10**12)),
     ("bitcoin-like", _set(["duration"], 10**6 + 1)),
     ("bitcoin-like", _set(["processes", 0, "read_offset"], -1)),
@@ -205,11 +216,12 @@ def test_run_rejects_a_malformed_scenario_field(tmp_path, capsys, name, mutate):
     assert captured.out == ""
 
 
-# A key no object of the schema defines, a channel kind it does not know, or a
-# channel rule naming a process or block by a non-string, on the update-drop
-# preset (one drop rule, no delays): probe -> (path, value, what the error
-# names). The keys and the kind the schema dropped are refused with the value
-# every shipped file held.
+# A key no object of the schema defines, a channel kind it does not know, a
+# channel rule naming a process or block by a non-string, or a drop rule's
+# block the simulator never names (it names p's k-th block "p-k", k >= 1), on
+# the update-drop preset (one drop rule, no delays): probe -> (path, value,
+# what the error names). The keys and the kind the schema dropped are refused
+# with the value every shipped file held.
 SCHEMA_KEY_PROBES = {
     "duraton": (["duraton"], 5, "'duraton'"),
     "blok": (["channel", "drops", 0], {"blok": "p0-1", "to": "p2"}, "'blok'"),
@@ -225,6 +237,8 @@ SCHEMA_KEY_PROBES = {
     "block-number": (["channel", "drops", 0, "block"], 1, "must be strings"),
     "to-list": (["channel", "delays"], [{"from": "p0", "to": ["p1"], "delay": 1}],
                 "must be strings"),
+    **{f"block-{block}": (["channel", "drops", 0, "block"], block, repr(block))
+       for block in ("p0-l", "p9-1", "p0-0", "p0-01", "p0")},
 }
 
 

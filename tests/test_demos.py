@@ -15,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # PYTHONHASHSEED, so a changed hash is a changed result.
 STDOUT_SHA256 = {
     "01_block_trees": "b1af12e6f14a02dad9f0d41fbb076d3bedaf6185e2afb44ef5499bd97b295bf0",
-    "02_token_oracles": "ae5c84d1ac14d727fa6b1a106f36ddc54623bec89faea7214fbfa81e96e7644d",
+    "02_token_oracles": "4325b6a07ed0f37908692b473db5ce195618fe83a9adda98db67ebe5308035f2",
     "03_refined_appends": "3448dd1293fc62124fe5717a8895375b6ecff32fc1675b3935a14b03d930a455",
     "04_recorded_histories": "52f14de7dd982bb5880f5c6c19d8e6ddb7b5e48690b8f5f4f3de8c865120b932",
     "05_consistency_verdicts": "ad8991f2000e444ef268e0952f742d4b10c0f187c3c4ccf739539c5843cb48f1",

@@ -93,6 +93,14 @@ def test_open_invocations_are_allowed_but_responses_need_invocations():
         History([ev(0, RSP, "read", "p", 0)])
 
 
+@pytest.mark.parametrize("returned", [["b0"], ["x0"], "b0", 5])
+def test_a_read_response_returns_none_or_a_tuple(returned):
+    # make_event and trace lines turn a list into a tuple; an Event built
+    # directly keeps what it is given
+    with pytest.raises(TraceError, match="must be None or a tuple of block ids"):
+        History([ev(0, INV, "read", "p", 0), Event(1, RSP, "read", (), "p", 1, returned)])
+
+
 # -- indexes ------------------------------------------------------------------------
 
 INDEXES = tuple(name for name, member in vars(History).items()

@@ -124,6 +124,9 @@ def test_minimal_scenario_parses_with_defaults():
     (lambda d: d["channel"].update(delays=[{"from": "P0", "delay": 1}]), "unknown process"),
     (lambda d: d.update(version=True), "version"),
     (lambda d: d.update(version=1.0), "version"),
+    (lambda d: d.update(script=[{"kind": "invocation", "op": "read", "args": [],
+                                 "process": "p1", "logical_time": 0, "returned": None}]),
+     "script event 0 names unknown process 'p1'"),
 ])
 def test_schema_violations_raise_scenario_errors(mutate, fragment):
     doc = valid_doc()
@@ -286,6 +289,22 @@ def test_every_read_returns_a_chain_of_integrated_blocks():
         tree = run.ledgers[read.process].tree
         for block_id in chain[1:]:
             assert block_id in tree
+
+
+def test_a_read_event_holds_the_chain_its_replica_tree_read(monkeypatch):
+    tree_reads = []
+    ledger_read = RefinedLedger.read
+
+    def read(ledger):
+        tree_reads.append(ledger.tree.read())
+        return ledger_read(ledger)
+
+    monkeypatch.setattr(RefinedLedger, "read", read)
+    run = run_scenario(small_scenario(21))
+    returned = [e.returned for e in run.events
+                if e.kind is EventKind.RESPONSE and e.op == "read"]
+    assert returned and len(returned) == len(tree_reads)
+    assert all(chain is tree_chain for chain, tree_chain in zip(returned, tree_reads))
 
 
 def test_relayed_forwarding_heals_a_dropped_direct_link():

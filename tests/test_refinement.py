@@ -2,7 +2,7 @@
 
 import random
 
-from btlab.blocktree import Block, BlockTree, chain_ids
+from btlab.blocktree import Block, BlockTree
 from btlab.oracle import Merit, frugal_oracle, prodigal_oracle
 from btlab.refinement import AppendResult, AppendStatus, RefinedLedger
 
@@ -23,7 +23,7 @@ def test_appended_block_lands_on_selected_leaf():
     r2 = led.refined_append(Block(id="y"), "a")
     assert r1 and r2
     assert bool(r1) and r1.status is AppendStatus.APPENDED
-    assert chain_ids(led.read()) == ("b0", "x", "y")
+    assert led.read() == ("b0", "x", "y")
     assert led.tree.block("y").parent_id == "x"
     assert led.tree.block("y").token_tag is not None
 
@@ -124,7 +124,7 @@ def test_integrate_rejects_duplicates_and_orphans():
     assert replica.integrate(r1.block)
     assert replica.integrate(r2.block)
     assert not replica.integrate(r2.block)      # duplicate
-    assert chain_ids(replica.read()) == ("b0", "x", "y")
+    assert replica.read() == ("b0", "x", "y")
 
 
 # -- capacity-driven fork bounds ----------------------------------------------------
@@ -146,7 +146,7 @@ def test_capacity_one_shared_oracle_keeps_a_single_chain():
     assert wins > 0
     for led in ledgers:
         assert led.tree.max_fork_count() <= 1
-    chains = {chain_ids(led.read()) for led in ledgers}
+    chains = {led.read() for led in ledgers}
     assert len(chains) == 1
 
 
