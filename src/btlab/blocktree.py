@@ -15,7 +15,7 @@ and keeps the selected leaf up to date, so a read costs O(1) between inserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 # The genesis block: the root of every tree, and the first block of every
@@ -184,7 +184,7 @@ class BlockTree:
         leaf = self.read()[-1]
         if candidate.parent_id not in (None, leaf):
             return False
-        self.insert(replace(candidate, parent_id=leaf))
+        self.insert(Block(candidate.id, leaf, candidate.token_tag))
         return True
 
     def read(self) -> Tuple[str, ...]:

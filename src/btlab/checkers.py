@@ -30,7 +30,8 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Set, Tuple
 
 from .blocktree import GENESIS_ID, mcps, prefix_comparable
-from .history import Event, EventKind, History, Operation, canonical_order, returned_chain
+from .history import (Event, EventKind, History, Operation, canonical_order, fresh_ids,
+                      returned_chain)
 
 
 class Status:
@@ -123,9 +124,15 @@ def check_block_validity(h: History, window: int) -> Verdict:
             block_id = str(e.args[0])
             first_time.setdefault(block_id, e.logical_time)
             first_key.setdefault((block_id, e.process), canonical_order(e))
+    # a block valid for a read stays valid for its process's later reads, so
+    # only the ids a read adds to its process's previous one are looked at
+    chains: Dict[str, Tuple[str, ...]] = {}         # process -> its previous chain
     for read in h.reads():
         rsp = read.response
-        for block_id in returned_chain(read):
+        chain = returned_chain(read)
+        fresh = fresh_ids(chain, chains.get(rsp.process, ()))
+        chains[rsp.process] = chain
+        for block_id in fresh:
             if block_id == GENESIS_ID:
                 continue
             if not (first_time.get(block_id, math.inf) < rsp.logical_time
@@ -321,8 +328,12 @@ def check_update_agreement(h: History, window: int) -> Verdict:
             return _unmet(h, "update-agreement", (u.event_id,),
                           f"R1: {u.process} updated own block {key[2]!r} "
                           "without ever broadcasting it")
+    judged: Set[Tuple[str, str]] = set()
     for u in updates:                                              # R3 (eventual)
         _, parent, block = _key(u)
+        if (parent, block) in judged:
+            continue
+        judged.add((parent, block))
         missing = [p for p in correct if (p, parent, block) not in received]
         if missing:
             return _unmet(h, "update-agreement", (u.event_id,),

@@ -56,6 +56,7 @@ class EventKind(enum.Enum):
 _RESPONSE_LIKE = (EventKind.RESPONSE, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
 _INVOCATION_LIKE = (EventKind.INVOCATION, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
 _COMMUNICATION = (EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
+_INVOCATION, _RESPONSE = EventKind.INVOCATION, EventKind.RESPONSE
 
 TRACE_FIELDS = ("event_id", "kind", "op", "args", "process", "logical_time", "returned")
 _FIELD_SET = frozenset(TRACE_FIELDS)
@@ -173,35 +174,39 @@ class History:
     # -- construction ------------------------------------------------------
 
     def _match_operations(self) -> Tuple[Operation, ...]:
-        """Pair responses with invocations, FIFO per (process, op name)."""
-        open_ops: Dict[Tuple[str, str], List[int]] = {}  # -> positions in `invocations`
-        invocations: List[Event] = []
-        responses: List[Optional[Event]] = []            # one per invocation
+        """Pair responses with invocations, FIFO per (process, op name), and
+        check each read's returned chain (see `fresh_ids`)."""
+        open_ops: Dict[Tuple[str, str], List[int]] = {}  # -> positions in `ops`
+        ops: List[List[Any]] = []        # [process, op, invocation, response]
+        chains: Dict[str, Tuple] = {}    # process -> its last read's checked chain
         for e in self.events:
-            if e.kind is EventKind.INVOCATION:
-                queue = open_ops.get((e.process, e.op))
+            _, kind, op, _, process, _, returned = e
+            if kind is _INVOCATION:
+                queue = open_ops.get((process, op))
                 if queue is None:
-                    open_ops[e.process, e.op] = [len(invocations)]
+                    open_ops[process, op] = [len(ops)]
                 else:
-                    queue.append(len(invocations))
-                invocations.append(e)
-                responses.append(None)
-            elif e.kind is EventKind.RESPONSE:
-                queue = open_ops.get((e.process, e.op))
+                    queue.append(len(ops))
+                ops.append([process, op, e, None])
+            elif kind is _RESPONSE:
+                queue = open_ops.get((process, op))
                 if not queue:
                     raise TraceError(
-                        f"response without invocation: {e.op} at {e.process} "
+                        f"response without invocation: {op} at {process} "
                         f"(event {e.event_id})")
-                if e.op == "read" and e.returned is not None and (
-                        type(e.returned) is not tuple
-                        or e.returned and e.returned[0] != GENESIS_ID):
-                    raise TraceError(
-                        f"a read's returned must be None or a tuple of block ids that "
-                        f"start at genesis {GENESIS_ID!r}, got {e.returned!r} "
-                        f"(event {e.event_id})")
-                responses[queue.pop(0)] = e
-        return tuple([Operation(inv.process, inv.op, inv, rsp)
-                      for inv, rsp in zip(invocations, responses)])
+                if op == "read" and returned is not None:
+                    prev = chains.get(process, ())
+                    if returned is not prev:
+                        if type(returned) is not tuple or returned and (
+                                returned[0] != GENESIS_ID or not all(
+                                    [type(b) is str for b in fresh_ids(returned, prev)])):
+                            raise TraceError(
+                                f"a read's returned must be None or a tuple of block ids "
+                                f"that start at genesis {GENESIS_ID!r}, got {returned!r} "
+                                f"(event {e.event_id})")
+                        chains[process] = returned
+                ops[queue.pop(0)][3] = e
+        return tuple(map(Operation._make, ops))
 
     def event(self, event_id: int) -> Event:
         return self._by_id[event_id]
@@ -367,6 +372,15 @@ def _append_is_valid(e: Event) -> bool:
     return True
 
 
+def fresh_ids(chain: Tuple, prev: Tuple) -> Tuple:
+    """The ids of `chain` beyond `prev` when it extends `prev`, else all of
+    them: what a process's read adds to what its previous read showed."""
+    if chain is prev:
+        return ()
+    n = len(prev)
+    return chain[n:] if chain[:n] == prev else chain
+
+
 def returned_chain(read: Operation) -> Tuple[str, ...]:
     """The id sequence a completed read returned, as stored."""
     return read.response.returned or ()
@@ -377,12 +391,13 @@ class Recorder:
 
     def __init__(self):
         self.events: List[Event] = []
-        self._next_id = 0
 
     def emit(self, kind: EventKind, op: str, process: str, logical_time: int,
              args: Sequence[Any] = (), returned: Any = None) -> Event:
-        e = make_event(self._next_id, kind, op, args, process, logical_time, returned)
-        self._next_id += 1
+        """Record the event with the next id, normalised as `make_event` does."""
+        if type(returned) is list:
+            returned = tuple(returned)
+        e = Event(len(self.events), kind, op, tuple(args), process, logical_time, returned)
         self.events.append(e)
         return e
 

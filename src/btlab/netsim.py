@@ -5,13 +5,15 @@ trusted zero-latency shared service): grant loop against the local selected
 leaf, then consume. A winning block is disseminated with a reliable
 broadcast with echo forwarding: the origin sends to everybody including
 itself, and every correct process re-forwards a message once on first
-receive; a later copy of a block is ignored. Replicas apply blocks on
+receive; a later copy of a block is ignored, and a copy that one scheduled
+earlier beats to its process is never scheduled. Replicas apply blocks on
 receive (an update event), so a process's own update can land after a cross
 receive when the channel is slower to self-deliver. Blocks arriving before
 their parent wait in an orphan buffer.
 
-A send matching a `drops` rule is lost; any other send's delay is that of
-the first matching `delays` rule, else a seeded draw in [1, delta]
+The channel rules are resolved once per run into a route per (sender, dest)
+link. A send matching a `drops` rule is lost; any other send's delay is that
+of the first matching `delays` rule, else a seeded draw in [1, delta]
 (synchronous) or [1, async_max_delay] (asynchronous). A byzantine process
 never reads or echoes, and only its append invocations reach the checked
 history; a block it withholds is a `drops` rule with its id as `from`.
@@ -32,8 +34,10 @@ import random
 import re
 from dataclasses import MISSING, asdict, dataclass, field
 from functools import cached_property
+from itertools import product
 from pathlib import Path
-from typing import AbstractSet, Any, Dict, List, Optional, Set, Tuple
+from typing import (AbstractSet, Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .blocktree import Block, BlockTree
 from .checkers import CHECKERS, DEFAULT_WINDOW, Verdict, run_checker
@@ -91,6 +95,22 @@ _DELAY_KEYS = frozenset(("from", "to", "delay"))
 _DROP_KEYS = frozenset(("block", "from", "to"))
 
 
+class Route(NamedTuple):
+    """How a send from one process reaches one destination."""
+
+    dest: str
+    delay: Optional[int]          # None: drawn from the run's rng
+    drops_all: bool
+    drops: FrozenSet[str]         # block ids lost on this link
+
+
+def _links(rule: Dict[str, Any], order: Sequence[str]) -> Iterator[Tuple[str, str]]:
+    """The (sender, dest) links a channel rule matches: from its `from` to its
+    `to`, where an end it does not give is every process of `order`."""
+    return product((rule["from"],) if "from" in rule else order,
+                   (rule["to"],) if "to" in rule else order)
+
+
 @dataclass
 class ChannelModel:
     kind: ChannelKind = ChannelKind.SYNCHRONOUS
@@ -120,20 +140,35 @@ class ChannelModel:
                      for k, v in rule.items() if k != "delay"),
                  "a channel rule's from, to and block must be strings")
 
-    def delay(self, sender: str, to: str, rng: random.Random) -> int:
-        for rule in self.delays:
-            if rule.get("from", sender) == sender and rule.get("to", to) == to:
-                return rule["delay"]
-        return rng.randint(1, self.delta if self.kind is ChannelKind.SYNCHRONOUS
-                           else self.async_max_delay)
+    @property
+    def max_delay(self) -> int:
+        """The largest delay a draw can give."""
+        return self.delta if self.kind is ChannelKind.SYNCHRONOUS else self.async_max_delay
 
-    def dropped(self, block_id: str, sender: str, to: str) -> bool:
+    def routes(self, order: Sequence[str]) -> Dict[str, List[Route]]:
+        """Each sender's route to every process of `order`, in that order.
+
+        A link's delay is that of the first `delays` rule matching it, or None
+        when none does and the delay is drawn. A link drops every block when a
+        `drops` rule without a `block` matches it, else the blocks that its
+        matching `drops` rules name.
+        """
+        delay: Dict[Tuple[str, str], int] = {}
+        for rule in self.delays:
+            for link in _links(rule, order):
+                delay.setdefault(link, rule["delay"])
+        drops_all: Set[Tuple[str, str]] = set()
+        drops: Dict[Tuple[str, str], Set[str]] = {}
         for rule in self.drops:
-            if ("block" not in rule or rule["block"] == block_id) and \
-               ("from" not in rule or rule["from"] == sender) and \
-               ("to" not in rule or rule["to"] == to):
-                return True
-        return False
+            for link in _links(rule, order):
+                if "block" in rule:
+                    drops.setdefault(link, set()).add(rule["block"])
+                else:
+                    drops_all.add(link)
+        return {sender: [Route(dest, delay.get((sender, dest)), (sender, dest) in drops_all,
+                               frozenset(drops.get((sender, dest), ())))
+                         for dest in order]
+                for sender in order}
 
 
 @dataclass
@@ -307,7 +342,6 @@ class _Replica:
     def __init__(self, spec: ProcessSpec, oracle: OracleState):
         self.spec = spec
         self.ledger = RefinedLedger(oracle=oracle, tree=BlockTree())
-        self.seen: Set[str] = set()
         self.orphans: Dict[str, List[Block]] = {}
         self.blocks_made = 0
 
@@ -348,20 +382,31 @@ def run_scenario(scenario: Scenario) -> SimRun:
 
     undelivered = 0
     dropped = 0
+    routes = scenario.channel.routes(order)
+    max_delay = scenario.channel.max_delay
+    # (dest, block id) -> the earliest tick a copy is scheduled for. A copy due
+    # no earlier is beaten and not pushed (on a tie, the earlier push pops
+    # first), so a block reaches a process once: in the copy due at that tick.
+    due: Dict[Tuple[str, str], int] = {}
 
     def send(sender: str, block: Block, tick: int, skip: Optional[str]):
         """Deliver block to every process but skip, after channel delays."""
         nonlocal dropped, undelivered
-        for dest in order:
+        block_id = block.id
+        for dest, delay, drops_all, drops in routes[sender]:
             if dest == skip:
                 continue
-            if scenario.channel.dropped(block.id, sender, dest):
+            if drops_all or block_id in drops:
                 dropped += 1
                 continue
-            at = tick + scenario.channel.delay(sender, dest, rng)
+            at = tick + (rng.randint(1, max_delay) if delay is None else delay)
             if at > scenario.duration:
                 undelivered += 1
                 continue
+            key = (dest, block_id)
+            if due.get(key, at + 1) <= at:
+                continue
+            due[key] = at
             push(at, _DELIVER, (dest, block))
 
     # schedule the static actions
@@ -402,10 +447,9 @@ def run_scenario(scenario: Scenario) -> SimRun:
                 send(payload, res.block, tick, None)
         elif klass == _DELIVER:
             dest, block = payload
-            rep = replicas[dest]
-            if block.id in rep.seen:
+            if due[dest, block.id] < tick:          # beaten by a later push due earlier
                 continue
-            rep.seen.add(block.id)
+            rep = replicas[dest]
             if rep.spec.correct:
                 rec.emit(EventKind.RECEIVE, "receive", dest, tick,
                          args=(block.parent_id, block.id))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .blocktree import Block
@@ -160,7 +160,7 @@ class OracleState:
             return None, popped
         tag = f"tkn{next(self._tags)}"
         self.issued[tag] = parent_id
-        return replace(candidate, parent_id=parent_id, token_tag=tag), popped
+        return Block(candidate.id, parent_id, tag), popped
 
     def get_token(self, parent_id: str, candidate: Block, caller: str) -> Optional[Block]:
         """Pop the caller's tape once; return the stamped candidate on a grant."""

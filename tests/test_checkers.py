@@ -70,6 +70,18 @@ def test_read_before_any_append_of_the_block_fails():
     assert check_block_validity(h).status == Status.FAIL
 
 
+def test_a_read_that_leaves_its_process_chain_is_checked_whole():
+    # only the ids beyond a read's previous chain are new; a chain that does
+    # not extend it is new in full, and the first failing read is the witness
+    h = reads_history([("p", 1, 2, ("b0", "x")), ("q", 1, 2, ("b0", "x")),
+                       ("q", 3, 4, ("b0", "x", "y")), ("p", 5, 6, ("b0", "ghost")),
+                       ("q", 7, 8, ("b0", "x", "y", "ghost"))],
+                      appends=[("x", "b0", 0, "r"), ("y", "x", 0, "r")])
+    v = check_block_validity(h)
+    assert v.status == Status.FAIL and "ghost" in v.detail
+    assert h.event(v.witness[0]).process == "p"
+
+
 # -- local monotonic read -----------------------------------------------------------
 
 
@@ -340,6 +352,19 @@ def test_update_not_received_everywhere_is_r3():
     v = check_update_agreement(h_done)
     assert v.status == Status.FAIL
     assert v.detail.startswith("R3") and "k" in v.detail
+
+
+def test_r3_judges_each_parent_of_a_block_apart():
+    # x is received everywhere under b0, but j's update of x under y reaches
+    # only j: that update is the witness
+    h = reads_history([], comms=[
+        comm(SEND, "i", 1), comm(UPD, "i", 2), comm(RECV, "i", 3),
+        comm(RECV, "j", 4), comm(UPD, "j", 5),
+        (RECV, "j", 6, "y", "x"), (UPD, "j", 7, "y", "x"),
+    ], complete=True, correct={"i", "j"})
+    v = check_update_agreement(h)
+    assert v.status == Status.FAIL and v.detail.startswith("R3") and "i" in v.detail
+    assert h.event(v.witness[0]).args == ("y", "x")
 
 
 # -- reliable broadcast -------------------------------------------------------------------

@@ -101,6 +101,31 @@ def test_a_read_response_returns_none_or_a_tuple(returned):
         History([ev(0, INV, "read", "p", 0), Event(1, RSP, "read", (), "p", 1, returned)])
 
 
+@pytest.mark.parametrize("chains", [
+    [("b0", 5)],
+    [("b0", "x"), ("b0", "x", 5)],             # beyond the previous read
+    [("b0", "x", "y"), ("b0", 5)],             # a chain that does not extend it
+    [("b0", "x"), ("b0", "x"), (b"b0", "x")],
+])
+def test_a_read_returns_string_block_ids_only(chains):
+    events = []
+    for t, chain in enumerate(chains):
+        events += [ev(2 * t, INV, "read", "p", t), ev(2 * t + 1, RSP, "read", "p", t, (), chain)]
+    with pytest.raises(TraceError, match="must be None or a tuple of block ids"):
+        History(events)
+
+
+def test_a_read_extending_a_checked_one_builds():
+    shared = ("b0", "x")
+    chains = [shared, shared, ("b0", "x", "y"), ("b0", "z"), ()]
+    events = []
+    for t, chain in enumerate(chains):
+        events += [ev(2 * t, INV, "read", "p", t), ev(2 * t + 1, RSP, "read", "p", t, (), chain)]
+    h = History(events)
+    assert [returned_chain(r) for r in h.reads_of("p")] == chains
+    assert History.from_jsonl(h.to_jsonl()).events == h.events
+
+
 # -- indexes ------------------------------------------------------------------------
 
 INDEXES = tuple(name for name, member in vars(History).items()

@@ -3,12 +3,16 @@
 import dataclasses
 import gc
 import hashlib
+import heapq
 import json
+import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from btlab import netsim
 from btlab.blocktree import Block
 from btlab.checkers import Status, run_checker
 from btlab.history import EventKind, History
@@ -37,40 +41,92 @@ EXPECTED_PRESET_VERDICTS = {
 # -- channel model ------------------------------------------------------------
 
 
+def two_process_run(channel, duration=400):
+    """Both processes append every 5 ticks and read never."""
+    return run_scenario(Scenario(
+        name="pair", channel=channel, seed=3, duration=duration,
+        processes=[ProcessSpec(p, block_interval=5, append_offset=5 + i)
+                   for i, p in enumerate(("a", "b"))]))
+
+
+def first_arrivals(run):
+    """Ticks from each block's send to each first receive of it."""
+    sent = {e.args[1]: e.logical_time for e in run.events if e.kind is EventKind.SEND}
+    return [e.logical_time - sent[e.args[1]] for e in run.events
+            if e.kind is EventKind.RECEIVE]
+
+
+def dropped_on(route, block_id):
+    return route.drops_all or block_id in route.drops
+
+
 def test_synchronous_delay_respects_delta():
-    rng = random.Random(0)
     ch = ChannelModel(kind=ChannelKind.SYNCHRONOUS, delta=4)
-    delays = [ch.delay("a", "b", rng) for _ in range(200)]
-    assert all(1 <= d <= 4 for d in delays)
-    assert len(set(delays)) > 1
+    assert ch.max_delay == 4
+    assert all(route.delay is None for routes in ch.routes(["a", "b"]).values()
+               for route in routes)                     # every link draws
+    arrivals = first_arrivals(two_process_run(ch))
+    assert len(arrivals) > 200
+    assert all(1 <= d <= 4 for d in arrivals)
+    assert len(set(arrivals)) > 1
 
 
 def test_asynchronous_delay_is_bounded_only_by_the_cap():
-    rng = random.Random(0)
     ch = ChannelModel(kind=ChannelKind.ASYNCHRONOUS, delta=2, async_max_delay=25)
-    delays = [ch.delay("a", "b", rng) for _ in range(300)]
-    assert all(1 <= d <= 25 for d in delays)
-    assert max(delays) > 2                     # really not delta-bounded
+    assert ch.max_delay == 25
+    arrivals = first_arrivals(two_process_run(ch))
+    assert len(arrivals) > 200
+    assert all(1 <= d <= 25 for d in arrivals)
+    assert max(arrivals) > 2                    # really not delta-bounded
 
 
 def test_delay_overrides_match_first_rule():
-    rng = random.Random(0)
     ch = ChannelModel(delta=9, delays=[
         {"from": "a", "to": "a", "delay": 3},
         {"from": "a", "delay": 5},
     ])
-    assert ch.delay("a", "a", rng) == 3
-    assert ch.delay("a", "b", rng) == 5
-    assert 1 <= ch.delay("b", "a", rng) <= 9
+    routes = ch.routes(["a", "b"])
+    assert [(r.dest, r.delay) for r in routes["a"]] == [("a", 3), ("b", 5)]
+    assert [(r.dest, r.delay) for r in routes["b"]] == [("a", None), ("b", None)]
+    assert ch.max_delay == 9
+    arrivals = first_arrivals(two_process_run(ch))     # b -> a draws in [1, 9]
+    assert all(1 <= d <= 9 for d in arrivals) and max(arrivals) > 5
 
 
 def test_drop_rules_match_block_sender_and_destination():
     ch = ChannelModel(drops=[{"block": "x", "to": "p2"}, {"from": "evil"}])
-    assert ch.dropped("x", "p0", "p2")
-    assert ch.dropped("x", "p1", "p2")
-    assert not ch.dropped("x", "p0", "p1")
-    assert not ch.dropped("y", "p0", "p2")
-    assert ch.dropped("anything", "evil", "p0")
+    routes = {(s, r.dest): r for s, rs in ch.routes(["p0", "p1", "p2", "evil"]).items()
+              for r in rs}
+    assert dropped_on(routes["p0", "p2"], "x")
+    assert dropped_on(routes["p1", "p2"], "x")
+    assert not dropped_on(routes["p0", "p1"], "x")
+    assert not dropped_on(routes["p0", "p2"], "y")
+    assert dropped_on(routes["evil", "p0"], "anything")
+
+
+def test_no_copy_is_scheduled_that_an_earlier_one_beats(monkeypatch):
+    pushed = []                                 # (dest, block id, tick) per delivery push
+
+    def heappush(heap, entry):
+        tick, klass, _, payload = entry
+        if klass == netsim._DELIVER:
+            pushed.append((payload[0], payload[1].id, tick))
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(netsim, "heapq", SimpleNamespace(heappush=heappush,
+                                                         heappop=heapq.heappop))
+    sc = small_scenario(5, n=4, duration=80)
+    sc.channel = ChannelModel(kind=ChannelKind.ASYNCHRONOUS, async_max_delay=12)
+    run = run_scenario(sc)
+    earliest = {}
+    for dest, block_id, tick in pushed:         # each push beats every earlier one
+        assert tick < earliest.get((dest, block_id), math.inf)
+        earliest[dest, block_id] = tick
+    assert len(earliest) < len(pushed)          # some later push did beat one
+    sends = sum(e.kind is EventKind.SEND for e in run.events)
+    echoes = sum(e.kind is EventKind.RECEIVE for e in run.events)
+    copies = 4 * sends + 3 * echoes             # every copy the broadcast makes
+    assert len(pushed) + run.undelivered + run.dropped < copies
 
 
 def test_only_the_synchronous_and_asynchronous_kinds_remain():
