@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Set, Tuple
@@ -216,35 +215,6 @@ def check_ever_growing_tree(h: History, window: int) -> Verdict:
 # -- eventual prefix ----------------------------------------------------------------
 
 
-# (pairs in visiting order, running minimum of their mcps)
-_Walk = Tuple[List[Tuple[int, int]], List[int]]
-
-
-def _walk_pairs(after: Tuple[int, ...], chains: List[Tuple[str, ...]],
-                agree: Dict[Tuple[int, int], int]) -> _Walk:
-    """Visit the pairs of non-empty chains of an after set, earlier read first,
-    and keep the running minimum of their common-prefix scores. Scores are
-    shared between walks through `agree`.
-    """
-    pairs: List[Tuple[int, int]] = []
-    lows: List[int] = []
-    low = math.inf
-    for k, i in enumerate(after):
-        if not chains[i]:
-            continue
-        for j in after[k + 1:]:
-            if not chains[j]:
-                continue
-            m = agree.get((i, j))
-            if m is None:
-                m = agree[(i, j)] = mcps(chains[i], chains[j])
-            if m < low:
-                low = m
-            pairs.append((i, j))
-            lows.append(low)
-    return pairs, lows
-
-
 @_criterion(windowed=True)
 def check_eventual_prefix(h: History, window: int) -> Verdict:
     """For each reference read, later reads eventually agree up to its score.
@@ -253,25 +223,28 @@ def check_eventual_prefix(h: History, window: int) -> Verdict:
     healed by the end of the trace: INCONCLUSIVE, or FAIL when the history is
     declared complete (the tail persists forever).
 
-    A reference's after set is the window reads that follow it in program
-    order. Each distinct after set is walked once (see `_walk_pairs`); a
-    reference with score s violates iff the walk's running minimum falls
-    below s, first at the pair where it does. The running minimum never
-    rises, so a binary search finds that pair.
+    A reference's after set is the window reads with a non-empty chain that
+    follow it in program order. The least `mcps` over the pairs of a set is
+    the length of the common prefix of all its chains, so each distinct after
+    set is decided by that one number, found once with an `mcps` per member
+    against the first. A reference with score s violates iff the number is
+    below s; only then are its pairs scanned, earlier read first, for the
+    first one below s, the witness.
     """
     refs, last = _split_window(h, window)
+    last = [o for o in last if returned_chain(o)]   # an empty chain is in no pair
     chains = [returned_chain(o) for o in last]
-    agree: Dict[Tuple[int, int], int] = {}            # window pair -> mcps
-    walks: Dict[Tuple[int, ...], _Walk] = {}          # after set -> its walk
+    agreed: Dict[Tuple[int, ...], float] = {}       # after set -> its common prefix
     for r in refs:
         s = len(returned_chain(r))
         after = tuple(i for i, o in enumerate(last) if h.po(r.response, o.response))
-        walk = walks.get(after)
-        if walk is None:
-            walk = walks[after] = _walk_pairs(after, chains, agree)
-        pairs, lows = walk
-        if lows and lows[-1] < s:
-            i, j = pairs[bisect_left(lows, True, key=lambda low: low < s)]
+        low = agreed.get(after)
+        if low is None:
+            low = agreed[after] = min((mcps(chains[after[0]], chains[j]) for j in after[1:]),
+                                      default=math.inf)
+        if low < s:
+            i, j = next((i, j) for k, i in enumerate(after) for j in after[k + 1:]
+                        if mcps(chains[i], chains[j]) < s)
             return _unmet(h, "eventual-prefix",
                           (r.response.event_id, last[i].response.event_id,
                            last[j].response.event_id),
@@ -359,10 +332,12 @@ def check_lrc(h: History, window: int) -> Verdict:
                           f"validity: {e.process} never delivered its own "
                           f"broadcast of {e.args[1]!r}")
     correct = sorted(h.correct)
+    judged: Set[Tuple[str, str]] = set()
     for e in receives:
-        if e.process not in h.correct:
-            continue
         _, parent, block = _key(e)
+        if e.process not in h.correct or (parent, block) in judged:
+            continue
+        judged.add((parent, block))
         missing = [p for p in correct if (p, parent, block) not in got]
         if missing:
             return _unmet(h, "lrc", (e.event_id,),

@@ -107,6 +107,29 @@ def test_mcps_of_prefix_comparable_chains_is_min_score():
         assert mcps(shorter, longer) == min(len(shorter), len(longer))
 
 
+def test_the_least_pairwise_mcps_is_the_common_prefix_of_all_chains():
+    # eventual prefix decides an after set by this number, one mcps per chain
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chain = st.lists(st.sampled_from("abc"), max_size=5).map(
+        lambda ids: (GENESIS_ID, *ids))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(chain, min_size=2, max_size=5), st.integers(0, 4),
+                      st.booleans())
+    def agree(chains, at, nested):
+        if nested:                       # chains[at] is a prefix of all the others
+            at %= len(chains)
+            chains = [c if k == at else chains[at] + c[1:] for k, c in enumerate(chains)]
+        least = min(mcps(a, b) for k, a in enumerate(chains) for b in chains[k + 1:])
+        common = max(n for n in range(1, min(map(len, chains)) + 1)
+                     if len({c[:n] for c in chains}) == 1)
+        assert least == common
+        if nested:
+            assert least == len(chains[at])
+    agree()
+
+
 # -- selection ---------------------------------------------------------------------
 
 

@@ -257,7 +257,9 @@ def test_eventual_prefix_walks_each_after_set_once(monkeypatch):
     v = check_eventual_prefix(h, W1)
     assert v == reference.check_eventual_prefix(h, W1)
     assert v.status == Status.FAIL and v.witness == (3, 5, 7)
-    assert len(mcps_calls) == 3                    # b's pair was scored in a's walk
+    # a set of k chains costs k - 1 calls: 2 for a's, 1 for b's; b's set falls
+    # below its score, so its pairs are scanned for the witness: 1 more
+    assert len(mcps_calls) == 2 + 1 + 1
 
 
 def test_eventual_prefix_tells_after_sets_of_one_size_apart():
@@ -385,6 +387,21 @@ def test_lrc_agreement_requires_all_correct_deliveries():
     h_all = reads_history([], comms=comms + [comm(RECV, "k", 4)],
                           complete=True, correct={"i", "j", "k"})
     assert check_lrc(h_all).status == Status.PASS
+
+
+def test_lrc_witness_is_the_first_correct_receive_of_the_unreached_pair():
+    # x under b0 reaches every correct process; x under y is received over and
+    # over, first at byzantine z, but never at k
+    comms = [comm(SEND, "i", 1), comm(RECV, "i", 2), comm(RECV, "j", 3), comm(RECV, "k", 4),
+             comm(SEND, "j", 5, parent="y"), comm(RECV, "z", 6, parent="y")]
+    comms += [comm(RECV, p, t, parent="y") for t, p in enumerate("jiijji", start=7)]
+    h = reads_history([], comms=comms, complete=True, correct={"i", "j", "k"})
+    v = check_lrc(h)
+    assert v == reference.check_lrc(h)
+    first = next(e for e in h.events if e.kind is RECV and e.args == ("y", "x")
+                 and e.process != "z")
+    assert v.status == Status.FAIL and v.witness == (first.event_id,)
+    assert v.detail == "agreement: 'x' reached j but not k"
 
 
 def test_lrc_ignores_byzantine_processes():
