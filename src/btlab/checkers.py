@@ -29,8 +29,8 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Set, Tuple
 
 from .blocktree import GENESIS_ID, mcps, prefix_comparable
-from .history import (Event, EventKind, History, Operation, canonical_order, fresh_ids,
-                      returned_chain)
+from .history import (Event, EventKind, History, MessageKey, Operation, canonical_order,
+                      fresh_ids, returned_chain)
 
 
 class Status:
@@ -255,39 +255,29 @@ def check_eventual_prefix(h: History, window: int) -> Verdict:
 # -- update agreement ----------------------------------------------------------------
 
 
-def _comm_events(h: History, op: str) -> List[Event]:
-    kind = EventKind(op)
-    return [e for e in h.events if e.kind is kind and len(e.args) >= 2]
-
-
-def _key(e: Event) -> Tuple[str, str, str]:
-    return (e.process, str(e.args[0]), str(e.args[1]))
-
-
 def _block_owner(h: History) -> Dict[str, str]:
     """Originator of each block: process of its earliest send/update."""
-    owner: Dict[str, str] = {}
-    for e in h.events:
-        if e.kind in (EventKind.SEND, EventKind.UPDATE) and len(e.args) >= 2:
-            owner.setdefault(str(e.args[1]), e.process)
-    return owner
+    first: Dict[str, Event] = {}        # block -> its earliest send/update so far
+    for e, (_, _, block) in h.messages(EventKind.SEND) + h.messages(EventKind.UPDATE):
+        seen = first.get(block)
+        if seen is None or canonical_order(e) < canonical_order(seen):
+            first[block] = e
+    return {block: e.process for block, e in first.items()}
 
 
 @_criterion()
 def check_update_agreement(h: History, window: int) -> Verdict:
     """R1: own updates are broadcast. R2: foreign updates follow a local
     receive. R3: an updated block is eventually received everywhere."""
-    sent = {_key(e) for e in _comm_events(h, "send")}
+    sent = {key for _, key in h.messages(EventKind.SEND)}
     # key -> canonical order of its first receive, which is on the key's process
-    received: Dict[Tuple[str, str, str], Tuple[int, int]] = {}
-    for e in _comm_events(h, "receive"):
-        received.setdefault(_key(e), canonical_order(e))
-    updates = _comm_events(h, "update")
+    received: Dict[MessageKey, Tuple[int, int]] = {
+        key: canonical_order(e) for e, key in reversed(h.messages(EventKind.RECEIVE))}
+    updates = h.messages(EventKind.UPDATE)
     owner = _block_owner(h)
     correct = sorted(h.correct)
 
-    for u in updates:                                              # R2 (safety) first
-        key = _key(u)
+    for u, key in updates:                                         # R2 (safety) first
         if owner.get(key[2]) == u.process:
             continue
         first = received.get(key)
@@ -295,15 +285,13 @@ def check_update_agreement(h: History, window: int) -> Verdict:
             return Verdict("update-agreement", Status.FAIL, (u.event_id,),
                            f"R2: {u.process} updated {key[2]!r} without a "
                            "prior local receive")
-    for u in updates:                                              # R1 (eventual)
-        key = _key(u)
+    for u, key in updates:                                         # R1 (eventual)
         if owner.get(key[2]) == u.process and key not in sent:
             return _unmet(h, "update-agreement", (u.event_id,),
                           f"R1: {u.process} updated own block {key[2]!r} "
                           "without ever broadcasting it")
     judged: Set[Tuple[str, str]] = set()
-    for u in updates:                                              # R3 (eventual)
-        _, parent, block = _key(u)
+    for u, (_, parent, block) in updates:                          # R3 (eventual)
         if (parent, block) in judged:
             continue
         judged.add((parent, block))
@@ -322,19 +310,18 @@ def check_update_agreement(h: History, window: int) -> Verdict:
 def check_lrc(h: History, window: int) -> Verdict:
     """Broadcast contract: a sender delivers to itself, and a message
     received anywhere correct is received everywhere correct."""
-    receives = _comm_events(h, "receive")
-    got: Set[Tuple[str, str, str]] = {_key(e) for e in receives}
-    for e in _comm_events(h, "send"):
+    receives = h.messages(EventKind.RECEIVE)
+    got: Set[MessageKey] = {key for _, key in receives}
+    for e, key in h.messages(EventKind.SEND):
         if e.process not in h.correct:
             continue
-        if _key(e) not in got:
+        if key not in got:
             return _unmet(h, "lrc", (e.event_id,),
                           f"validity: {e.process} never delivered its own "
                           f"broadcast of {e.args[1]!r}")
     correct = sorted(h.correct)
     judged: Set[Tuple[str, str]] = set()
-    for e in receives:
-        _, parent, block = _key(e)
+    for e, (_, parent, block) in receives:
         if e.process not in h.correct or (parent, block) in judged:
             continue
         judged.add((parent, block))

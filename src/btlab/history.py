@@ -15,9 +15,12 @@ share a tick (they are then concurrent across processes). Traces serialize
 one event per line as JSON, canonically ordered by (logical_time, event_id).
 A History keeps its events in that one order and no per-process copy of it.
 
-A History validates and sorts its events when it is built; the indexes that
-program order and the read queries use are built on first use, so a history
-that is only parsed, re-wrapped or written out never pays for them. A History
+A History validates and sorts its events when it is built, except a
+restriction: its events are a subsequence of its parent's, already sorted and
+validated, so it takes its operations from its parent's instead of matching
+them again. The indexes that program order, the read queries and the
+communication checkers use are built on first use, so a history that is only
+parsed, re-wrapped or written out never pays for them. A History
 is immutable: its events, processes and operations are tuples, each event and
 operation is a named tuple, its correct set is a frozenset and `complete` is
 read-only, so whatever is computed from it (an index, a checker's verdict in
@@ -29,9 +32,11 @@ traces encodes each event once.
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import math
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
@@ -57,10 +62,12 @@ _RESPONSE_LIKE = (EventKind.RESPONSE, EventKind.SEND, EventKind.RECEIVE, EventKi
 _INVOCATION_LIKE = (EventKind.INVOCATION, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
 _COMMUNICATION = (EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
 _INVOCATION, _RESPONSE = EventKind.INVOCATION, EventKind.RESPONSE
+_SEND, _RECEIVE, _UPDATE = _COMMUNICATION
 
 TRACE_FIELDS = ("event_id", "kind", "op", "args", "process", "logical_time", "returned")
 _FIELD_SET = frozenset(TRACE_FIELDS)
 _fields_of = itemgetter(*TRACE_FIELDS)
+_FIELDS = tuple(map(itemgetter, TRACE_FIELDS))
 _KINDS = {k.value: k for k in EventKind}
 _KIND_NAMES = {k: k.value for k in EventKind}   # faster than the Enum.value descriptor
 
@@ -68,6 +75,8 @@ _KIND_NAMES = {k: k.value for k in EventKind}   # faster than the Enum.value des
 _UNSORTED_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _raw_decode = json.JSONDecoder().raw_decode
+_decode = json.JSONDecoder().decode
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 class Event(NamedTuple):
@@ -78,6 +87,14 @@ class Event(NamedTuple):
     process: str
     logical_time: int
     returned: Any = None
+
+
+_new_event = partial(tuple.__new__, Event)     # Event._make without its length check
+_event_id = attrgetter("event_id")
+
+# (process, str(args[0]), str(args[1])) of a send, receive or update: who
+# sent, received or applied the block args[1] whose parent is args[0]
+MessageKey = Tuple[str, str, str]
 
 
 class Operation(NamedTuple):
@@ -91,6 +108,9 @@ class Operation(NamedTuple):
     @property
     def complete(self) -> bool:
         return self.response is not None
+
+
+_new_operation = partial(tuple.__new__, Operation)     # Operation._make, likewise
 
 
 def make_event(event_id, kind, op, args=(), process="", logical_time=0, returned=None):
@@ -109,19 +129,25 @@ class History:
 
     def __init__(self, events: Iterable[Event], correct: Optional[Iterable[str]] = None,
                  complete: bool = False, line_memo: Optional[Dict[int, str]] = None):
-        self.events: Tuple[Event, ...] = tuple(sorted(events, key=canonical_order))
-        self._complete = complete
-        self.processes: Tuple[str, ...] = tuple(sorted({e.process for e in self.events}))
-        self.correct: FrozenSet[str] = frozenset(self.processes if correct is None
-                                                 else correct)
-        self._by_id = {e.event_id: e for e in self.events}
-        if len(self._by_id) != len(self.events):
+        events = tuple(sorted(events, key=canonical_order))
+        if len(set(map(_event_id, events))) != len(events):
             seen = set()
-            for e in self.events:
+            for e in events:
                 if e.event_id in seen:
                     raise TraceError(f"duplicate event_id {e.event_id}")
                 seen.add(e.event_id)
-        self.operations: Tuple[Operation, ...] = self._match_operations()
+        self._set(events, correct, complete, _match_operations(events), line_memo)
+
+    def _set(self, events: Tuple[Event, ...], correct: Optional[Iterable[str]],
+             complete: bool, operations: Tuple[Operation, ...],
+             line_memo: Optional[Dict[int, str]]) -> None:
+        """Assign every field: the one place both constructors do it."""
+        self.events = events
+        self.processes: Tuple[str, ...] = tuple(sorted({e.process for e in events}))
+        self.correct: FrozenSet[str] = frozenset(self.processes if correct is None
+                                                 else correct)
+        self._complete = complete
+        self.operations = operations
         self.verdict_cache: Dict[Any, Any] = {}   # filled by btlab.checkers
         # event_id -> canonical trace line, filled by to_jsonl; shared only with
         # histories whose events of equal id are the same events
@@ -133,6 +159,10 @@ class History:
         return self._complete
 
     # -- indexes, built on first use; they depend on `events` alone --------------
+
+    @cached_property
+    def _by_id(self) -> Dict[int, Event]:
+        return {e.event_id: e for e in self.events}
 
     @cached_property
     def _out(self) -> Dict[int, float]:
@@ -171,42 +201,20 @@ class History:
             out[o.process].append(o)
         return {p: tuple(ops) for p, ops in out.items()}
 
-    # -- construction ------------------------------------------------------
-
-    def _match_operations(self) -> Tuple[Operation, ...]:
-        """Pair responses with invocations, FIFO per (process, op name), and
-        check each read's returned chain (see `fresh_ids`)."""
-        open_ops: Dict[Tuple[str, str], List[int]] = {}  # -> positions in `ops`
-        ops: List[List[Any]] = []        # [process, op, invocation, response]
-        chains: Dict[str, Tuple] = {}    # process -> its last read's checked chain
+    @cached_property
+    def _messages(self) -> Dict[EventKind, Tuple[Tuple[Event, MessageKey], ...]]:
+        """kind -> its send, receive or update events with two or more args,
+        each with its `MessageKey`, in canonical order: one pass for all three."""
+        sends: List[Tuple[Event, MessageKey]] = []
+        receives: List[Tuple[Event, MessageKey]] = []
+        updates: List[Tuple[Event, MessageKey]] = []
         for e in self.events:
-            _, kind, op, _, process, _, returned = e
-            if kind is _INVOCATION:
-                queue = open_ops.get((process, op))
-                if queue is None:
-                    open_ops[process, op] = [len(ops)]
-                else:
-                    queue.append(len(ops))
-                ops.append([process, op, e, None])
-            elif kind is _RESPONSE:
-                queue = open_ops.get((process, op))
-                if not queue:
-                    raise TraceError(
-                        f"response without invocation: {op} at {process} "
-                        f"(event {e.event_id})")
-                if op == "read" and returned is not None:
-                    prev = chains.get(process, ())
-                    if returned is not prev:
-                        if type(returned) is not tuple or returned and (
-                                returned[0] != GENESIS_ID or not all(
-                                    [type(b) is str for b in fresh_ids(returned, prev)])):
-                            raise TraceError(
-                                f"a read's returned must be None or a tuple of block ids "
-                                f"that start at genesis {GENESIS_ID!r}, got {returned!r} "
-                                f"(event {e.event_id})")
-                        chains[process] = returned
-                ops[queue.pop(0)][3] = e
-        return tuple(map(Operation._make, ops))
+            kind, args = e.kind, e.args
+            if kind is _INVOCATION or kind is _RESPONSE or len(args) < 2:
+                continue
+            (sends if kind is _SEND else receives if kind is _RECEIVE else updates).append(
+                (e, (e.process, str(args[0]), str(args[1]))))
+        return {_SEND: tuple(sends), _RECEIVE: tuple(receives), _UPDATE: tuple(updates)}
 
     def event(self, event_id: int) -> Event:
         return self._by_id[event_id]
@@ -236,13 +244,37 @@ class History:
     def reads_of(self, process: str) -> Tuple[Operation, ...]:
         return self._reads_of.get(process, ())
 
+    # -- communication -------------------------------------------------------------
+
+    def messages(self, kind: EventKind) -> Tuple[Tuple[Event, MessageKey], ...]:
+        """The `kind` (send, receive or update) events with two or more args,
+        each with its `MessageKey`, in canonical order."""
+        return self._messages[kind]
+
     # -- restriction -------------------------------------------------------------
 
     def restricted(self) -> "History":
         """Keep only the checker-visible events (see `restrict`). Idempotent.
-        The result shares this history's line memo: its events are these."""
-        return History(restrict(self.events, self.correct), correct=self.correct,
-                       complete=self.complete, line_memo=self.line_memo)
+
+        The kept events are a subsequence of these, sorted and validated, so
+        they are neither sorted nor matched again: a read at a correct process
+        keeps its operation, an append whose invocation is kept keeps its
+        operation without the response, and every other operation drops out,
+        which is what matching the kept events gives. The result shares this
+        history's line memo: its events are these.
+        """
+        correct = self.correct
+        events = tuple(restrict(self.events, correct))
+        operations = []
+        for o in self.operations:
+            if o.op == "read":
+                if o.process in correct:
+                    operations.append(o)
+            elif o.op == "append" and _append_is_valid(o.invocation):
+                operations.append(Operation(o.process, o.op, o.invocation))
+        h = History.__new__(History)
+        h._set(events, correct, self.complete, tuple(operations), self.line_memo)
+        return h
 
     # -- serialization --------------------------------------------------------------
 
@@ -261,8 +293,59 @@ class History:
     @classmethod
     def from_jsonl(cls, text: str, correct: Optional[Set[str]] = None,
                    complete: bool = False) -> "History":
-        return cls(decode_events(_json_lines(text), "line"), correct=correct,
-                   complete=complete)
+        """Parse a trace: in one decoder call when every line is a flat event
+        object (see `_decode_flat`), else line by line."""
+        # the one-call decode holds every event's dict and lists at once; a
+        # collection during it would traverse and promote them all, and it
+        # makes no reference cycle, so the collector waits until it is done
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            events = _decode_flat(text)
+        finally:
+            if collecting:
+                gc.enable()
+        if events is None:
+            events = decode_events(_json_lines(text), "line")
+        return cls(events, correct=correct, complete=complete)
+
+
+def _match_operations(events: Sequence[Event]) -> Tuple[Operation, ...]:
+    """Pair responses with invocations, FIFO per (process, op name), and
+    check each read's returned chain (see `fresh_ids`)."""
+    open_ops: Dict[Tuple[str, str], List[int]] = {}  # -> positions in `ops`
+    ops: List[List[Any]] = []        # [process, op, invocation, response]
+    chains: Dict[str, Tuple] = {}    # process -> its last read's checked chain
+    for e in events:
+        kind = e.kind               # most events are neither: unpack only a response
+        if kind is _INVOCATION:
+            key = (e.process, e.op)
+            queue = open_ops.get(key)
+            if queue is None:
+                open_ops[key] = [len(ops)]
+            else:
+                queue.append(len(ops))
+            ops.append([e.process, e.op, e, None])
+        elif kind is _RESPONSE:
+            _, _, op, _, process, _, returned = e
+            queue = open_ops.get((process, op))
+            if not queue:
+                raise TraceError(
+                    f"response without invocation: {op} at {process} "
+                    f"(event {e.event_id})")
+            if op == "read" and returned is not None:
+                prev = chains.get(process, ())
+                if returned is not prev:
+                    if type(returned) is not tuple or returned and (
+                            returned[0] != GENESIS_ID or not all(
+                                [type(b) is str for b in fresh_ids(returned, prev)])):
+                        raise TraceError(
+                            f"a read's returned must be None or a tuple of block ids "
+                            f"that start at genesis {GENESIS_ID!r}, got {returned!r} "
+                            f"(event {e.event_id})")
+                    chains[process] = returned
+            ops[queue.pop(0)][3] = e
+    return tuple(map(_new_operation, ops))
 
 
 def _encode_lines(events: Sequence[Event]) -> List[str]:
@@ -284,6 +367,65 @@ def _encode_lines(events: Sequence[Event]) -> List[str]:
     if body.count("{") == len(docs):
         return body[1:-1].replace("},{", "}\n{").split("\n")
     return list(map(_ENCODER.encode, docs))
+
+
+def _types(column: Iterable[Any]) -> Set[type]:
+    return set(map(type, column))
+
+
+def _decode_flat(text: str) -> Optional[List[Event]]:
+    """The events of a trace whose every line is a flat event object, from one
+    decoder call; None when the trace must be decoded line by line.
+
+    The non-blank stripped lines, those `_json_lines` decodes, are joined
+    into one JSON array, as `_encode_lines` splits one. A strict JSON string
+    holds no raw newline, so a value that ran past the end of its line would
+    go on after the inserted `,\n` inside an object, where the next line's
+    opening `{` cannot be a key, or inside an array, where an object would
+    sit in a list. So when every line starts with `{`, the array holds one
+    value per line, and every value is flat (its `args` holds only scalars
+    and its `returned` is a scalar or a list of scalars, so no container
+    sits inside a list), each line decodes on its own to the same value.
+    The values are kept only if they pass every `decode_events` rule,
+    checked field by field over all events; anything else is left to the
+    line-by-line path, which words the error.
+    """
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if not lines or any([line[0] != "{" for line in lines]):
+        return None
+    count = len(lines)
+    lines[0] = "[" + lines[0]           # the brackets, without copying the joined text
+    lines[-1] += "]"
+    joined = ",\n".join(lines)
+    del lines
+    try:
+        docs = _decode(joined)
+    except (ValueError, RecursionError):    # JSONDecodeError is a ValueError
+        return None
+    del joined
+    if len(docs) != count or _types(docs) != {dict} or set(map(len, docs)) != {7}:
+        return None
+    try:            # seven keys, each a field: exactly the fields
+        ids, kinds, ops, args, processes, times, returned = [
+            list(map(field, docs)) for field in _FIELDS]
+        kinds = list(map(_KINDS.__getitem__, kinds))
+    except (KeyError, TypeError):       # a missing field; an unknown or unhashable kind
+        return None
+    del docs
+    chains = [r for k, op, r in zip(kinds, ops, returned)
+              if k is _RESPONSE and op == "read" and r is not None]
+    # what the lists in `returned` hold, read once: the chains are among them
+    items = _types(chain.from_iterable([r for r in returned if type(r) is list]))
+    if (_types(ids) | _types(times) != {int} or _types(ops) | _types(processes) != {str}
+            or _types(args) != {list} or not _types(chain.from_iterable(args)) <= _SCALARS
+            or not _types(returned) <= _SCALARS | {list} or not items <= _SCALARS
+            or not _types(chains) <= {list}
+            or not (items <= {str} or _types(chain.from_iterable(chains)) <= {str})
+            or any([c[0] != GENESIS_ID for c in chains if c])):
+        return None
+    return list(map(_new_event, zip(
+        ids, kinds, ops, map(tuple, args), processes, times,
+        [tuple(r) if type(r) is list else r for r in returned])))
 
 
 def _json_lines(text: str) -> Iterator[Tuple[int, Any]]:

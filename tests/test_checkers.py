@@ -410,6 +410,16 @@ def test_lrc_ignores_byzantine_processes():
     assert check_lrc(h).status == Status.PASS
 
 
+def test_communication_with_fewer_than_two_args_names_no_block():
+    # a send never delivered and an update never sent or received would each
+    # fail a complete history, but without (parent, block) they are no message
+    h = History([ev(0, SEND, "send", "i", 1, args=("x",)),
+                 ev(1, UPD, "update", "j", 2, args=("b0",)),
+                 ev(2, RECV, "receive", "k", 3)], complete=True)
+    assert [h.messages(kind) for kind in (SEND, RECV, UPD)] == [(), (), ()]
+    assert check_lrc(h).status == check_update_agreement(h).status == Status.PASS
+
+
 # -- composite criteria and the hierarchy ---------------------------------------------------
 
 

@@ -449,6 +449,21 @@ def test_check_builds_the_parsed_and_the_restricted_history_only(figure_traces,
     assert len(judged.events) < len(parsed.events) and judged.correct == {"i"}
 
 
+def test_check_output_on_the_figure_4_raw_trace_is_pinned(tmp_path, capsys):
+    assert run_cli("run", "figure-4", "--out", str(tmp_path)) == 0
+    raw = str(tmp_path / "figure-4.raw.jsonl")
+    capsys.readouterr()
+    assert run_cli("check", raw, "--byzantine", "j") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        '{"criterion": "sc", "detail": "strong-prefix failed: b0/2/4 vs b0/1/3/5", '
+        '"status": "FAIL", "witness": [6, 10]}',
+        '{"criterion": "ec", "detail": "", "status": "PASS", "witness": []}']
+    for extra in ([], ["--byzantine", "j", "--complete"]):
+        assert run_cli("check", raw, "--criterion", "lrc", *extra) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            '{"criterion": "lrc", "detail": "", "status": "PASS", "witness": []}']
+
+
 def test_check_rejects_unknown_criteria_and_missing_files(figure_traces, tmp_path, capsys):
     trace = figure_traces / "figure-3.trace.jsonl"
     assert run_cli("check", str(trace), "--criterion", "zzz") == 2

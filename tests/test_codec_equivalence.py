@@ -8,7 +8,8 @@ send to_jsonl down its event-by-event path. A history and its restriction
 share a line memo (a run's two traces do too): both traces must give the
 same bytes whichever is written first, or alone, and each event must reach
 the encoder at most once. Decoding must give the same events, or fail with
-the same error message, on valid and mutated traces.
+the same error message, on valid and mutated traces, and every trace btlab
+writes must decode in one decoder call.
 """
 
 import json
@@ -23,7 +24,8 @@ import reference_checkers as reference  # noqa: E402
 from btlab import history as history_module  # noqa: E402
 from btlab.cli import main  # noqa: E402
 from btlab.history import TRACE_FIELDS, EventKind, History, make_event  # noqa: E402
-from btlab.netsim import preset, run_scenario, scenario_from_dict  # noqa: E402
+from btlab.netsim import preset, preset_names, run_scenario, scenario_from_dict  # noqa: E402
+from test_golden import GENERATED  # noqa: E402
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
 
@@ -145,8 +147,41 @@ def mutated_traces(draw):
         st.sampled_from(["", "\n"]))
 
 
+def line(event_id, **fields):
+    """A read invocation at p as one trace line, with `fields` replaced; any
+    non-ASCII text is written raw."""
+    doc = {"args": [], "event_id": event_id, "kind": "invocation", "logical_time": 0,
+           "op": "read", "process": "p", "returned": None, **fields}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+# one object over two lines, the second opening an object inside `args` or
+# going on with a key: joined into one array, the two lines decode to one value
+SPLIT = '{"args":[1\n{"x":1}]' + line(2)[len('{"args":[]'):]
+KEY_SPLIT = line(2).replace(',"kind"', '\n"kind"')
+RETURNED_SPLIT = line(2, returned=[1]).replace("[1]", '[1\n{"x":1}]')
+NESTED_SPLIT = line(2, returned={"a": [1]}).replace("[1]", '[1\n{"x":1}]')
+
+
 @settings(max_examples=150, deadline=None)
 @given(text=mutated_traces())
+@example(text="\n".join([line(0), SPLIT]))
+@example(text="\n".join([line(0, process=",\n"), line(1, op="},\n{"), ""]))   # the joiner
+@example(text="\n".join([line(0) + "," + line(1), SPLIT]))   # as many values as lines
+@example(text="\n".join([line(0) + "," + line(1), KEY_SPLIT]))
+@example(text="\n".join([line(0) + "," + line(1), RETURNED_SPLIT]))
+@example(text="\n".join([line(0) + "," + line(1), NESTED_SPLIT]))
+@example(text=line(0) + "," + line(1))                        # more values than lines
+@example(text="\n".join([line(0, process="a\u2028b"), line(1, op="read\x85")]))
+@example(text="\n".join([line(0), "\ufeff" + line(1)]))
+@example(text="\n".join([line(0, args=[{"a": [1]}, [2]], returned={"b": {"c": None}}),
+                         line(1, returned=[{"d": 1}])]))
+@example(text="\n".join(["", line(0), "   ", "\t", line(1), " \t ", ""]))
+@example(text="\n".join([line(0), line(1, kind="response", returned=["b0", 1])]))
+@example(text="\n".join([line(0), line(1, kind="response", returned=["x0"])]))
+@example(text="\n".join([line(0), line(1, kind="response", returned="")]))
+@example(text="\n".join([line(0), line(1, op=1)]))
+@example(text="\n".join([line(0), line(1, process=None)]))
 @example(text='{"args":[],"event_id":0,"kind":[],"logical_time":0,'
               '"op":"read","process":"p","returned":null}')
 @example(text="\ufeff{}")
@@ -156,6 +191,33 @@ def mutated_traces(draw):
               '"op":"read","process":"p","returned":null}')
 def test_from_jsonl_matches_per_line_decoding(text):
     assert outcome(History.from_jsonl, text) == outcome(reference.from_jsonl, text)
+
+
+@pytest.fixture
+def decoder_calls(monkeypatch):
+    """How often the whole-trace and the per-line decoder were called."""
+    calls = {"trace": 0, "line": 0}
+
+    def counting(name, decode):
+        def call(*args):
+            calls[name] += 1
+            return decode(*args)
+        return call
+    monkeypatch.setattr(history_module, "_decode",
+                        counting("trace", history_module._decode))
+    monkeypatch.setattr(history_module, "_raw_decode",
+                        counting("line", history_module._raw_decode))
+    return calls
+
+
+@pytest.mark.parametrize("doc", [preset(name).to_dict() for name in preset_names()]
+                         + list(GENERATED.values()), ids=lambda doc: doc["name"])
+def test_every_trace_btlab_writes_decodes_in_one_call(decoder_calls, doc):
+    run = run_scenario(scenario_from_dict(doc))
+    for h in (run.history, run.full_history):
+        decoder_calls.update(trace=0, line=0)
+        assert History.from_jsonl(h.to_jsonl()).events == h.events
+        assert decoder_calls == {"trace": 1, "line": 0}
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 """Histories: event ordering, operation matching, program order, traces."""
 
 import functools
+import gc
 import random
 
 import pytest
@@ -343,6 +344,26 @@ def test_jsonl_lines_are_canonically_sorted_json():
 def test_empty_trace_parses_to_empty_history():
     h = History.from_jsonl("")
     assert h.events == () and h.reads() == ()
+
+
+@pytest.mark.parametrize("text", [
+    '{"args":[],"event_id":0,"kind":"invocation","logical_time":0,"op":"read",'
+    '"process":"p","returned":null}\n',                    # decoded in one call
+    '{"args":[{}],"event_id":0,"kind":"invocation","logical_time":0,"op":"read",'
+    '"process":"p","returned":null}\n',                    # line by line
+    '{"args":[]}\n',                                       # refused
+])
+def test_parsing_leaves_the_garbage_collector_as_it_was(text):
+    for collecting in (True, False):
+        (gc.enable if collecting else gc.disable)()
+        try:
+            try:
+                History.from_jsonl(text)
+            except TraceError:
+                pass
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
 
 
 def test_malformed_traces_are_rejected():

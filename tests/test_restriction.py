@@ -1,0 +1,92 @@
+"""A restriction is the history of its restricted events.
+
+`History.restricted()` takes its operations from its parent's instead of
+sorting and matching the kept events again. Whatever the parent, the result
+must equal `History(restrict(h.events, h.correct), ...)` in events,
+processes, correct set, completeness, operations and every verdict; so must
+the restriction of the restriction, and all three share the parent's line
+memo. Inputs: one fixed history under every correct set, random histories
+(any op name, invalid appends, open operations, nested args) under random
+correct sets, and simulated runs with Byzantine processes.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from btlab.checkers import CHECKERS  # noqa: E402
+from btlab.history import EventKind, History, make_event, restrict  # noqa: E402
+from btlab.netsim import run_scenario, scenario_from_dict  # noqa: E402
+from test_checker_equivalence import scenarios  # noqa: E402
+from test_codec_equivalence import histories  # noqa: E402
+
+
+def verdicts(h):
+    """All nine criteria at windows 1 and 3, or the error each one raised."""
+    out = []
+    for name in CHECKERS:
+        for window in (1, 3):
+            try:
+                out.append(CHECKERS[name](h, window))
+            except Exception as exc:
+                out.append(("raises", type(exc), str(exc)))
+    return out
+
+
+def assert_restricts_as_rebuilt(h):
+    rebuilt = History(restrict(h.events, h.correct), correct=h.correct, complete=h.complete)
+    once = h.restricted()
+    for r in (once, once.restricted()):
+        assert r.events == rebuilt.events
+        assert r.processes == rebuilt.processes
+        assert r.correct == rebuilt.correct
+        assert r.complete == rebuilt.complete
+        assert r.operations == rebuilt.operations
+        assert r.line_memo is h.line_memo
+        assert verdicts(r) == verdicts(rebuilt)
+
+
+INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
+
+
+@pytest.mark.parametrize("complete", [False, True])
+@pytest.mark.parametrize("correct", [{"p", "q"}, {"p"}, {"q"}, set()])
+def test_a_restriction_keeps_the_operations_matching_would(correct, complete):
+    # reads at both processes, one still open; valid, flagless and invalid
+    # appends with responses; oracle chatter; and communication
+    h = History([
+        make_event(0, INV, "read", (), "p", 0),
+        make_event(1, RSP, "read", (), "p", 1, ["b0"]),
+        make_event(2, INV, "append", ("x", "b0", True), "q", 1),
+        make_event(3, INV, "append", ("y", "b0", False), "q", 1),
+        make_event(4, INV, "append", ("z", "b0"), "p", 2),
+        make_event(5, RSP, "append", (), "q", 2, True),
+        make_event(6, RSP, "append", (), "q", 3, False),
+        make_event(7, INV, "get_token", ("x",), "q", 3),
+        make_event(8, RSP, "get_token", (), "q", 4, "x"),
+        make_event(9, EventKind.SEND, "send", ("b0", "x"), "q", 4),
+        make_event(10, EventKind.RECEIVE, "receive", ("b0", "x"), "p", 5),
+        make_event(11, INV, "read", (), "q", 6),
+        make_event(12, RSP, "read", (), "q", 6, ["b0", "x"]),
+        make_event(13, INV, "read", (), "p", 7),
+    ], correct=correct, complete=complete)
+    assert_restricts_as_rebuilt(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=histories(), data=st.data())
+def test_a_restriction_equals_the_history_of_its_events(h, data):
+    correct = data.draw(st.sets(st.sampled_from(h.processes)) if h.processes
+                        else st.just(set()))
+    assert_restricts_as_rebuilt(History(h.events, correct=correct,
+                                        complete=data.draw(st.booleans())))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=scenarios(), complete=st.booleans())
+def test_a_restriction_of_a_simulated_run_equals_the_history_of_its_events(doc, complete):
+    doc["declared_complete"] = complete
+    run = run_scenario(scenario_from_dict(doc))
+    assert_restricts_as_rebuilt(run.full_history)
