@@ -6,22 +6,28 @@ events for communication. Histories serialize to canonical JSON lines, so
 traces diff cleanly and replay byte-identically.
 """
 
-from btlab import EventKind, History, Recorder
+from btlab import EventKind, History, make_event
 
-rec = Recorder()
+events = []
+
+
+def emit(kind, op, process, t, args=(), returned=None):
+    """Record the next event; its id is its position."""
+    events.append(make_event(len(events), kind, op, args, process, t, returned))
+
 
 # Process p appends a1 and broadcasts it; q receives, applies, then reads.
-rec.emit(EventKind.INVOCATION, "append", "p", 1, args=("a1", "b0", True))
-rec.emit(EventKind.RESPONSE, "append", "p", 2, returned=True)
-rec.emit(EventKind.SEND, "send", "p", 2, args=("b0", "a1"))
-rec.emit(EventKind.RECEIVE, "receive", "q", 4, args=("b0", "a1"))
-rec.emit(EventKind.UPDATE, "update", "q", 4, args=("b0", "a1"))
-rec.emit(EventKind.INVOCATION, "read", "q", 5)
-rec.emit(EventKind.RESPONSE, "read", "q", 6, returned=("b0", "a1"))
-rec.emit(EventKind.INVOCATION, "read", "p", 3)      # overlaps q's activity
-rec.emit(EventKind.RESPONSE, "read", "p", 7, returned=("b0", "a1"))
+emit(EventKind.INVOCATION, "append", "p", 1, args=("a1", "b0", True))
+emit(EventKind.RESPONSE, "append", "p", 2, returned=True)
+emit(EventKind.SEND, "send", "p", 2, args=("b0", "a1"))
+emit(EventKind.RECEIVE, "receive", "q", 4, args=("b0", "a1"))
+emit(EventKind.UPDATE, "update", "q", 4, args=("b0", "a1"))
+emit(EventKind.INVOCATION, "read", "q", 5)
+emit(EventKind.RESPONSE, "read", "q", 6, returned=("b0", "a1"))
+emit(EventKind.INVOCATION, "read", "p", 3)      # overlaps q's activity
+emit(EventKind.RESPONSE, "read", "p", 7, returned=("b0", "a1"))
 
-h = rec.history(correct={"p", "q"}, complete=True)
+h = History(events, correct={"p", "q"}, complete=True)
 print("processes:", h.processes)
 print("operations:", [(o.process, o.op) for o in h.operations])
 
@@ -44,10 +50,10 @@ print("round-trip identical:", again.to_jsonl() == wire)
 # Restriction drops what checkers must not see: reads at faulty processes,
 # appends flagged invalid, oracle chatter. Byzantine appends stay visible —
 # their blocks really entered the tree.
-rec.emit(EventKind.INVOCATION, "read", "byz", 8)
-rec.emit(EventKind.RESPONSE, "read", "byz", 9, returned=("b0", "lie"))
-rec.emit(EventKind.INVOCATION, "append", "byz", 10, args=("z1", "a1", True))
-noisy = rec.history(correct={"p", "q"}, complete=True)
+emit(EventKind.INVOCATION, "read", "byz", 8)
+emit(EventKind.RESPONSE, "read", "byz", 9, returned=("b0", "lie"))
+emit(EventKind.INVOCATION, "append", "byz", 10, args=("z1", "a1", True))
+noisy = History(events, correct={"p", "q"}, complete=True)
 clean = noisy.restricted()
 print("before restriction:", len(noisy.events), "events;",
       "after:", len(clean.events))

@@ -7,18 +7,21 @@ INCONCLUSIVE on running histories and only FAIL once a history is
 declared complete — a fork that *might* still heal is not a violation.
 """
 
-from btlab import EventKind, Recorder, run_checker
+from btlab import EventKind, History, make_event, run_checker
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
 WINDOW = 1               # trailing reads per process that must agree
 
 
 def forked_history(heals: bool, complete: bool):
-    rec = Recorder()
+    events = []
+
+    def emit(kind, op, process, t, args=(), returned=None):
+        events.append(make_event(len(events), kind, op, args, process, t, returned))
     t = 0
     for block, proc in (("a1", "p"), ("b1", "q"), ("a2", "p"), ("a3", "p")):
-        rec.emit(INV, "append", proc, t, args=(block, "b0", True))
-        rec.emit(RSP, "append", proc, t + 1, returned=True)
+        emit(INV, "append", proc, t, args=(block, "b0", True))
+        emit(RSP, "append", proc, t + 1, returned=True)
         t += 2
     spans = [
         ("p", ("b0", "a1")), ("q", ("b0", "b1")),      # incomparable fork
@@ -30,10 +33,10 @@ def forked_history(heals: bool, complete: bool):
         spans += [("p", ("b0", "a1")), ("q", ("b0", "b1")),
                   ("p", ("b0", "a1")), ("q", ("b0", "b1"))]
     for proc, chain in spans:
-        rec.emit(INV, "read", proc, t)
-        rec.emit(RSP, "read", proc, t + 1, returned=chain)
+        emit(INV, "read", proc, t)
+        emit(RSP, "read", proc, t + 1, returned=chain)
         t += 2
-    return rec.history(correct={"p", "q"}, complete=complete)
+    return History(events, correct={"p", "q"}, complete=complete)
 
 
 healed = forked_history(heals=True, complete=True)

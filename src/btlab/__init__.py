@@ -2,10 +2,10 @@
 
 A replicated block tree abstract data type with longest-chain selection, a
 token-oracle concurrency model (frugal capacity-k and prodigal unbounded), a
-refinement that turns oracle grants into tree appends, a concurrent-history
-recorder with criterion checkers (strong and eventual prefix consistency,
-update agreement, reliable communication), a shared-memory equivalence lab,
-and a deterministic message-passing simulator with scenario presets.
+refinement that turns oracle grants into tree appends, concurrent histories
+with criterion checkers (strong and eventual prefix consistency, update
+agreement, reliable communication), a shared-memory equivalence lab, and a
+deterministic message-passing simulator with scenario presets.
 """
 
 from .blocktree import (GENESIS_ID, Block, BlockTree, DomainError,
@@ -20,8 +20,8 @@ from .checkers import (CHECKERS, DEFAULT_WINDOW, Status, Verdict,
                        check_ever_growing_tree, check_local_monotonic_read,
                        check_lrc, check_sc, check_strong_prefix,
                        check_update_agreement, run_checker)
-from .history import (Event, EventKind, History, Operation, Recorder,
-                      TraceError, make_event)
+from .history import (Event, EventKind, History, Operation, TraceError,
+                      make_event)
 from .netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                      Scenario, ScenarioError, SimRun, evaluate_run, preset,
                      preset_names, run_scenario, scenario_from_dict)

@@ -23,7 +23,7 @@ from typing import List, Optional, Type
 from .blocktree import DomainError
 from .campaigns import CORPUS_PRESETS, LABS
 from .checkers import CHECKERS, DEFAULT_WINDOW, Status, run_checker
-from .history import History, TraceError, restrict
+from .history import History, TraceError
 from .netsim import (Scenario, ScenarioError, evaluate_run, preset,
                      preset_names, run_scenario, scenario_from_dict)
 
@@ -105,14 +105,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    parsed = History.from_jsonl(_read_input(args.trace, TraceError, "cannot read trace"))
+    parsed = History.from_jsonl(_read_input(args.trace, TraceError, "cannot read trace"),
+                                complete=args.complete)
     for name in args.byzantine or []:
         if name not in parsed.processes:
             raise TraceError(f"--byzantine {name!r} is not a process of the trace "
                              f"(processes: {', '.join(map(repr, parsed.processes))})")
-    correct = parsed.correct.difference(args.byzantine or [])
-    history = History(restrict(parsed.events, correct), correct=correct,
-                      complete=args.complete)
+    # the parsed events and operations, fewer processes correct: nothing to check again
+    history = History._trusted(parsed.events, parsed.correct.difference(args.byzantine or []),
+                               args.complete, parsed.operations).restricted()
     if args.window < 1:
         raise TraceError(f"--window must be at least 1, got {args.window}")
     names = args.criterion or ["sc", "ec"]

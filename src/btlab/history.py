@@ -16,17 +16,17 @@ one event per line as JSON, canonically ordered by (logical_time, event_id).
 A History keeps its events in that one order and no per-process copy of it.
 
 A History validates and sorts its events when it is built, except a
-restriction: its events are a subsequence of its parent's, already sorted and
-validated, so it takes its operations from its parent's instead of matching
-them again. The indexes that program order, the read queries and the
-communication checkers use are built on first use, so a history that is only
-parsed, re-wrapped or written out never pays for them. A History
-is immutable: its events, processes and operations are tuples, each event and
-operation is a named tuple, its correct set is a frozenset and `complete` is
-read-only, so whatever is computed from it (an index, a checker's verdict in
-`verdict_cache`, an event's trace line in `line_memo`) never goes stale. A
-run's restricted and full histories share one line memo, so writing both
-traces encodes each event once.
+restriction and a simulated run's history (see `History._trusted`): their
+events come in canonical order already, and their builder derives or pairs
+their operations instead of matching them again. The indexes that program
+order, the read queries and the communication checkers use are built on
+first use, so a history that is only parsed, re-wrapped or written out never
+pays for them. A History is immutable: its events, processes and operations
+are tuples, each event and operation is a named tuple, its correct set is a
+frozenset and `complete` is read-only, so whatever is computed from it (an
+index, a checker's verdict in `verdict_cache`, an event's trace line in
+`line_memo`) never goes stale. A run's restricted and full histories share
+one line memo, so writing both traces encodes each event once.
 """
 
 from __future__ import annotations
@@ -137,6 +137,25 @@ class History:
                     raise TraceError(f"duplicate event_id {e.event_id}")
                 seen.add(e.event_id)
         self._set(events, correct, complete, _match_operations(events), line_memo)
+
+    @staticmethod
+    def _trusted(events: Tuple[Event, ...], correct: Iterable[str], complete: bool,
+                 operations: Tuple[Operation, ...],
+                 line_memo: Optional[Dict[int, str]] = None) -> "History":
+        """The history of `events` and `operations`, with nothing sorted,
+        checked or matched, for callers that vouch for what `__init__` would
+        establish: the events in canonical order with distinct ids, and the
+        operations that matching them gives. `restricted()` keeps a
+        subsequence of a checked history's events and derives its operations
+        from that history's; `btlab check` re-wraps a parsed history's own.
+        `run_scenario` gives each event the next id at the tick just popped
+        from a heap that pops ticks in non-decreasing order, pairs each
+        response with its invocation as it emits both, in invocation order,
+        and records as a read's returned chain the tree's selected one.
+        """
+        h = History.__new__(History)
+        h._set(events, correct, complete, operations, line_memo)
+        return h
 
     def _set(self, events: Tuple[Event, ...], correct: Optional[Iterable[str]],
              complete: bool, operations: Tuple[Operation, ...],
@@ -272,9 +291,8 @@ class History:
                     operations.append(o)
             elif o.op == "append" and _append_is_valid(o.invocation):
                 operations.append(Operation(o.process, o.op, o.invocation))
-        h = History.__new__(History)
-        h._set(events, correct, self.complete, tuple(operations), self.line_memo)
-        return h
+        return History._trusted(events, correct, self.complete, tuple(operations),
+                                self.line_memo)
 
     # -- serialization --------------------------------------------------------------
 
@@ -527,21 +545,3 @@ def returned_chain(read: Operation) -> Tuple[str, ...]:
     """The id sequence a completed read returned, as stored."""
     return read.response.returned or ()
 
-
-class Recorder:
-    """Accumulates events with fresh ids under a single logical clock."""
-
-    def __init__(self):
-        self.events: List[Event] = []
-
-    def emit(self, kind: EventKind, op: str, process: str, logical_time: int,
-             args: Sequence[Any] = (), returned: Any = None) -> Event:
-        """Record the event with the next id, normalised as `make_event` does."""
-        if type(returned) is list:
-            returned = tuple(returned)
-        e = Event(len(self.events), kind, op, tuple(args), process, logical_time, returned)
-        self.events.append(e)
-        return e
-
-    def history(self, correct: Optional[Set[str]] = None, complete: bool = False) -> History:
-        return History(self.events, correct=correct, complete=complete)

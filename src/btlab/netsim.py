@@ -33,7 +33,6 @@ import json
 import random
 import re
 from dataclasses import MISSING, asdict, dataclass, field
-from functools import cached_property
 from itertools import product
 from pathlib import Path
 from typing import (AbstractSet, Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
@@ -41,8 +40,8 @@ from typing import (AbstractSet, Any, Dict, FrozenSet, Iterator, List, NamedTupl
 
 from .blocktree import Block, BlockTree
 from .checkers import CHECKERS, DEFAULT_WINDOW, Verdict, run_checker
-from .history import (Event, EventKind, History, Recorder, TraceError, decode_events,
-                      restrict)
+from .history import (_INVOCATION, _RECEIVE, _RESPONSE, _SEND, _UPDATE, Event, History,
+                      Operation, TraceError, _new_event, _new_operation, decode_events)
 from .oracle import Merit, OracleState
 from .refinement import AppendStatus, RefinedLedger
 
@@ -321,21 +320,13 @@ def scenario_from_dict(doc: Dict[str, Any]) -> Scenario:
 @dataclass
 class SimRun:
     scenario: Scenario
-    history: History                  # checker-visible (restricted)
-    events: List[Event]               # everything, oracle chatter included
+    history: History                  # full_history.restricted(): one line memo for both
+    full_history: History             # everything, oracle chatter included
+    events: Tuple[Event, ...]         # full_history.events
     oracle: Optional[OracleState]
     ledgers: Dict[str, RefinedLedger]
     undelivered: int = 0
     dropped: int = 0
-
-    @cached_property
-    def full_history(self) -> History:
-        """All recorded events as a History, built on first access. It shares
-        the line memo of `history`, whose events are some of these, so writing
-        both traces encodes each event once."""
-        return History(self.events, correct=self.scenario.correct_set(),
-                       complete=self.scenario.declared_complete,
-                       line_memo=self.history.line_memo)
 
 
 class _Replica:
@@ -345,15 +336,16 @@ class _Replica:
         self.orphans: Dict[str, List[Block]] = {}
         self.blocks_made = 0
 
-    def integrate(self, block: Block, tick: int, rec: Recorder) -> None:
-        """Apply on receive; orphans wait for their parent, and a block's
-        waiting children are applied right after it, depth first."""
+    def integrate(self, block: Block, tick: int, events: List[Event]) -> None:
+        """Apply on receive, each block applied an update event in `events`;
+        orphans wait for their parent, then are applied after it, depth first."""
         todo = [block]
         while todo:
             block = todo.pop()
             if self.ledger.integrate(block):
-                rec.emit(EventKind.UPDATE, "update", self.spec.id, tick,
-                         args=(block.parent_id, block.id))
+                events.append(_new_event((len(events), _UPDATE, "update",
+                                          (block.parent_id, block.id), self.spec.id, tick,
+                                          None)))
                 children = self.orphans.pop(block.id, None)
                 if children:
                     todo.extend(reversed(children))
@@ -365,7 +357,12 @@ def run_scenario(scenario: Scenario) -> SimRun:
     if scenario.script:
         return _replay_script(scenario)
     rng = random.Random(scenario.seed)
-    rec = Recorder()
+    # each event with its position as its id, and each operation at its
+    # response, in invocation order: what `History` would sort and match
+    events: List[Event] = []
+    record = events.append
+    operations: List[Optional[Operation]] = []
+    pair = operations.append
     oracle = OracleState(
         {p.id: Merit(p.merit) for p in scenario.processes},
         capacity=scenario.oracle.capacity, seed=scenario.oracle.seed)
@@ -388,6 +385,14 @@ def run_scenario(scenario: Scenario) -> SimRun:
     # no earlier is beaten and not pushed (on a tie, the earlier push pops
     # first), so a block reaches a process once: in the copy due at that tick.
     due: Dict[Tuple[str, str], int] = {}
+
+    def operation(op: str, process: str, tick: int, args: Tuple, returned: Any):
+        """Record an invocation and its response, both of `args`, and pair them."""
+        n = len(events)
+        invocation = _new_event((n, _INVOCATION, op, args, process, tick, None))
+        response = _new_event((n + 1, _RESPONSE, op, args, process, tick, returned))
+        events.extend((invocation, response))
+        pair(_new_operation((process, op, invocation, response)))
 
     def send(sender: str, block: Block, tick: int, skip: Optional[str]):
         """Deliver block to every process but skip, after channel delays."""
@@ -425,47 +430,45 @@ def run_scenario(scenario: Scenario) -> SimRun:
             rep = replicas[payload]
             rep.blocks_made += 1
             candidate = Block(id=f"{payload}-{rep.blocks_made}")
-            rec.emit(EventKind.INVOCATION, "get_token", payload, tick,
-                     args=(candidate.id,))
             res = rep.ledger.acquire(candidate, payload)
+            block = res.block
             granted = res.status is not AppendStatus.EXHAUSTED
-            rec.emit(EventKind.RESPONSE, "get_token", payload, tick,
-                     args=(candidate.id,), returned=res.attempts)
-            rec.emit(EventKind.INVOCATION, "append", payload, tick,
-                     args=(candidate.id, res.block.parent_id or "", granted))
+            operation("get_token", payload, tick, (candidate.id,), res.attempts)
+            append = _new_event((len(events), _INVOCATION, "append",
+                                 (candidate.id, block.parent_id or "", granted), payload,
+                                 tick, None))
+            record(append)
+            slot = len(operations)
+            pair(None)                              # the append's, filled at its response
             if granted:
-                rec.emit(EventKind.INVOCATION, "consume_token", payload, tick,
-                         args=(res.block.id, res.block.parent_id))
-                rec.emit(EventKind.RESPONSE, "consume_token", payload, tick,
-                         args=(res.block.id, res.block.parent_id),
-                         returned=tuple(sorted(b.id for b in res.consumed)))
-            rec.emit(EventKind.RESPONSE, "append", payload, tick,
-                     returned=bool(res))
+                operation("consume_token", payload, tick, (block.id, block.parent_id),
+                          tuple(sorted(b.id for b in res.consumed)))
+            response = _new_event((len(events), _RESPONSE, "append", (), payload, tick,
+                                   bool(res)))
+            record(response)
+            operations[slot] = _new_operation((payload, "append", append, response))
             if res:
-                rec.emit(EventKind.SEND, "send", payload, tick,
-                         args=(res.block.parent_id, res.block.id))
-                send(payload, res.block, tick, None)
+                record(_new_event((len(events), _SEND, "send", (block.parent_id, block.id),
+                                   payload, tick, None)))
+                send(payload, block, tick, None)
         elif klass == _DELIVER:
             dest, block = payload
             if due[dest, block.id] < tick:          # beaten by a later push due earlier
                 continue
             rep = replicas[dest]
             if rep.spec.correct:
-                rec.emit(EventKind.RECEIVE, "receive", dest, tick,
-                         args=(block.parent_id, block.id))
-                rep.integrate(block, tick, rec)
+                record(_new_event((len(events), _RECEIVE, "receive",
+                                   (block.parent_id, block.id), dest, tick, None)))
+                rep.integrate(block, tick, events)
                 send(dest, block, tick, dest)          # echo to every other process
         else:                                       # _READ
-            rep = replicas[payload]
-            rec.emit(EventKind.INVOCATION, "read", payload, tick)
-            rec.emit(EventKind.RESPONSE, "read", payload, tick,
-                     returned=rep.ledger.read())
+            operation("read", payload, tick, (), replicas[payload].ledger.read())
 
-    correct = scenario.correct_set()
-    history = History(restrict(rec.events, correct), correct=correct,
-                      complete=scenario.declared_complete)
-    return SimRun(scenario=scenario, history=history, events=rec.events,
-                  oracle=oracle, ledgers={k: r.ledger for k, r in replicas.items()},
+    full = History._trusted(tuple(events), scenario.correct_set(),
+                            scenario.declared_complete, tuple(operations))
+    return SimRun(scenario=scenario, history=full.restricted(), full_history=full,
+                  events=full.events, oracle=oracle,
+                  ledgers={k: r.ledger for k, r in replicas.items()},
                   undelivered=undelivered, dropped=dropped)
 
 
@@ -474,10 +477,8 @@ def _replay_script(scenario: Scenario) -> SimRun:
     # malformed one (a response without invocation, say) at run time
     full = History(_script_events(scenario.script), correct=scenario.correct_set(),
                    complete=scenario.declared_complete)
-    run = SimRun(scenario=scenario, history=full.restricted(), events=full.events,
-                 oracle=None, ledgers={})
-    run.full_history = full
-    return run
+    return SimRun(scenario=scenario, history=full.restricted(), full_history=full,
+                  events=full.events, oracle=None, ledgers={})
 
 
 # -- verdict report -----------------------------------------------------------

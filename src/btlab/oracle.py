@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .blocktree import Block
@@ -58,18 +58,15 @@ def _grant_bound(p: float) -> bytes:
     return lo.to_bytes(8, "big")
 
 
-def _grants(prefix: bytes, bound: bytes, index: int) -> bool:
-    """Whether the cell at `index` of the tape with this prefix and bound grants."""
-    return hashlib.sha256(prefix % index).digest()[:8] < bound
-
-
 @dataclass
 class Tape:
     """One holder's grant tape. pop() advances the cursor by one cell.
 
     Cell i grants iff the first 8 bytes of sha256(b"seed:holder:i") fall
     below the merit's grant bound; the message prefix and the bound are
-    computed once per tape.
+    computed once per tape. The whole digest is compared with the 8-byte
+    bound, which is the same test: a digest whose first 8 bytes equal the
+    bound is longer, so greater.
     """
 
     seed: int
@@ -84,7 +81,7 @@ class Tape:
         self._bound = _grant_bound(self.merit.grant_probability)
 
     def peek(self, index: int) -> bool:
-        return _grants(self._prefix, self._bound, index)
+        return replace(self, cursor=index).pop()
 
     def draw(self, limit: int) -> Tuple[bool, int]:
         """Pop up to `limit` cells, stopping right after the first grant.
@@ -94,8 +91,9 @@ class Tape:
         """
         prefix, bound, start = self._prefix, self._bound, self.cursor
         stop = start + max(limit, 0)
+        sha256 = hashlib.sha256
         for i in range(start, stop):
-            if _grants(prefix, bound, i):
+            if sha256(prefix % i).digest() < bound:
                 self.cursor = i + 1
                 return True, i + 1 - start
         self.cursor = stop

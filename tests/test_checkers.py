@@ -12,7 +12,7 @@ from btlab.checkers import (DEFAULT_WINDOW, Status, check_block_validity, check_
                             check_strong_prefix, check_update_agreement,
                             run_checker)
 import reference_checkers as reference
-from btlab.history import EventKind, History, Recorder, TraceError, make_event
+from btlab.history import EventKind, History, TraceError, make_event
 from btlab.netsim import preset, run_scenario, scenario_from_dict
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
@@ -28,15 +28,15 @@ def ev(event_id, kind, op, process, t, args=(), returned=None):
 
 def reads_history(spans, appends=(), comms=(), complete=True, correct=None):
     """spans: (process, inv_t, rsp_t, chain); appends: (block, parent, t, proc)."""
-    rec = Recorder()
+    events = []
     for block, parent, t, proc in appends:
-        rec.emit(INV, "append", proc, t, args=(block, parent))
+        events.append(ev(len(events), INV, "append", proc, t, args=(block, parent)))
     for proc, inv_t, rsp_t, chain in spans:
-        rec.emit(INV, "read", proc, inv_t)
-        rec.emit(RSP, "read", proc, rsp_t, returned=tuple(chain))
+        events.append(ev(len(events), INV, "read", proc, inv_t))
+        events.append(ev(len(events), RSP, "read", proc, rsp_t, returned=tuple(chain)))
     for kind, proc, t, parent, block in comms:
-        rec.emit(kind, kind.value, proc, t, args=(parent, block))
-    return rec.history(correct=correct, complete=complete)
+        events.append(ev(len(events), kind, kind.value, proc, t, args=(parent, block)))
+    return History(events, correct=correct, complete=complete)
 
 
 # -- block validity ------------------------------------------------------------
@@ -57,11 +57,10 @@ def test_appended_blocks_satisfy_validity_and_genesis_is_exempt():
 
 
 def test_same_process_append_at_same_tick_counts_as_prior():
-    rec = Recorder()
-    rec.emit(INV, "append", "p", 3, args=("x", "b0"))
-    rec.emit(INV, "read", "p", 3)
-    rec.emit(RSP, "read", "p", 3, returned=("b0", "x"))
-    assert check_block_validity(rec.history()).status == Status.PASS
+    h = History([ev(0, INV, "append", "p", 3, args=("x", "b0")),
+                 ev(1, INV, "read", "p", 3),
+                 ev(2, RSP, "read", "p", 3, returned=("b0", "x"))])
+    assert check_block_validity(h).status == Status.PASS
 
 
 def test_read_before_any_append_of_the_block_fails():

@@ -433,20 +433,31 @@ def test_check_byzantine_flag_excludes_a_process(figure_traces, capsys):
                    "--window", "1", "--byzantine", "i", "--byzantine", "j") == 0
 
 
-def test_check_builds_the_parsed_and_the_restricted_history_only(figure_traces,
-                                                                 monkeypatch, capsys):
+def test_check_builds_one_history_and_judges_its_restriction(figure_traces,
+                                                              monkeypatch, capsys):
     trace = figure_traces / "figure-5.trace.jsonl"
-    built = []
-    init = History.__init__
+    built, restrictions, judged = [], [], []
+    init, restricted, run_checker = History.__init__, History.restricted, cli.run_checker
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
+
+    def recording_restricted(self):
+        restrictions.append(restricted(self))
+        return restrictions[-1]
+
+    def recording_run_checker(name, h, window):
+        judged.append(h)
+        return run_checker(name, h, window)
     monkeypatch.setattr(History, "__init__", counting_init)
+    monkeypatch.setattr(History, "restricted", recording_restricted)
+    monkeypatch.setattr(cli, "run_checker", recording_run_checker)
     assert run_cli("check", str(trace), "--byzantine", "j") == 0
-    assert len(built) == 2
-    parsed, judged = built
-    assert len(judged.events) < len(parsed.events) and judged.correct == {"i"}
+    assert len(built) == 1 and len(restrictions) == 1      # the parsed history only
+    (parsed,), (restriction,) = built, restrictions
+    assert judged == [restriction, restriction]             # sc and ec
+    assert len(restriction.events) < len(parsed.events) and restriction.correct == {"i"}
 
 
 def test_check_output_on_the_figure_4_raw_trace_is_pinned(tmp_path, capsys):

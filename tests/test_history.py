@@ -8,7 +8,7 @@ import pytest
 
 from btlab.checkers import Status, check_block_validity, check_sc
 from btlab.cli import main
-from btlab.history import (Event, EventKind, History, Recorder, TraceError,
+from btlab.history import (Event, EventKind, History, TraceError,
                            make_event, returned_chain)
 from btlab.netsim import preset, run_scenario
 
@@ -231,24 +231,27 @@ def brute_force_program_order(h):
 
 
 def random_history(rng, n_procs=3, n_ops=5):
-    rec = Recorder()
+    events = []
+
+    def emit(*fields, **named):         # the next event, its id its position
+        events.append(ev(len(events), *fields, **named))
     t = 0
     for p in range(n_procs):
         t = rng.randint(0, 2)
         for i in range(rng.randint(1, n_ops)):
             roll = rng.random()
             if roll < 0.5:
-                rec.emit(INV, "read", f"p{p}", t)
+                emit(INV, "read", f"p{p}", t)
                 t += rng.randint(0, 3)
-                rec.emit(RSP, "read", f"p{p}", t, returned=("b0",))
+                emit(RSP, "read", f"p{p}", t, returned=("b0",))
             elif roll < 0.7:
-                rec.emit(SEND, "send", f"p{p}", t, args=("b0", f"x{p}{i}"))
+                emit(SEND, "send", f"p{p}", t, args=("b0", f"x{p}{i}"))
             elif roll < 0.9:
-                rec.emit(RECV, "receive", f"p{p}", t, args=("b0", f"x{p}{i}"))
+                emit(RECV, "receive", f"p{p}", t, args=("b0", f"x{p}{i}"))
             else:
-                rec.emit(UPD, "update", f"p{p}", t, args=("b0", f"x{p}{i}"))
+                emit(UPD, "update", f"p{p}", t, args=("b0", f"x{p}{i}"))
             t += rng.randint(0, 3)
-    return rec.history()
+    return History(events)
 
 
 def program_order(h):
@@ -375,12 +378,3 @@ def test_malformed_traces_are_rejected():
                 '"op":"read","process":"p","returned":null}')
     with pytest.raises(TraceError):
         History.from_jsonl(bad_kind + "\n")
-
-
-def test_recorder_assigns_fresh_ids_in_emission_order():
-    rec = Recorder()
-    rec.emit(INV, "read", "p", 0)
-    rec.emit(RSP, "read", "p", 1, returned=("b0",))
-    h = rec.history(correct={"p"}, complete=True)
-    assert [e.event_id for e in h.events] == [0, 1]
-    assert h.complete and h.correct == {"p"}

@@ -16,7 +16,6 @@ from btlab import netsim
 from btlab.blocktree import Block
 from btlab.checkers import Status, run_checker
 from btlab.history import EventKind, History
-from btlab.history import Recorder
 from btlab.netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                           Scenario, ScenarioError, evaluate_run, preset,
                           preset_names, run_scenario, scenario_from_dict)
@@ -447,7 +446,7 @@ def test_no_process_receives_or_updates_a_block_twice():
                         for b in made for i in range(4) if not b.startswith(f"p{i}-"))
 
 
-def test_a_run_builds_one_history_and_the_full_one_on_first_read(monkeypatch):
+def test_a_run_calls_the_history_constructor_zero_times(monkeypatch):
     built = []
     init = History.__init__
 
@@ -457,11 +456,12 @@ def test_a_run_builds_one_history_and_the_full_one_on_first_read(monkeypatch):
 
     monkeypatch.setattr(History, "__init__", counting)
     run = run_scenario(small_scenario(9, byzantine=("p2",)))
-    assert len(built) == 1 and built[0] is run.history     # the restricted one only
+    assert built == []                  # nothing sorted, checked or matched again
     full = run.full_history
-    assert len(built) == 2 and built[1] is full
-    assert run.full_history is full                         # built once
-    assert full.restricted().to_jsonl() == run.history.to_jsonl()
+    again = full.restricted()
+    assert again.events == run.history.events and again.operations == run.history.operations
+    assert run.history.line_memo is full.line_memo          # one memo for both traces
+    assert built == []
 
 
 def test_a_simulated_history_survives_its_trace_round_trip():
@@ -494,11 +494,12 @@ def test_orphans_are_applied_depth_first_in_arrival_order():
     d = source.refined_append(Block(id="d"), "s").block
     c2 = other.refined_append(Block(id="c2"), "t").block      # a fork under a
     replica = _Replica(ProcessSpec("r"), oracle)
-    rec = Recorder()
+    events = []
     for block in (c1, c2, d, a):                              # the parent last
-        replica.integrate(block, 5, rec)
-    assert [e.args for e in rec.events] == [
+        replica.integrate(block, 5, events)
+    assert [e.args for e in events] == [
         ("b0", "a"), ("a", "c1"), ("c1", "d"), ("a", "c2")]
+    assert [e.event_id for e in events] == [0, 1, 2, 3]       # each its position
     assert replica.orphans == {}
 
 

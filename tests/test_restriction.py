@@ -8,6 +8,12 @@ the restriction of the restriction, and all three share the parent's line
 memo. Inputs: one fixed history under every correct set, random histories
 (any op name, invalid appends, open operations, nested args) under random
 correct sets, and simulated runs with Byzantine processes.
+
+A simulated run builds its full history from its events and operations as
+it records them, and its restricted history as that history's restriction,
+with nothing sorted, checked or matched; both must equal the histories the
+checking constructor builds from the run's events, on every preset and on
+random scenarios.
 """
 
 import pytest
@@ -18,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from btlab.checkers import CHECKERS  # noqa: E402
 from btlab.history import EventKind, History, make_event, restrict  # noqa: E402
-from btlab.netsim import run_scenario, scenario_from_dict  # noqa: E402
+from btlab.netsim import preset, preset_names, run_scenario, scenario_from_dict  # noqa: E402
 from test_checker_equivalence import scenarios  # noqa: E402
 from test_codec_equivalence import histories  # noqa: E402
 
@@ -35,15 +41,19 @@ def verdicts(h):
     return out
 
 
+def assert_same_history(got, want):
+    assert got.events == want.events
+    assert got.processes == want.processes
+    assert got.correct == want.correct
+    assert got.complete == want.complete
+    assert got.operations == want.operations
+
+
 def assert_restricts_as_rebuilt(h):
     rebuilt = History(restrict(h.events, h.correct), correct=h.correct, complete=h.complete)
     once = h.restricted()
     for r in (once, once.restricted()):
-        assert r.events == rebuilt.events
-        assert r.processes == rebuilt.processes
-        assert r.correct == rebuilt.correct
-        assert r.complete == rebuilt.complete
-        assert r.operations == rebuilt.operations
+        assert_same_history(r, rebuilt)
         assert r.line_memo is h.line_memo
         assert verdicts(r) == verdicts(rebuilt)
 
@@ -90,3 +100,21 @@ def test_a_restriction_of_a_simulated_run_equals_the_history_of_its_events(doc, 
     doc["declared_complete"] = complete
     run = run_scenario(scenario_from_dict(doc))
     assert_restricts_as_rebuilt(run.full_history)
+
+
+def assert_built_as_checked(run):
+    correct, complete = run.scenario.correct_set(), run.scenario.declared_complete
+    assert_same_history(run.full_history, History(run.events, correct, complete))
+    assert_same_history(run.history, History(restrict(run.events, correct), correct, complete))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_a_preset_run_builds_the_histories_its_events_give(name):
+    assert_built_as_checked(run_scenario(preset(name)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=scenarios(), complete=st.booleans())
+def test_a_simulated_run_builds_the_histories_its_events_give(doc, complete):
+    doc["declared_complete"] = complete
+    assert_built_as_checked(run_scenario(scenario_from_dict(doc)))
