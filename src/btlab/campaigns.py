@@ -68,7 +68,7 @@ def _fork_scenario(k: int, seed: int) -> Scenario:
 
 def _successes(run: SimRun) -> List[Tuple[str, str, str]]:
     """(process, block, parent) of each append whose token was consumed, in order."""
-    return [(e.process, e.args[0], e.args[1]) for e in run.events
+    return [(e.process, e.args[0], e.args[1]) for e in run.full_history.events
             if e.op == "consume_token" and e.kind is EventKind.RESPONSE
             and e.args[0] in e.returned]
 

@@ -27,6 +27,10 @@ frozenset and `complete` is read-only, so whatever is computed from it (an
 index, a checker's verdict in `verdict_cache`, an event's trace line in
 `line_memo`) never goes stale. A run's restricted and full histories share
 one line memo, so writing both traces encodes each event once.
+
+The decoders only turn JSON into events: both check the same field types
+(`_FIELD_TYPES`), and neither looks at what a read returned, which the
+History judges whether its events were parsed or built in code.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ _SEND, _RECEIVE, _UPDATE = _COMMUNICATION
 TRACE_FIELDS = ("event_id", "kind", "op", "args", "process", "logical_time", "returned")
 _FIELD_SET = frozenset(TRACE_FIELDS)
 _fields_of = itemgetter(*TRACE_FIELDS)
-_FIELDS = tuple(map(itemgetter, TRACE_FIELDS))
 _KINDS = {k.value: k for k in EventKind}
 _KIND_NAMES = {k: k.value for k in EventKind}   # faster than the Enum.value descriptor
 
@@ -77,6 +80,11 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _raw_decode = json.JSONDecoder().raw_decode
 _decode = json.JSONDecoder().decode
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+# the type of each typed field of a trace line, in the order `decode_events`
+# checks them; `_decode_flat` checks them column by column
+_FIELD_TYPES = (("event_id", int, "an integer"), ("logical_time", int, "an integer"),
+                ("op", str, "a string"), ("process", str, "a string"),
+                ("args", list, "a list"))
 
 
 class Event(NamedTuple):
@@ -124,11 +132,14 @@ canonical_order = attrgetter("logical_time", "event_id")
 
 
 class History:
-    """A validated, canonically ordered, immutable event sequence. Every
-    non-empty chain a read returns starts at genesis `GENESIS_ID`."""
+    """A validated, canonically ordered, immutable event sequence. A read
+    returns None or a tuple of string block ids that starts at genesis
+    `GENESIS_ID`: `_match_operations` is the one place that rule is judged.
+    A history built here has a line memo of its own; only `_trusted` shares
+    one between histories."""
 
     def __init__(self, events: Iterable[Event], correct: Optional[Iterable[str]] = None,
-                 complete: bool = False, line_memo: Optional[Dict[int, str]] = None):
+                 complete: bool = False):
         events = tuple(sorted(events, key=canonical_order))
         if len(set(map(_event_id, events))) != len(events):
             seen = set()
@@ -136,7 +147,7 @@ class History:
                 if e.event_id in seen:
                     raise TraceError(f"duplicate event_id {e.event_id}")
                 seen.add(e.event_id)
-        self._set(events, correct, complete, _match_operations(events), line_memo)
+        self._set(events, correct, complete, _match_operations(events), None)
 
     @staticmethod
     def _trusted(events: Tuple[Event, ...], correct: Iterable[str], complete: bool,
@@ -405,8 +416,8 @@ def _decode_flat(text: str) -> Optional[List[Event]]:
     and its `returned` is a scalar or a list of scalars, so no container
     sits inside a list), each line decodes on its own to the same value.
     The values are kept only if they pass every `decode_events` rule,
-    checked field by field over all events; anything else is left to the
-    line-by-line path, which words the error.
+    checked column by column; anything else is left to the line-by-line
+    path, which words the error.
     """
     lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or any([line[0] != "{" for line in lines]):
@@ -424,26 +435,21 @@ def _decode_flat(text: str) -> Optional[List[Event]]:
     if len(docs) != count or _types(docs) != {dict} or set(map(len, docs)) != {7}:
         return None
     try:            # seven keys, each a field: exactly the fields
-        ids, kinds, ops, args, processes, times, returned = [
-            list(map(field, docs)) for field in _FIELDS]
-        kinds = list(map(_KINDS.__getitem__, kinds))
+        columns = {name: list(map(itemgetter(name), docs)) for name in TRACE_FIELDS}
+        kinds = list(map(_KINDS.__getitem__, columns["kind"]))
     except (KeyError, TypeError):       # a missing field; an unknown or unhashable kind
         return None
     del docs
-    chains = [r for k, op, r in zip(kinds, ops, returned)
-              if k is _RESPONSE and op == "read" and r is not None]
-    # what the lists in `returned` hold, read once: the chains are among them
-    items = _types(chain.from_iterable([r for r in returned if type(r) is list]))
-    if (_types(ids) | _types(times) != {int} or _types(ops) | _types(processes) != {str}
-            or _types(args) != {list} or not _types(chain.from_iterable(args)) <= _SCALARS
-            or not _types(returned) <= _SCALARS | {list} or not items <= _SCALARS
-            or not _types(chains) <= {list}
-            or not (items <= {str} or _types(chain.from_iterable(chains)) <= {str})
-            or any([c[0] != GENESIS_ID for c in chains if c])):
+    args, returned = columns["args"], columns["returned"]
+    if (any([_types(columns[field]) != {want} for field, want, _ in _FIELD_TYPES])
+            or not _types(chain.from_iterable(args)) <= _SCALARS
+            or not _types(returned) <= _SCALARS | {list}
+            or not _types(chain.from_iterable([r for r in returned
+                                               if type(r) is list])) <= _SCALARS):
         return None
     return list(map(_new_event, zip(
-        ids, kinds, ops, map(tuple, args), processes, times,
-        [tuple(r) if type(r) is list else r for r in returned])))
+        columns["event_id"], kinds, columns["op"], map(tuple, args), columns["process"],
+        columns["logical_time"], [tuple(r) if type(r) is list else r for r in returned])))
 
 
 def _json_lines(text: str) -> Iterator[Tuple[int, Any]]:
@@ -478,28 +484,10 @@ def decode_events(docs: Iterable[Tuple[int, Any]], where: str) -> List[Event]:
         except (KeyError, TypeError):   # TypeError: an unhashable kind
             raise TraceError(f"{where} {n}: unknown kind {kind!r}") from None
         # JSON yields no int subclass but bool, which `type(...) is int` excludes
-        if type(event_id) is not int:
-            raise TraceError(f"{where} {n}: event_id must be an integer, got {event_id!r}")
-        if type(logical_time) is not int:
-            raise TraceError(
-                f"{where} {n}: logical_time must be an integer, got {logical_time!r}")
-        if type(op) is not str:
-            raise TraceError(f"{where} {n}: op must be a string, got {op!r}")
-        if type(process) is not str:
-            raise TraceError(f"{where} {n}: process must be a string, got {process!r}")
-        if type(args) is not list:
-            raise TraceError(f"{where} {n}: args must be a list, got {args!r}")
-        if kind is EventKind.RESPONSE and op == "read":
-            if not (returned is None or (type(returned) is list
-                                         and all(type(b) is str for b in returned))):
-                raise TraceError(f"{where} {n}: a read's returned must be null or a "
-                                 f"list of block ids, got {returned!r}")
-            if returned and returned[0] != GENESIS_ID:
-                raise TraceError(f"{where} {n}: a read's returned must start at genesis "
-                                 f"{GENESIS_ID!r}, got {returned!r}")
-        if type(returned) is list:      # a tuple, as `make_event` stores it
-            returned = tuple(returned)
-        events.append(Event(event_id, kind, op, tuple(args), process, logical_time, returned))
+        for field, want, noun in _FIELD_TYPES:
+            if type(doc[field]) is not want:
+                raise TraceError(f"{where} {n}: {field} must be {noun}, got {doc[field]!r}")
+        events.append(make_event(event_id, kind, op, args, process, logical_time, returned))
     return events
 
 

@@ -322,7 +322,6 @@ class SimRun:
     scenario: Scenario
     history: History                  # full_history.restricted(): one line memo for both
     full_history: History             # everything, oracle chatter included
-    events: Tuple[Event, ...]         # full_history.events
     oracle: Optional[OracleState]
     ledgers: Dict[str, RefinedLedger]
     undelivered: int = 0
@@ -467,8 +466,7 @@ def run_scenario(scenario: Scenario) -> SimRun:
     full = History._trusted(tuple(events), scenario.correct_set(),
                             scenario.declared_complete, tuple(operations))
     return SimRun(scenario=scenario, history=full.restricted(), full_history=full,
-                  events=full.events, oracle=oracle,
-                  ledgers={k: r.ledger for k, r in replicas.items()},
+                  oracle=oracle, ledgers={k: r.ledger for k, r in replicas.items()},
                   undelivered=undelivered, dropped=dropped)
 
 
@@ -478,7 +476,7 @@ def _replay_script(scenario: Scenario) -> SimRun:
     full = History(_script_events(scenario.script), correct=scenario.correct_set(),
                    complete=scenario.declared_complete)
     return SimRun(scenario=scenario, history=full.restricted(), full_history=full,
-                  events=full.events, oracle=None, ledgers={})
+                  oracle=None, ledgers={})
 
 
 # -- verdict report -----------------------------------------------------------

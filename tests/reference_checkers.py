@@ -359,15 +359,6 @@ def from_jsonl(text: str, correct: Optional[Set[str]] = None,
         if not isinstance(doc["args"], list):
             raise TraceError(f"line {n}: args must be a list, got {doc['args']!r}")
         returned = doc["returned"]
-        if kind is EventKind.RESPONSE and doc["op"] == "read" and not (
-                returned is None or (isinstance(returned, list)
-                                     and all(isinstance(b, str) for b in returned))):
-            raise TraceError(f"line {n}: a read's returned must be null or a "
-                             f"list of block ids, got {returned!r}")
-        if kind is EventKind.RESPONSE and doc["op"] == "read" and returned \
-                and returned[0] != "b0":
-            raise TraceError(f"line {n}: a read's returned must start at genesis "
-                             f"'b0', got {returned!r}")
         if isinstance(returned, list):
             returned = tuple(returned)
         events.append(Event(

@@ -10,8 +10,8 @@ import pytest
 from btlab import campaigns, cli
 from btlab.blocktree import Block
 from btlab.cli import main
-from btlab.history import History
-from btlab.netsim import preset, preset_names
+from btlab.history import History, _decode_flat
+from btlab.netsim import preset, preset_names, scenario_from_dict
 from btlab.oracle import Merit, prodigal_oracle
 from btlab.shm import ConsensusOutcome
 
@@ -154,6 +154,24 @@ def test_run_rejects_a_script_response_without_invocation(tmp_path, capsys):
     assert run_cli("run", str(path)) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "response without invocation" in err
+
+
+def test_run_rejects_a_script_read_rooted_elsewhere(tmp_path, capsys):
+    # the scenario loads, as only the decoder checks it; its run builds the
+    # script's History, which refuses the read
+    doc = preset("figure-3").to_dict()
+    doc["script"] = [{"kind": "invocation", "op": "read", "args": [], "process": "i",
+                      "logical_time": 0, "returned": None},
+                     {"kind": "response", "op": "read", "args": [], "process": "i",
+                      "logical_time": 1, "returned": ["x0"]}]
+    assert scenario_from_dict(doc).script == doc["script"]
+    path = tmp_path / "foreign-genesis.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", str(path)) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: a read's returned .* start at genesis 'b0', "
+                        r"got \('x0',\) \(event 1\)\n", captured.err), captured.err
+    assert captured.out == ""
 
 
 def _rename(process, op, new):
@@ -304,7 +322,10 @@ def test_every_integer_scenario_field_takes_json_integers_only(tmp_path, capsys,
 
 # One mutation of figure-3 events (the first one, the last read response, or
 # every read response), sent once as script events of the scenario and once as
-# lines of a trace: both carriers must judge it alike.
+# lines of a trace: both carriers must judge it alike. A decoder names the
+# script event or the line; a read's returned is judged by the History the
+# events build, which names the event.
+READ_RULE_PROBES = {"returned-number", "foreign-genesis", "rooted-at-g0"}
 CARRIER_PROBES = {
     "unchanged": ("first", lambda ev: None),
     "time-string": ("first", lambda ev: ev.update(logical_time="0")),
@@ -333,13 +354,15 @@ def test_a_script_event_and_a_trace_line_are_judged_alike(tmp_path, capsys, prob
     trace.write_text("".join(json.dumps({"event_id": n, **ev}) + "\n"
                              for n, ev in enumerate(script)))
     outcomes = []
+    read_rule = probe in READ_RULE_PROBES
     for argv, where in ((["run", str(scenario)], r"script event \d+"),
                         (["check", str(trace)], r"line \d+")):
         code = run_cli(*argv)
         err = capsys.readouterr().err
-        if code == 2:
-            assert err.count("\n") == 1 and re.match(f"error: {where}: ", err), err
-        outcomes.append((code, re.sub(f"^error: {where}: ", "", err)))
+        if code == 2:       # one line
+            assert re.fullmatch(r"error: a read's returned .* \(event \d+\)\n" if read_rule
+                                else f"error: {where}: .*\n", err), err
+        outcomes.append((code, err if read_rule else re.sub(f"^error: {where}: ", "", err)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == (0 if probe == "unchanged" else 2)
 
@@ -548,6 +571,22 @@ def test_check_rejects_malformed_traces(tmp_path, capsys):
         assert run_cli("check", str(bad), *flags) == 2, flags
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "genesis" in err and "returned" in err, (flags, err)
+
+
+@pytest.mark.parametrize("args", [[], [{"x": 1}]], ids=["one-call", "line-by-line"])
+def test_check_names_the_event_of_a_bad_read(tmp_path, capsys, args):
+    # a nested object in `args` sends the trace down the line-by-line decoder;
+    # either way the History judges the read and names its event, not a line
+    text = "".join(json.dumps(e) + "\n" for e in [
+        {**READ_INVOCATION, "args": args}, {**READ_RESPONSE, "returned": ["x0"]}])
+    assert (_decode_flat(text) is None) == bool(args)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(text)
+    assert run_cli("check", str(trace)) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: a read's returned .* \(event 1\)\n", captured.err), \
+        captured.err
+    assert captured.out == ""
 
 
 # -- replay --------------------------------------------------------------------------------

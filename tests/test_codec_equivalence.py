@@ -272,7 +272,7 @@ def test_a_run_writes_reference_bytes_encoding_each_event_once(encoded, doc, ord
     written = {e.event_id for name in order for e in traces[name].events}
     assert sorted(sum(encoded, [])) == sorted(written)   # each event once
     assert write(traces, ORDERS[0]) == expected(traces, ORDERS[0])   # then both again
-    assert sorted(sum(encoded, [])) == sorted(e.event_id for e in run.events)
+    assert sorted(sum(encoded, [])) == sorted(e.event_id for e in run.full_history.events)
 
 
 def test_replay_encodes_the_restricted_events_only(encoded, tmp_path, capsys):
@@ -284,7 +284,7 @@ def test_replay_encodes_the_restricted_events_only(encoded, tmp_path, capsys):
     encoded.clear()
     assert main(["replay", "bitcoin-like", str(tmp_path / "bitcoin-like.raw.jsonl"),
                  "--raw"]) == 0
-    assert sum(map(len, encoded)) == len(run_scenario(preset("bitcoin-like")).events)
+    assert sum(map(len, encoded)) == len(run_scenario(preset("bitcoin-like")).full_history.events)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 
 from btlab.checkers import Status, check_block_validity, check_sc
 from btlab.cli import main
-from btlab.history import (Event, EventKind, History, TraceError,
+from btlab.history import (Event, EventKind, History, TraceError, decode_events,
                            make_event, returned_chain)
 from btlab.netsim import preset, run_scenario
 
@@ -100,6 +100,17 @@ def test_a_read_response_returns_none_or_a_tuple(returned):
     # directly keeps what it is given
     with pytest.raises(TraceError, match="must be None or a tuple of block ids"):
         History([ev(0, INV, "read", "p", 0), Event(1, RSP, "read", (), "p", 1, returned)])
+
+
+def test_the_decoder_leaves_the_read_rule_to_the_history():
+    docs = [{"event_id": 0, "kind": "invocation", "op": "read", "args": [], "process": "p",
+             "logical_time": 0, "returned": None},
+            {"event_id": 1, "kind": "response", "op": "read", "args": [], "process": "p",
+             "logical_time": 1, "returned": ["x0"]}]
+    events = decode_events(enumerate(docs), "line")
+    assert events[1] == ev(1, RSP, "read", "p", 1, (), ("x0",))
+    with pytest.raises(TraceError, match=r"start at genesis 'b0', got \('x0',\) \(event 1\)"):
+        History(events)
 
 
 @pytest.mark.parametrize("chains", [

@@ -50,8 +50,8 @@ def two_process_run(channel, duration=400):
 
 def first_arrivals(run):
     """Ticks from each block's send to each first receive of it."""
-    sent = {e.args[1]: e.logical_time for e in run.events if e.kind is EventKind.SEND}
-    return [e.logical_time - sent[e.args[1]] for e in run.events
+    sent = {e.args[1]: e.logical_time for e in run.full_history.events if e.kind is EventKind.SEND}
+    return [e.logical_time - sent[e.args[1]] for e in run.full_history.events
             if e.kind is EventKind.RECEIVE]
 
 
@@ -122,8 +122,8 @@ def test_no_copy_is_scheduled_that_an_earlier_one_beats(monkeypatch):
         assert tick < earliest.get((dest, block_id), math.inf)
         earliest[dest, block_id] = tick
     assert len(earliest) < len(pushed)          # some later push did beat one
-    sends = sum(e.kind is EventKind.SEND for e in run.events)
-    echoes = sum(e.kind is EventKind.RECEIVE for e in run.events)
+    sends = sum(e.kind is EventKind.SEND for e in run.full_history.events)
+    echoes = sum(e.kind is EventKind.RECEIVE for e in run.full_history.events)
     copies = 4 * sends + 3 * echoes             # every copy the broadcast makes
     assert len(pushed) + run.undelivered + run.dropped < copies
 
@@ -356,7 +356,7 @@ def test_a_read_event_holds_the_chain_its_replica_tree_read(monkeypatch):
 
     monkeypatch.setattr(RefinedLedger, "read", read)
     run = run_scenario(small_scenario(21))
-    returned = [e.returned for e in run.events
+    returned = [e.returned for e in run.full_history.events
                 if e.kind is EventKind.RESPONSE and e.op == "read"]
     assert returned and len(returned) == len(tree_reads)
     assert all(chain is tree_chain for chain, tree_chain in zip(returned, tree_reads))

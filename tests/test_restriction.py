@@ -104,8 +104,8 @@ def test_a_restriction_of_a_simulated_run_equals_the_history_of_its_events(doc, 
 
 def assert_built_as_checked(run):
     correct, complete = run.scenario.correct_set(), run.scenario.declared_complete
-    assert_same_history(run.full_history, History(run.events, correct, complete))
-    assert_same_history(run.history, History(restrict(run.events, correct), correct, complete))
+    assert_same_history(run.full_history, History(run.full_history.events, correct, complete))
+    assert_same_history(run.history, History(restrict(run.full_history.events, correct), correct, complete))
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import btlab
+from btlab import history
 
 SOURCES = sorted(Path(btlab.__file__).resolve().parent.glob("*.py"))
 
@@ -48,3 +49,19 @@ def test_one_function_of_the_library_builds_a_history_unchecked():
                 and _history_news(node)]
     calls = sum(len(_history_news(tree)) for tree in trees.values())
     assert builders == ["history.py:_trusted"] and calls == 1, (builders, calls)
+
+
+def _genesis_reads(tree):
+    return sum(isinstance(node, ast.Name) and node.id == "GENESIS_ID"
+               or isinstance(node, ast.Attribute) and node.attr == "GENESIS_ID"
+               for node in ast.walk(tree))
+
+
+def test_one_function_of_history_judges_what_a_read_returns():
+    # a History judges each read's chain when it matches operations; a decoder
+    # that checked it again could word or order the same error apart
+    tree = ast.parse(Path(history.__file__).read_text())
+    readers = {node.name: _genesis_reads(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and _genesis_reads(node)}
+    assert readers == {"_match_operations": _genesis_reads(tree)}, readers
