@@ -26,7 +26,10 @@ are tuples, each event and operation is a named tuple, its correct set is a
 frozenset and `complete` is read-only, so whatever is computed from it (an
 index, a checker's verdict in `verdict_cache`, an event's trace line in
 `line_memo`) never goes stale. A run's restricted and full histories share
-one line memo, so writing both traces encodes each event once.
+one line memo, so writing both traces encodes each event once. The lines are
+encoded field by field over all events (`_encode_columns`): one encoder call
+for every `args`, one for every read chain or consumed set, and each distinct
+`op` and `process` once, not one object per event.
 
 The decoders only turn JSON into events: both check the same field types
 (`_FIELD_TYPES`), and neither looks at what a read returned, which the
@@ -72,10 +75,14 @@ TRACE_FIELDS = ("event_id", "kind", "op", "args", "process", "logical_time", "re
 _FIELD_SET = frozenset(TRACE_FIELDS)
 _fields_of = itemgetter(*TRACE_FIELDS)
 _KINDS = {k.value: k for k in EventKind}
-_KIND_NAMES = {k: k.value for k in EventKind}   # faster than the Enum.value descriptor
+# a kind's name: the member's own attribute, where `.value` is a descriptor and a
+# table lookup calls Enum.__hash__, both Python functions
+_kind_name = attrgetter("_value_")
+# one trace line of `_encode_columns`, its keys in sorted order; a kind name
+# holds nothing JSON escapes
+_LINE = ('{"args":%s,"event_id":%d,"kind":"%s","logical_time":%d,"op":%s,"process":%s,'
+         '"returned":%s}')
 
-# see _encode_lines: the event dicts are built in sorted key order already
-_UNSORTED_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _raw_decode = json.JSONDecoder().raw_decode
 _decode = json.JSONDecoder().decode
@@ -173,9 +180,9 @@ class History:
              line_memo: Optional[Dict[int, str]]) -> None:
         """Assign every field: the one place both constructors do it."""
         self.events = events
-        self.processes: Tuple[str, ...] = tuple(sorted({e.process for e in events}))
-        self.correct: FrozenSet[str] = frozenset(self.processes if correct is None
-                                                 else correct)
+        # by default every process is correct; `processes` is left to its first use
+        self.correct: FrozenSet[str] = frozenset({e.process for e in events}
+                                                 if correct is None else correct)
         self._complete = complete
         self.operations = operations
         self.verdict_cache: Dict[Any, Any] = {}   # filled by btlab.checkers
@@ -189,6 +196,11 @@ class History:
         return self._complete
 
     # -- indexes, built on first use; they depend on `events` alone --------------
+
+    @cached_property
+    def processes(self) -> Tuple[str, ...]:
+        """Every process that has an event, sorted."""
+        return tuple(sorted({e.process for e in self.events}))
 
     @cached_property
     def _by_id(self) -> Dict[int, Event]:
@@ -378,24 +390,61 @@ def _match_operations(events: Sequence[Event]) -> Tuple[Operation, ...]:
 
 
 def _encode_lines(events: Sequence[Event]) -> List[str]:
-    """The canonical line of each event, from one encoder call.
+    """The canonical line of each event: column by column when every column
+    keeps its rule (see `_encode_columns`), else each event on its own with
+    sorted keys."""
+    lines = _encode_columns(events)
+    if lines is None:
+        lines = [_ENCODER.encode({"args": list(args), "event_id": event_id,
+                                  "kind": _kind_name(kind), "logical_time": logical_time,
+                                  "op": op, "process": process, "returned": returned})
+                 for event_id, kind, op, args, process, logical_time, returned in events]
+    return lines
 
-    The dicts are built in sorted key order, so the encoder that does not
-    sort writes canonical bytes unless some `args` or `returned` holds a
-    nested object. Each event object opens one `{`, so the output holds
-    exactly one `{` per event iff there is no nested object and no `{` in a
-    string. Then `},{` occurs only between two events and becomes a line
-    break (an encoded string holds no raw newline). Otherwise every event is
-    encoded on its own with sorted keys.
+
+def _encode_columns(events: Sequence[Event]) -> Optional[List[str]]:
+    """The canonical line of each event, its fields encoded column by column;
+    None when a column breaks its rule.
+
+    Each line is one template with the keys in sorted order. Every
+    `event_id` and `logical_time` must be an exact `int`, written with `%d`,
+    and every `op` and `process` an exact `str`: each distinct one is encoded
+    once. Every `args` list is encoded in one call, and so is every tuple
+    `returned`, a read's chain or a consumed set (see `_encode_lists`). A
+    `returned` None is `null`; any other is encoded on its own.
     """
-    docs = [{"args": list(args), "event_id": event_id, "kind": _KIND_NAMES[kind],
-             "logical_time": logical_time, "op": op, "process": process,
-             "returned": returned}
-            for event_id, kind, op, args, process, logical_time, returned in events]
-    body = _UNSORTED_ENCODER.encode(docs)
-    if body.count("{") == len(docs):
-        return body[1:-1].replace("},{", "}\n{").split("\n")
-    return list(map(_ENCODER.encode, docs))
+    ids, kinds, ops, args, processes, times, returned = zip(*events)
+    if ((_types(ids) | _types(times)) != {int} or (_types(ops) | _types(processes)) != {str}
+            or not _types(args) <= {tuple, list}):
+        return None
+    args = _encode_lists(args)
+    chains = _encode_lists([r for r in returned if type(r) is tuple])
+    if args is None or chains is None:
+        return None
+    strings = {s: _ENCODER.encode(s) for s in {*ops, *processes}}
+    chains = iter(chains)
+    returned = ["null" if r is None else next(chains) if type(r) is tuple
+                else _ENCODER.encode(r) for r in returned]
+    return list(map(_LINE.__mod__, zip(args, ids, map(_kind_name, kinds), times,
+                                       map(strings.__getitem__, ops),
+                                       map(strings.__getitem__, processes), returned)))
+
+
+def _encode_lists(values: Sequence[Sequence[Any]]) -> Optional[List[str]]:
+    """The encoded list of each of `values` (lists or tuples), from one
+    encoder call; None when one holds a list or a string holds `[`.
+
+    Each value opens one `[` inside the outer one, so the output holds
+    exactly `len(values) + 1` iff no list nests and no string holds `[`.
+    Then `],[` occurs only between two values and becomes a line break (an
+    encoded string holds no raw newline).
+    """
+    if not values:
+        return []
+    body = _ENCODER.encode(values)
+    if body.count("[") != len(values) + 1:
+        return None
+    return body[1:-1].replace("],[", "]\n[").split("\n")
 
 
 def _types(column: Iterable[Any]) -> Set[type]:
@@ -407,17 +456,16 @@ def _decode_flat(text: str) -> Optional[List[Event]]:
     decoder call; None when the trace must be decoded line by line.
 
     The non-blank stripped lines, those `_json_lines` decodes, are joined
-    into one JSON array, as `_encode_lines` splits one. A strict JSON string
-    holds no raw newline, so a value that ran past the end of its line would
-    go on after the inserted `,\n` inside an object, where the next line's
-    opening `{` cannot be a key, or inside an array, where an object would
-    sit in a list. So when every line starts with `{`, the array holds one
-    value per line, and every value is flat (its `args` holds only scalars
-    and its `returned` is a scalar or a list of scalars, so no container
-    sits inside a list), each line decodes on its own to the same value.
-    The values are kept only if they pass every `decode_events` rule,
-    checked column by column; anything else is left to the line-by-line
-    path, which words the error.
+    into one JSON array. A strict JSON string holds no raw newline, so a
+    value that ran past the end of its line would go on after the inserted
+    `,\n` inside an object, where the next line's opening `{` cannot be a
+    key, or inside an array, where an object would sit in a list. So when
+    every line starts with `{`, the array holds one value per line, and
+    every value is flat (its `args` holds only scalars and its `returned` is
+    a scalar or a list of scalars, so no container sits inside a list), each
+    line decodes on its own to the same value. The values are kept only if
+    they pass every `decode_events` rule, checked column by column; anything
+    else is left to the line-by-line path, which words the error.
     """
     lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or any([line[0] != "{" for line in lines]):

@@ -2,14 +2,16 @@
 
 The reference encodes one event per json.dumps call and decodes one line per
 json.loads call. Encoding must give the same bytes on any history, including
-strings that hold quotes, braces, newlines, non-ASCII text or the literal
-event boundary `},{"args":`, and nested objects in `args` or `returned`, which
-send to_jsonl down its event-by-event path. A history and its restriction
-share a line memo (a run's two traces do too): both traces must give the
-same bytes whichever is written first, or alone, and each event must reach
-the encoder at most once. Decoding must give the same events, or fail with
-the same error message, on valid and mutated traces, and every trace btlab
-writes must decode in one decoder call.
+strings that hold quotes, braces, brackets, newlines, non-ASCII text or the
+literal boundaries `},{"args":` and `],[`, and nested values in `args` or
+`returned`: nested objects take to_jsonl's column-by-column path, and a
+nested list or a `[` inside a string sends it down its event-by-event path.
+Every trace btlab writes takes the column path. A history and its
+restriction share a line memo (a run's two traces do too): both traces must
+give the same bytes whichever is written first, or alone, and each event
+must reach the encoder at most once. Decoding must give the same events, or
+fail with the same error message, on valid and mutated traces, and every
+trace btlab writes must decode in one decoder call.
 """
 
 import json
@@ -23,11 +25,11 @@ from hypothesis import strategies as st  # noqa: E402
 import reference_checkers as reference  # noqa: E402
 from btlab import history as history_module  # noqa: E402
 from btlab.cli import main  # noqa: E402
-from btlab.history import TRACE_FIELDS, EventKind, History, make_event  # noqa: E402
+from btlab.history import TRACE_FIELDS, Event, EventKind, History, make_event  # noqa: E402
 from btlab.netsim import preset, preset_names, run_scenario, scenario_from_dict  # noqa: E402
 from test_golden import GENERATED  # noqa: E402
 
-INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
+INV, RSP, SEND = EventKind.INVOCATION, EventKind.RESPONSE, EventKind.SEND
 
 TRICKY = ['},{"args":', '}\n{"args":', '"', "\\", "{", "}", "\n", "\r\n", "é", "✓",
           " ", "args", ""]
@@ -87,6 +89,57 @@ def test_to_jsonl_matches_on_boundary_look_alikes(args, returned):
     text = h.to_jsonl()
     assert text == reference.to_jsonl(h)
     assert len(text.splitlines()) == 3
+
+
+CONSUME = [make_event(0, INV, "consume_token", ["x"], "p", 0)]
+COLUMN_CASES = {               # name -> (events, encoded column by column)
+    "bracket-in-args": ([make_event(0, INV, "append", ["x[", "b0", True], "p", 0)], False),
+    "bracket-in-chain": ([make_event(0, INV, "read", (), "p", 0),
+                          make_event(1, RSP, "read", (), "p", 0, ["b0", "x["])], False),
+    "list-in-args": ([make_event(0, SEND, "send", ["b0", ["x"]], "p", 0)], False),
+    "tuple-in-returned": (CONSUME + [make_event(1, RSP, "consume_token", ["x"], "p", 0,
+                                                ("b0", ("x",)))], False),
+    "dicts": ([make_event(0, SEND, "send", [{"b": 1, "a": "}{"}, "]"], "p", 0,
+                          {"z": None, "a": {"y": "],"}})], True),
+    "bool-event-id": ([make_event(True, INV, "read", (), "p", 0)], False),
+    "bool-logical-time": ([make_event(0, INV, "read", (), "p", False)], False),
+    "int-op": ([make_event(0, INV, 5, (), "p", 0)], False),
+    "int-process": ([make_event(0, INV, "read", (), 5, 0)], False),
+    "string-args": ([Event(0, INV, "read", "[x", "p", 0)], False),   # written as a list
+    "empty-args-first": ([make_event(0, INV, "read", (), "p", 0),
+                          make_event(1, SEND, "send", ["b0", "x"], "p", 1)], True),
+    "empty-args-last": ([make_event(0, SEND, "send", ["b0", "x"], "p", 0),
+                         make_event(1, INV, "read", (), "p", 1)], True),
+    "empty-args-alone": ([make_event(0, INV, "read", (), "p", 0)], True),
+    "empty-returned": (CONSUME + [make_event(1, RSP, "consume_token", ["x"], "p", 0, ())],
+                       True),
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_CASES)
+def test_to_jsonl_matches_whichever_path_encodes_it(name):
+    events, by_columns = COLUMN_CASES[name]
+    h = History(events)
+    assert h.to_jsonl() == reference.to_jsonl(h)
+    assert (history_module._encode_columns(h.events) is not None) is by_columns
+
+
+FORKED = {                       # 4 prodigal processes at merit 0.02: forks
+    "version": 1, "name": "forked", "duration": 150, "seed": 5,
+    "processes": [{"id": f"p{i}", "merit": 0.02, "block_interval": 10,
+                   "read_interval": 7} for i in range(4)],
+    "oracle": {"capacity": None, "seed": 5},
+}
+
+
+@pytest.mark.parametrize("doc", [preset(name).to_dict() for name in preset_names()]
+                         + list(GENERATED.values()) + [FORKED], ids=lambda doc: doc["name"])
+def test_every_trace_btlab_writes_encodes_column_by_column(doc):
+    run = run_scenario(scenario_from_dict(doc))
+    for h in (run.history, run.full_history):
+        lines = history_module._encode_columns(h.events)
+        assert lines is not None
+        assert "".join(line + "\n" for line in lines) == reference.to_jsonl(h)
 
 
 def test_to_jsonl_of_the_empty_history_is_empty():
@@ -252,12 +305,6 @@ def encoded(monkeypatch):
     return calls
 
 
-FORKED = {                       # 4 prodigal processes at merit 0.02: forks
-    "version": 1, "name": "forked", "duration": 150, "seed": 5,
-    "processes": [{"id": f"p{i}", "merit": 0.02, "block_interval": 10,
-                   "read_interval": 7} for i in range(4)],
-    "oracle": {"capacity": None, "seed": 5},
-}
 SIMULATED = [preset("bitcoin-like").to_dict(), preset("figure-4").to_dict(),
              preset("fork-strong-violation").to_dict(), FORKED]
 
@@ -304,9 +351,9 @@ def test_a_history_and_its_restriction_share_reference_bytes(h, data):
     ([{"z": 1, "a": {"y": [], "b": None}}, "x"], {"b": 0, "a": 1}),   # nested objects
     (["x},{y", "{"], "}{"),                                           # `{` in strings
 ], ids=["nested", "brace-strings"])
-def test_a_restriction_with_extra_braces_takes_the_sorted_path(order, args, returned):
-    # either breaks the one-brace-per-event count, so the unsorted encoder's
-    # output is not kept
+def test_a_restriction_with_nested_values_writes_reference_bytes(order, args, returned):
+    # the nested list sends the first down the event-by-event path; braces
+    # in strings and a nested object take the column path
     h = History([make_event(0, INV, "append", ["x", "b0", True], "p", 0),
                  make_event(1, EventKind.SEND, "send", ["b0", "x", {"k": "}{"}], "p", 0),
                  make_event(2, INV, "read", (), "q", 1),

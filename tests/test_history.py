@@ -171,6 +171,16 @@ def test_indexes_are_built_on_first_use(index_builds, tmp_path, capsys):
     assert {e.op for e in index_builds[0].events} < {e.op for e in run.full_history.events}
 
 
+def test_a_history_builds_its_processes_on_first_read():
+    full = run_scenario(preset("bitcoin-like")).full_history
+    h = History._trusted(full.events, {"p0"}, False, full.operations)
+    assert "processes" not in vars(h) and h.correct == {"p0"}
+    assert h.processes == tuple(sorted({e.process for e in full.events}))
+    assert "processes" in vars(h)
+    # without a correct set every process is correct
+    assert History(full.events).correct == frozenset(h.processes)
+
+
 # -- program order -----------------------------------------------------------------
 
 

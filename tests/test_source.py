@@ -65,3 +65,32 @@ def test_one_function_of_history_judges_what_a_read_returns():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and _genesis_reads(node)}
     assert readers == {"_match_operations": _genesis_reads(tree)}, readers
+
+
+def _encoder_reads(tree):
+    return sum(isinstance(node, ast.Name) and node.id == "_ENCODER"
+               and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+
+
+def _called_names(tree):
+    """The name of every function `tree` calls, `json.dumps` as `dumps`."""
+    return [getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def test_the_encode_functions_of_history_alone_write_trace_lines():
+    # every trace line comes from one encoder, in the functions that write
+    # lines; a second encoder or a second reader of this one would be a
+    # second encode path whose bytes no test compares with the first
+    tree = ast.parse(Path(history.__file__).read_text())
+    readers = {node.name: _encoder_reads(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and _encoder_reads(node)}
+    assert set(readers) == {"_encode_lines", "_encode_columns", "_encode_lists"}, readers
+    assert sum(readers.values()) == _encoder_reads(tree)
+    # the library builds one encoder by hand; json.dumps builds one of its own
+    # on each call, which history.py leaves to the rest of the library
+    built = [f"{path.name}:{name}" for path in SOURCES
+             for name in _called_names(ast.parse(path.read_text(), str(path)))
+             if name == "JSONEncoder" or path.name == "history.py" and name == "dumps"]
+    assert built == ["history.py:JSONEncoder"], built
