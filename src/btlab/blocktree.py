@@ -65,7 +65,19 @@ def mcps(a: Tuple, b: Tuple) -> int:
     """
     if not a or not b or a[0] != b[0]:
         raise DomainError("mcps: chains do not share a genesis block")
-    return len(common_prefix(a, b))
+    # slices compare in C, and only slices of one type can be equal (`tuple`
+    # returns a tuple as it is): equal up to `lo`, unequal up to `hi`
+    a, b = tuple(a), tuple(b)
+    lo, hi = 1, min(len(a), len(b))
+    if a[:hi] == b[:hi]:
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class SelectionPolicy:

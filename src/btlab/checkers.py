@@ -169,23 +169,32 @@ def check_strong_prefix(h: History, window: int) -> Verdict:
     """Any two returned chains, whoever read them, must be prefix-comparable.
 
     When every non-empty chain is a prefix of the longest one, all pairs are
-    comparable and one pass decides; otherwise the pairwise scan finds the
-    earliest offending pair.
+    comparable and one pass decides. Otherwise the witness is the earliest
+    offending pair, found from the distinct chains instead of the pairs of
+    reads: on its first read, a chain is compared with every chain not read
+    yet, so D distinct chains cost at most D(D-1)/2 compares. Each pair of
+    chains is compared when the earlier of the two is first read, so the
+    first read whose chain meets an incomparable one there is the first read
+    with an offender after it: the witness's first read. Its second is the
+    first later read of an incomparable chain.
     """
     reads = h.reads()
     chains = [returned_chain(r) for r in reads]
     longest = max(chains, key=len, default=())
-    if all(not c or prefix_comparable(c, longest) for c in chains):
+    if all([c == longest[:len(c)] for c in chains]):
         return Verdict("strong-prefix", Status.PASS)
-    for i, (a, ca) in enumerate(zip(reads, chains)):
-        if not ca:
+    unread = dict.fromkeys(filter(None, chains))    # distinct chains not yet read
+    for i, ca in enumerate(chains):
+        if ca not in unread:        # empty, or compared with every chain read after it
             continue
-        for b, cb in zip(reads[i + 1:], chains[i + 1:]):
-            if cb and not prefix_comparable(ca, cb):
-                return Verdict(
-                    "strong-prefix", Status.FAIL,
-                    (a.response.event_id, b.response.event_id),
-                    f"{'/'.join(ca)} vs {'/'.join(cb)}")
+        del unread[ca]
+        others = {cb for cb in unread if not prefix_comparable(ca, cb)}
+        if others:
+            j = next(j for j in range(i + 1, len(chains)) if chains[j] in others)
+            return Verdict(
+                "strong-prefix", Status.FAIL,
+                (reads[i].response.event_id, reads[j].response.event_id),
+                f"{'/'.join(ca)} vs {'/'.join(chains[j])}")
     return Verdict("strong-prefix", Status.PASS)
 
 
@@ -197,12 +206,16 @@ def check_ever_growing_tree(h: History, window: int) -> Verdict:
     """Only finitely many later reads may score <= a read's score.
 
     A finite history can never refute this, so the verdict is PASS or
-    INCONCLUSIVE: inconclusive iff a low read persists into the window.
+    INCONCLUSIVE: inconclusive iff a low read persists into the window. A
+    reference scoring below every window read is met, with no order looked up.
     """
     refs, last = _split_window(h, window)
     scored = [(later, len(returned_chain(later))) for later in last]
+    lowest = min([score for _, score in scored], default=math.inf)
     for r in refs:
         s = len(returned_chain(r))
+        if s < lowest:
+            continue
         for later, later_score in scored:
             if later_score <= s and h.po(r.response, later.invocation):
                 return Verdict(
@@ -213,6 +226,17 @@ def check_ever_growing_tree(h: History, window: int) -> Verdict:
 
 
 # -- eventual prefix ----------------------------------------------------------------
+
+
+def _cut(h: History, refs: Tuple[Operation, ...], read: Operation) -> int:
+    """How many of `refs`, one process's reads in response order, precede
+    `read` in program order. Program order is transitive and orders a
+    process's reads, so those that precede `read` are a prefix of `refs`:
+    the walk back from the last stops at the first that does."""
+    k = len(refs)
+    while k and not h.po(refs[k - 1].response, read.response):
+        k -= 1
+    return k
 
 
 @_criterion(windowed=True)
@@ -230,20 +254,41 @@ def check_eventual_prefix(h: History, window: int) -> Verdict:
     against the first. A reference with score s violates iff the number is
     below s; only then are its pairs scanned, earlier read first, for the
     first one below s, the witness.
+
+    No after set agrees on less than the common prefix of all window chains,
+    so a reference scoring no more than that floor is met and skipped. For
+    the others, the references of one process that precede a window read
+    are a prefix of that process's references (see `_cut`), so one cut per
+    window read and process, found with a few `po` lookups, gives every after
+    set by integer compares.
     """
     refs, last = _split_window(h, window)
     last = [o for o in last if returned_chain(o)]   # an empty chain is in no pair
     chains = [returned_chain(o) for o in last]
     agreed: Dict[Tuple[int, ...], float] = {}       # after set -> its common prefix
-    for r in refs:
-        s = len(returned_chain(r))
-        after = tuple(i for i, o in enumerate(last) if h.po(r.response, o.response))
+
+    def agreement(after: Tuple[int, ...]) -> float:
         low = agreed.get(after)
         if low is None:
             low = agreed[after] = min((mcps(chains[after[0]], chains[j]) for j in after[1:]),
                                       default=math.inf)
-        if low < s:
-            i, j = next((i, j) for k, i in enumerate(after) for j in after[k + 1:]
+        return low
+
+    everyone = tuple(range(len(last)))
+    cuts: Dict[str, List[int]] = {}     # process -> its references before each window read
+    for p in h.processes:
+        own = h.reads_of(p)[:-window]
+        cuts[p] = [_cut(h, own, o) for o in last]
+    seen = dict.fromkeys(h.processes, 0)            # process -> its references so far
+    for r in refs:
+        k = seen[r.process]
+        seen[r.process] = k + 1
+        s = len(returned_chain(r))
+        if s <= agreement(everyone):
+            continue
+        after = tuple([i for i, c in enumerate(cuts[r.process]) if k < c])
+        if agreement(after) < s:
+            i, j = next((i, j) for n, i in enumerate(after) for j in after[n + 1:]
                         if mcps(chains[i], chains[j]) < s)
             return _unmet(h, "eventual-prefix",
                           (r.response.event_id, last[i].response.event_id,

@@ -28,8 +28,9 @@ index, a checker's verdict in `verdict_cache`, an event's trace line in
 `line_memo`) never goes stale. A run's restricted and full histories share
 one line memo, so writing both traces encodes each event once. The lines are
 encoded field by field over all events (`_encode_columns`): one encoder call
-for every `args`, one for every read chain or consumed set, and each distinct
-`op` and `process` once, not one object per event.
+for every `args`, one for every read chain or consumed set, one for every
+other returned value, and each distinct `op` and `process` once, not one
+object per event.
 
 The decoders only turn JSON into events: both check the same field types
 (`_FIELD_TYPES`), and neither looks at what a read returned, which the
@@ -63,10 +64,9 @@ class EventKind(enum.Enum):
     UPDATE = "update"
 
 
-# single events both close and open happens-before edges; tuples, because a
-# set lookup would call Enum.__hash__, a Python function, on every test
-_RESPONSE_LIKE = (EventKind.RESPONSE, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
-_INVOCATION_LIKE = (EventKind.INVOCATION, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
+# single events both close and open happens-before edges: every kind but an
+# invocation is response-like and every kind but a response invocation-like;
+# a tuple, because a set lookup would call Enum.__hash__, a Python function
 _COMMUNICATION = (EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
 _INVOCATION, _RESPONSE = EventKind.INVOCATION, EventKind.RESPONSE
 _SEND, _RECEIVE, _UPDATE = _COMMUNICATION
@@ -208,26 +208,30 @@ class History:
 
     @cached_property
     def _out(self) -> Dict[int, float]:
-        """event_id -> time of the first response-like event at or after it on
-        its process (inf if none): the tail of a cross-process edge."""
+        """event_id of each invocation -> time of the first response-like
+        event after it on its process (inf if none): the tail of a
+        cross-process edge. Every other event is response-like."""
         out: Dict[int, float] = {}
         t = dict.fromkeys(self.processes, math.inf)     # process -> latest seen
-        for e in reversed(self.events):
-            if e.kind in _RESPONSE_LIKE:
-                t[e.process] = e.logical_time
-            out[e.event_id] = t[e.process]
+        for event_id, kind, _, _, process, logical_time, _ in reversed(self.events):
+            if kind is _INVOCATION:
+                out[event_id] = t[process]
+            else:
+                t[process] = logical_time
         return out
 
     @cached_property
     def _in(self) -> Dict[int, float]:
-        """event_id -> time of the last invocation-like event at or before it on
-        its process (-inf if none): the head of a cross-process edge."""
+        """event_id of each response -> time of the last invocation-like event
+        before it on its process (-inf if none): the head of a cross-process
+        edge. Every other event is invocation-like."""
         out: Dict[int, float] = {}
         t = dict.fromkeys(self.processes, -math.inf)    # process -> latest seen
-        for e in self.events:
-            if e.kind in _INVOCATION_LIKE:
-                t[e.process] = e.logical_time
-            out[e.event_id] = t[e.process]
+        for event_id, kind, _, _, process, logical_time, _ in self.events:
+            if kind is _RESPONSE:
+                out[event_id] = t[process]
+            else:
+                t[process] = logical_time
         return out
 
     @cached_property
@@ -271,11 +275,15 @@ class History:
         precedes an invocation-like event before b on b's process; since
         per-process streams are time ordered and operations are sequential,
         this reduces to comparing a's earliest response-like follow-up with
-        b's latest invocation-like lead-in, both indexed on first use.
+        b's latest invocation-like lead-in, both indexed on first use. Every
+        event but an invocation is its own follow-up and every event but a
+        response its own lead-in, so only an invocation `a` reads `_out` and
+        only a response `b` reads `_in`.
         """
         if a.process == b.process:
             return canonical_order(a) < canonical_order(b)
-        return self._out[a.event_id] < self._in[b.event_id]
+        return ((self._out[a.event_id] if a.kind is _INVOCATION else a.logical_time)
+                < (self._in[b.event_id] if b.kind is _RESPONSE else b.logical_time))
 
     # -- reads -----------------------------------------------------------------
 
@@ -411,7 +419,10 @@ def _encode_columns(events: Sequence[Event]) -> Optional[List[str]]:
     and every `op` and `process` an exact `str`: each distinct one is encoded
     once. Every `args` list is encoded in one call, and so is every tuple
     `returned`, a read's chain or a consumed set (see `_encode_lists`). A
-    `returned` None is `null`; any other is encoded on its own.
+    `returned` None is `null`. The other `returned` values, an attempt count
+    or an append's result, are encoded in one call too, kept iff it holds
+    exactly one `,` fewer than values: then no value holds a `,` and each
+    `,` separates two of them. Otherwise each is encoded on its own.
     """
     ids, kinds, ops, args, processes, times, returned = zip(*events)
     if ((_types(ids) | _types(times)) != {int} or (_types(ops) | _types(processes)) != {str}
@@ -422,9 +433,13 @@ def _encode_columns(events: Sequence[Event]) -> Optional[List[str]]:
     if args is None or chains is None:
         return None
     strings = {s: _ENCODER.encode(s) for s in {*ops, *processes}}
+    others = [r for r in returned if r is not None and type(r) is not tuple]
+    body = _ENCODER.encode(others)
     chains = iter(chains)
-    returned = ["null" if r is None else next(chains) if type(r) is tuple
-                else _ENCODER.encode(r) for r in returned]
+    others = iter(body[1:-1].split(",") if body.count(",") == len(others) - 1
+                  else map(_ENCODER.encode, others))
+    returned = ["null" if r is None else next(chains) if type(r) is tuple else next(others)
+                for r in returned]
     return list(map(_LINE.__mod__, zip(args, ids, map(_kind_name, kinds), times,
                                        map(strings.__getitem__, ops),
                                        map(strings.__getitem__, processes), returned)))

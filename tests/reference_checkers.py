@@ -22,11 +22,15 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from btlab.blocktree import mcps, prefix_comparable
 from btlab.checkers import DEFAULT_WINDOW, Status, Verdict
-from btlab.history import (_INVOCATION_LIKE, _RESPONSE_LIKE, TRACE_FIELDS, Event,
-                           EventKind, History, Operation, TraceError, returned_chain)
+from btlab.history import (TRACE_FIELDS, Event, EventKind, History, Operation, TraceError,
+                           returned_chain)
 
 
 # -- orders and reads -----------------------------------------------------------
+
+# single events both close and open happens-before edges
+_RESPONSE_LIKE = (EventKind.RESPONSE, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
+_INVOCATION_LIKE = (EventKind.INVOCATION, EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE)
 
 # History -> (process -> its events, event_id -> position there)
 _PROCESS_ORDER: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()

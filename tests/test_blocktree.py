@@ -107,6 +107,26 @@ def test_mcps_of_prefix_comparable_chains_is_min_score():
         assert mcps(shorter, longer) == min(len(shorter), len(longer))
 
 
+def test_mcps_is_the_length_of_the_common_prefix():
+    # mcps bisects on slice equality; common_prefix walks the ids one by one
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chain = st.lists(st.sampled_from("ab"), max_size=12).map(
+        lambda ids: (GENESIS_ID, *ids))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(chain, chain)
+    def agree(a, b):
+        # a drawn pair, equal chains, every prefix of a, and a against a copy
+        # that diverges at each position past genesis, as long or shorter
+        pairs = [(a, b), (a, a)] + [(a[:n], a) for n in range(1, len(a) + 1)]
+        pairs += [(a, a[:n] + tuple(x + "'" for x in a[n:])) for n in range(1, len(a))]
+        pairs += [(a, a[:n] + ("c",)) for n in range(1, len(a) + 1)]
+        for x, y in pairs:
+            assert mcps(x, y) == mcps(y, x) == mcps(list(x), y) == len(common_prefix(x, y))
+    agree()
+
+
 def test_the_least_pairwise_mcps_is_the_common_prefix_of_all_chains():
     # eventual prefix decides an after set by this number, one mcps per chain
     hypothesis = pytest.importorskip("hypothesis")

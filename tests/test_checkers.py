@@ -12,7 +12,7 @@ from btlab.checkers import (DEFAULT_WINDOW, Status, check_block_validity, check_
                             check_strong_prefix, check_update_agreement,
                             run_checker)
 import reference_checkers as reference
-from btlab.history import EventKind, History, TraceError, make_event
+from btlab.history import EventKind, History, TraceError, make_event, returned_chain
 from btlab.netsim import preset, run_scenario, scenario_from_dict
 
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
@@ -126,14 +126,23 @@ def test_nested_reads_pass_strong_prefix_across_processes():
     assert check_strong_prefix(h).status == Status.PASS
 
 
-def test_strong_prefix_witness_is_the_earliest_offending_pair():
-    h = reads_history([
-        ("p", 0, 1, ("b0", "a")),
-        ("q", 2, 3, ("b0", "z")),
-        ("p", 4, 5, ("b0", "y")),
-    ])
+@pytest.mark.parametrize("spans, times", [
+    ([("p", 0, 1, ("b0", "a")), ("q", 2, 3, ("b0", "z")), ("p", 4, 5, ("b0", "y"))], [1, 3]),
+    # the first offending chain is read again, an empty read sits between the
+    # offending pair, and the chain it diverges from is read again later
+    ([("p", 0, 1, ("b0", "a")), ("q", 0, 2, ("b0", "a")), ("r", 0, 3, ()),
+      ("q", 4, 5, ("b0", "z")), ("p", 6, 7, ("b0", "a")), ("p", 8, 9, ("b0", "z"))], [1, 5]),
+    # the first read agrees with every later one; a re-read of it and an
+    # empty read come before the second read's offender
+    ([("p", 0, 1, ("b0", "a")), ("q", 2, 3, ("b0", "a", "b")), ("p", 4, 5, ("b0", "a")),
+      ("r", 6, 7, ()), ("r", 8, 9, ("b0", "a", "c")), ("q", 10, 11, ("b0", "a", "b"))],
+     [3, 9]),
+])
+def test_strong_prefix_witness_is_the_earliest_offending_pair(spans, times):
+    h = reads_history(spans)
     v = check_strong_prefix(h)
-    assert [h.event(i).logical_time for i in v.witness] == [1, 3]
+    assert v == reference.check_strong_prefix(h)
+    assert [h.event(i).logical_time for i in v.witness] == times
 
 
 # -- ever growing tree ------------------------------------------------------------------
@@ -281,6 +290,24 @@ def test_eventual_prefix_witness_is_the_first_pair_below_the_score():
     v = check_eventual_prefix(h, W1)
     assert v == reference.check_eventual_prefix(h, W1)
     assert v.witness == (1, 3, 7)
+
+
+def test_eventual_prefix_after_set_of_a_reference_between_two_cuts():
+    # W1. Of p's references, wq (invoked at 3) follows only r0, and wu
+    # (invoked at 10) follows r0 and r1: r1 sits between the two cuts, so its
+    # after set is {wp, wu}, whose pair agrees only below r1's score 3
+    spans = [
+        ("p", 0, 1, ("b0",)),                       # r0
+        ("p", 4, 5, ("b0", "a1", "a2")),            # r1
+        ("p", 20, 21, ("b0", "a1", "a2", "a3")),    # wp
+        ("q", 3, 30, ("b0", "d1")),                 # wq
+        ("u", 10, 31, ("b0", "a1", "c2")),          # wu
+    ]
+    h = reads_history(spans, complete=True)
+    v = check_eventual_prefix(h, W1)
+    assert v == reference.check_eventual_prefix(h, W1)
+    assert v.status == Status.FAIL
+    assert [h.event(i).logical_time for i in v.witness] == [5, 21, 31]
 
 
 def test_a_read_rooted_at_another_genesis_is_refused():
@@ -601,14 +628,47 @@ def test_indexed_checkers_stay_within_their_call_bounds(monkeypatch):
 
     assert check_eventual_prefix(h, window).status == Status.PASS
     assert len(mcps_calls) <= w * (w - 1) // 2    # once per unordered window pair
-    assert len(po_calls) <= refs * w
+    assert len(po_calls) <= len(h.processes) * w  # one cut per process and window read
 
     po_calls.clear()
     check_ever_growing_tree(h, window)
     assert len(po_calls) <= refs * w
 
     assert check_strong_prefix(h).status == Status.PASS
-    assert len(comparable_calls) <= len(reads)
+    assert not comparable_calls                   # one pass against the longest chain
+
+
+def test_ever_growing_tree_looks_up_no_order_for_a_reference_below_the_window(monkeypatch):
+    h = cap1_history()
+    lowest = min(len(returned_chain(o))
+                 for p in h.processes for o in h.reads_of(p)[-DEFAULT_WINDOW:])
+    assert any(len(returned_chain(r)) < lowest for r in h.reads())
+    scores = {r.response.event_id: len(returned_chain(r)) for r in h.reads()}
+    looked_up = []
+    po = History.po
+
+    def recording(self, a, b):
+        looked_up.append(a.event_id)
+        return po(self, a, b)
+    monkeypatch.setattr(History, "po", recording)
+    check_ever_growing_tree(h, DEFAULT_WINDOW)
+    assert looked_up and all(scores[i] >= lowest for i in looked_up)
+
+
+def test_strong_prefix_on_a_forked_run_compares_each_pair_of_chains_at_most_once(
+        monkeypatch):
+    # 4 prodigal processes at merit 0.02 fork: strong prefix fails
+    doc = {"version": 1, "name": "forked", "duration": 150, "seed": 5,
+           "processes": [{"id": f"p{i}", "merit": 0.02, "block_interval": 10,
+                          "read_interval": 7} for i in range(4)],
+           "oracle": {"capacity": None, "seed": 5}}
+    h = run_scenario(scenario_from_dict(doc)).history
+    chains = [returned_chain(r) for r in h.reads()]
+    distinct = len(set(filter(None, chains)))
+    comparable_calls = counting(monkeypatch, checkers, "prefix_comparable")
+    v = check_strong_prefix(h)
+    assert v.status == Status.FAIL and v == reference.check_strong_prefix(h)
+    assert distinct > 1 and len(comparable_calls) <= distinct * (distinct - 1) // 2
 
 
 def test_judging_all_nine_criteria_stays_within_the_call_bounds(monkeypatch):
@@ -621,4 +681,4 @@ def test_judging_all_nine_criteria_stays_within_the_call_bounds(monkeypatch):
     for name in checkers.CHECKERS:
         run_checker(name, h, DEFAULT_WINDOW)
     assert len(mcps_calls) <= w * (w - 1) // 2
-    assert len(comparable_calls) <= len(h.reads())
+    assert not comparable_calls

@@ -124,6 +124,30 @@ def test_to_jsonl_matches_whichever_path_encodes_it(name):
     assert (history_module._encode_columns(h.events) is not None) is by_columns
 
 
+@pytest.mark.parametrize("returned, one_call", [
+    ([3, True, False, 2.5, "x", {"k": [1]}, -1], True),
+    ([3, "a,b", 4], False),             # a `,` inside a value
+    ([{"a": 1, "b": 2}], False),        # ... and inside a dict
+    (["", 0], True),
+])
+def test_returned_values_other_than_chains_are_encoded_in_one_call(monkeypatch, returned,
+                                                                   one_call):
+    events = [make_event(i, SEND, "send", ["b0", f"x{i}"], "p", i, r)
+              for i, r in enumerate(returned)]
+    h = History(events)
+    encoded = []
+
+    class Recording(json.JSONEncoder):
+        def encode(self, o):
+            encoded.append(o)
+            return super().encode(o)
+    monkeypatch.setattr(history_module, "_ENCODER",
+                        Recording(sort_keys=True, separators=(",", ":")))
+    assert h.to_jsonl() == reference.to_jsonl(h)
+    assert encoded.count(returned) == 1
+    assert all(r in encoded for r in returned) is not one_call
+
+
 FORKED = {                       # 4 prodigal processes at merit 0.02: forks
     "version": 1, "name": "forked", "duration": 150, "seed": 5,
     "processes": [{"id": f"p{i}", "merit": 0.02, "block_interval": 10,
