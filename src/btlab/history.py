@@ -30,7 +30,7 @@ one line memo, so writing both traces encodes each event once. The lines are
 encoded field by field over all events (`_encode_columns`): one encoder call
 for every `args`, one for every read chain or consumed set, one for every
 other returned value, and each distinct `op` and `process` once, not one
-object per event.
+object per event; one f-string then joins each event's fields into its line.
 
 The decoders only turn JSON into events: both check the same field types
 (`_FIELD_TYPES`), and neither looks at what a read returned, which the
@@ -75,13 +75,6 @@ TRACE_FIELDS = ("event_id", "kind", "op", "args", "process", "logical_time", "re
 _FIELD_SET = frozenset(TRACE_FIELDS)
 _fields_of = itemgetter(*TRACE_FIELDS)
 _KINDS = {k.value: k for k in EventKind}
-# a kind's name: the member's own attribute, where `.value` is a descriptor and a
-# table lookup calls Enum.__hash__, both Python functions
-_kind_name = attrgetter("_value_")
-# one trace line of `_encode_columns`, its keys in sorted order; a kind name
-# holds nothing JSON escapes
-_LINE = ('{"args":%s,"event_id":%d,"kind":"%s","logical_time":%d,"op":%s,"process":%s,'
-         '"returned":%s}')
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _raw_decode = json.JSONDecoder().raw_decode
@@ -404,7 +397,7 @@ def _encode_lines(events: Sequence[Event]) -> List[str]:
     lines = _encode_columns(events)
     if lines is None:
         lines = [_ENCODER.encode({"args": list(args), "event_id": event_id,
-                                  "kind": _kind_name(kind), "logical_time": logical_time,
+                                  "kind": kind._value_, "logical_time": logical_time,
                                   "op": op, "process": process, "returned": returned})
                  for event_id, kind, op, args, process, logical_time, returned in events]
     return lines
@@ -414,15 +407,16 @@ def _encode_columns(events: Sequence[Event]) -> Optional[List[str]]:
     """The canonical line of each event, its fields encoded column by column;
     None when a column breaks its rule.
 
-    Each line is one template with the keys in sorted order. Every
-    `event_id` and `logical_time` must be an exact `int`, written with `%d`,
-    and every `op` and `process` an exact `str`: each distinct one is encoded
-    once. Every `args` list is encoded in one call, and so is every tuple
-    `returned`, a read's chain or a consumed set (see `_encode_lists`). A
-    `returned` None is `null`. The other `returned` values, an attempt count
-    or an append's result, are encoded in one call too, kept iff it holds
-    exactly one `,` fewer than values: then no value holds a `,` and each
-    `,` separates two of them. Otherwise each is encoded on its own.
+    Each line is one f-string with the keys in sorted order. Every
+    `event_id` and `logical_time` must be an exact `int`, written in decimal
+    (an f-string writes an exact `int` as the encoder does), and every `op`
+    and `process` an exact `str`: each distinct one is encoded once. Every
+    `args` list is encoded in one call, and so is every tuple `returned`, a
+    read's chain or a consumed set (see `_encode_lists`). A `returned` None
+    is `null`. The other `returned` values, an attempt count or an append's
+    result, are encoded in one call too, kept iff it holds exactly one `,`
+    fewer than values: then no value holds a `,` and each `,` separates two
+    of them. Otherwise each is encoded on its own.
     """
     ids, kinds, ops, args, processes, times, returned = zip(*events)
     if ((_types(ids) | _types(times)) != {int} or (_types(ops) | _types(processes)) != {str}
@@ -440,9 +434,11 @@ def _encode_columns(events: Sequence[Event]) -> Optional[List[str]]:
                   else map(_ENCODER.encode, others))
     returned = ["null" if r is None else next(chains) if type(r) is tuple else next(others)
                 for r in returned]
-    return list(map(_LINE.__mod__, zip(args, ids, map(_kind_name, kinds), times,
-                                       map(strings.__getitem__, ops),
-                                       map(strings.__getitem__, processes), returned)))
+    # keys in sorted order. A kind's name is its member's own `_value_`
+    # (`.value` is a descriptor, a Python function) and holds nothing JSON escapes
+    return [f'{{"args":{a},"event_id":{i},"kind":"{k._value_}","logical_time":{t},'
+            f'"op":{strings[o]},"process":{strings[p]},"returned":{r}}}'
+            for a, i, k, o, p, t, r in zip(args, ids, kinds, ops, processes, times, returned)]
 
 
 def _encode_lists(values: Sequence[Sequence[Any]]) -> Optional[List[str]]:

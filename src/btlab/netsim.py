@@ -35,8 +35,8 @@ import re
 from dataclasses import MISSING, asdict, dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import (AbstractSet, Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from .blocktree import Block, BlockTree
 from .checkers import CHECKERS, DEFAULT_WINDOW, Verdict, run_checker
@@ -352,10 +352,28 @@ class _Replica:
                 self.orphans.setdefault(block.parent_id, []).append(block)
 
 
+def _delay_drawer(rng: random.Random, max_delay: int) -> Callable[[], int]:
+    """A function drawing one delay in [1, `max_delay`] from `rng` per call.
+
+    It draws what `rng.randint(1, max_delay)` draws, from the same stream:
+    `randint` runs this very rejection loop over `getrandbits`
+    (`randrange` -> `_randbelow_with_getrandbits`), here without the
+    argument checks that it pays on each call.
+    """
+    getrandbits, k = rng.getrandbits, max_delay.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= max_delay:
+            r = getrandbits(k)
+        return 1 + r
+
+    return draw
+
+
 def run_scenario(scenario: Scenario) -> SimRun:
     if scenario.script:
         return _replay_script(scenario)
-    rng = random.Random(scenario.seed)
     # each event with its position as its id, and each operation at its
     # response, in invocation order: what `History` would sort and match
     events: List[Event] = []
@@ -379,7 +397,8 @@ def run_scenario(scenario: Scenario) -> SimRun:
     undelivered = 0
     dropped = 0
     routes = scenario.channel.routes(order)
-    max_delay = scenario.channel.max_delay
+    # the run's rng draws these delays and nothing else
+    draw_delay = _delay_drawer(random.Random(scenario.seed), scenario.channel.max_delay)
     # (dest, block id) -> the earliest tick a copy is scheduled for. A copy due
     # no earlier is beaten and not pushed (on a tie, the earlier push pops
     # first), so a block reaches a process once: in the copy due at that tick.
@@ -403,7 +422,7 @@ def run_scenario(scenario: Scenario) -> SimRun:
             if drops_all or block_id in drops:
                 dropped += 1
                 continue
-            at = tick + (rng.randint(1, max_delay) if delay is None else delay)
+            at = tick + (draw_delay() if delay is None else delay)
             if at > scenario.duration:
                 undelivered += 1
                 continue

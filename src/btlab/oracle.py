@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -36,6 +37,25 @@ class Merit:
     def __post_init__(self):
         if not (0.0 < self.grant_probability <= 1.0):
             raise ConfigError("grant_probability must be in (0, 1]")
+
+
+def _builtin_sha256():
+    """CPython's own SHA-256 constructor (`_sha2` on 3.12+, `_sha256` on
+    3.10-3.11), else `hashlib.sha256`.
+
+    Both implement FIPS 180-4 SHA-256, so they give the same digest of every
+    message; the built-in one skips the OpenSSL dispatch that `hashlib`'s
+    pays on each call, which a tape pays once per cell.
+    """
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
+    return hashlib.sha256
+
+
+_sha256 = _builtin_sha256()
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,9 +84,10 @@ class Tape:
 
     Cell i grants iff the first 8 bytes of sha256(b"seed:holder:i") fall
     below the merit's grant bound; the message prefix and the bound are
-    computed once per tape. The whole digest is compared with the 8-byte
-    bound, which is the same test: a digest whose first 8 bytes equal the
-    bound is longer, so greater.
+    computed once per tape, and each cell is hashed with the constructor
+    `_builtin_sha256` picks once at import. The whole digest is compared
+    with the 8-byte bound, which is the same test: a digest whose first 8
+    bytes equal the bound is longer, so greater.
     """
 
     seed: int
@@ -91,9 +112,9 @@ class Tape:
         """
         prefix, bound, start = self._prefix, self._bound, self.cursor
         stop = start + max(limit, 0)
-        sha256 = hashlib.sha256
+        hash_cell = _sha256
         for i in range(start, stop):
-            if sha256(prefix % i).digest() < bound:
+            if hash_cell(prefix % i).digest() < bound:
                 self.cursor = i + 1
                 return True, i + 1 - start
         self.cursor = stop

@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from btlab.netsim import ChannelKind, ChannelModel  # noqa: E402
+from btlab.netsim import ChannelKind, ChannelModel, _delay_drawer  # noqa: E402
 
 PROCESSES = ["p0", "p1", "p2"]
 BLOCKS = ["p0-1", "p1-1", "p2-2"]
@@ -35,9 +35,10 @@ def reference_dropped(channel, block_id, sender, dest):
                for rule in channel.drops)
 
 
-def route_delay(route, max_delay, rng):
-    """A send's delay on a route, drawn as `run_scenario` draws it."""
-    return rng.randint(1, max_delay) if route.delay is None else route.delay
+def route_delay(route, draw):
+    """A send's delay on a route, drawn as `run_scenario` draws it: by `draw`,
+    a `_delay_drawer` of the run's rng."""
+    return draw() if route.delay is None else route.delay
 
 
 POOLS = {"from": PROCESSES, "to": PROCESSES, "block": BLOCKS}
@@ -66,6 +67,7 @@ def check_routes(channel, seed):
     assert list(routes) == PROCESSES
     met = set()
     ours, theirs = random.Random(seed), random.Random(seed)
+    draw = _delay_drawer(ours, channel.max_delay)
     for sender in PROCESSES:
         assert [route.dest for route in routes[sender]] == PROCESSES
         for route in routes[sender]:
@@ -75,7 +77,7 @@ def check_routes(channel, seed):
                 if dropped:
                     met.add("drop")
                     continue
-                delay = route_delay(route, channel.max_delay, ours)
+                delay = route_delay(route, draw)
                 assert delay == reference_delay(channel, sender, route.dest, theirs)
                 met.add("draw" if route.delay is None else "fixed")
     assert ours.random() == theirs.random()     # both drew equally often

@@ -102,6 +102,13 @@ COLUMN_CASES = {               # name -> (events, encoded column by column)
     "dicts": ([make_event(0, SEND, "send", [{"b": 1, "a": "}{"}, "]"], "p", 0,
                           {"z": None, "a": {"y": "],"}})], True),
     "bool-event-id": ([make_event(True, INV, "read", (), "p", 0)], False),
+    "bool-event-id-among-ints": ([make_event(False, INV, "read", (), "p", 0),
+                                  make_event(1, RSP, "read", (), "p", 0, ())], False),
+    # the integers an f-string writes on the column path
+    "event-id-0": ([make_event(0, INV, "read", (), "p", 3)], True),
+    "event-id-2**70": ([make_event(2**70, INV, "read", (), "p", 0)], True),
+    "negative-logical-time": ([make_event(0, INV, "read", (), "p", -5),
+                               make_event(1, INV, "read", (), "q", -1)], True),
     "bool-logical-time": ([make_event(0, INV, "read", (), "p", False)], False),
     "int-op": ([make_event(0, INV, 5, (), "p", 0)], False),
     "int-process": ([make_event(0, INV, "read", (), 5, 0)], False),

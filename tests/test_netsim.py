@@ -79,6 +79,18 @@ def test_asynchronous_delay_is_bounded_only_by_the_cap():
     assert max(arrivals) > 2                    # really not delta-bounded
 
 
+@pytest.mark.parametrize("max_delay", [*range(1, 41), 63, 64, 65, 1000])
+def test_a_drawn_delay_is_what_randint_draws_from_the_same_stream(max_delay):
+    # `send` draws through `_delay_drawer`; equal delays from equally seeded
+    # rngs, and an equal draw after them, show that both consume one stream
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draw = netsim._delay_drawer(ours, max_delay)
+        assert [draw() for _ in range(300)] == [theirs.randint(1, max_delay)
+                                                for _ in range(300)], seed
+        assert ours.random() == theirs.random()
+
+
 def test_delay_overrides_match_first_rule():
     ch = ChannelModel(delta=9, delays=[
         {"from": "a", "to": "a", "delay": 3},

@@ -1,10 +1,12 @@
 """Token oracle: tapes, grants, consumption caps, containment."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
+from btlab import oracle
 from btlab.blocktree import Block
 from btlab.oracle import (ConfigError, Merit, OracleState, Tape, _grant_bound,
                           frugal_oracle, prodigal_oracle)
@@ -97,9 +99,11 @@ def reference_draw(seed, holder, p, start, limit):
 def test_draw_matches_popping_reference_cells_one_at_a_time(p):
     rng = random.Random(5)
     cases = 0
-    for _ in range(40):
-        seed = rng.randrange(10**6)
-        holder = rng.choice(["p0", "miner", "p%d", "100%", "%s%%"])
+    # holders holding `%` (the cell message is a `%` template), `:` (its
+    # separator) or non-ASCII characters; seeds zero, negative and past 64 bits
+    holders = ["p0", "miner", "p%d", "100%", "%s%%", "a:b", ":", "p:%d:", "prozess-ü",
+               "矿工", "%%:é✓"]
+    for holder, seed in itertools.product(holders, [0, -7, 2**70, rng.randrange(10**6)]):
         start = rng.randrange(500)
         first = reference_draw(seed, holder, p, start, 500)[1]  # pops to a grant, or 500
         for limit in {1, first - 1, first, first + 1, rng.randrange(1, 200)}:
@@ -111,6 +115,17 @@ def test_draw_matches_popping_reference_cells_one_at_a_time(p):
                 seed, holder, p, start, limit), (seed, holder, p, start, limit)
             cases += 1
     assert cases > 100
+
+
+def test_the_tape_hash_gives_hashlibs_sha256_digest():
+    # a tape hashes with the constructor oracle.py picks at import; each
+    # length from 0 to 200 bytes crosses SHA-256's 55/56- and 64-byte padding
+    # boundaries
+    rng = random.Random(11)
+    for length in range(201):
+        for _ in range(3):
+            message = rng.randbytes(length)
+            assert oracle._sha256(message).digest() == hashlib.sha256(message).digest()
 
 
 def test_draw_exhaustion_advances_the_cursor_by_exactly_the_limit():

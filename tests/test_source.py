@@ -1,10 +1,11 @@
 """The library's source: properties no single module's tests can see."""
 
 import ast
+import random
 from pathlib import Path
 
 import btlab
-from btlab import history
+from btlab import history, netsim
 
 SOURCES = sorted(Path(btlab.__file__).resolve().parent.glob("*.py"))
 
@@ -94,6 +95,71 @@ def test_the_encode_functions_of_history_alone_write_trace_lines():
              for name in _called_names(ast.parse(path.read_text(), str(path)))
              if name == "JSONEncoder" or path.name == "history.py" and name == "dumps"]
     assert built == ["history.py:JSONEncoder"], built
+
+
+def _percent_formats(tree):
+    return sum(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+               or isinstance(node, ast.Attribute) and node.attr == "__mod__"
+               for node in ast.walk(tree))
+
+
+def test_no_percent_template_writes_a_trace_line():
+    # a line is one f-string over its encoded fields; a `%` template beside it
+    # would be a second spelling of the line's keys
+    tree = ast.parse(Path(history.__file__).read_text())
+    writers = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and _encoder_reads(node)]
+    assert writers and [n.name for n in writers if _percent_formats(n)] == []
+    assert not hasattr(history, "_LINE")
+
+
+_SHA256_MODULES = {"_sha2", "_sha256"}
+
+
+def _sha256_names(tree):
+    """The nodes of `tree` naming a SHA-256 constructor or its module."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "sha256"
+            or isinstance(node, ast.Name) and node.id == "sha256"
+            or isinstance(node, ast.alias) and (node.name == "sha256"
+                                                or node.name in _SHA256_MODULES)
+            or isinstance(node, ast.Constant) and node.value in ({"sha256"} | _SHA256_MODULES)]
+
+
+def test_one_function_of_the_oracle_names_a_sha256_constructor():
+    # a tape cell is hashed with the constructor chosen once at import; a
+    # second module naming one could hash cells apart from the tapes
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    namers = {f"{name}:{node.name}": len(_sha256_names(node))
+              for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and _sha256_names(node)}
+    assert list(namers) == ["oracle.py:_builtin_sha256"], namers
+    assert sum(namers.values()) == sum(len(_sha256_names(t)) for t in trees.values())
+
+
+# every method that draws from a `random.Random`; a scenario's `seed` is no draw
+_RNG_METHODS = {name for name in dir(random.Random) if not name.startswith("_")} - {
+    "seed", "getstate", "setstate", "VERSION"}
+
+
+def _rng_draws(tree):
+    return sum(isinstance(node, ast.Attribute) and node.attr in _RNG_METHODS
+               for node in ast.walk(tree))
+
+
+def test_the_simulator_draws_delays_in_one_place():
+    # `send` draws through `_delay_drawer`, which draws what `randint` would;
+    # a second draw from the run's rng would shift every later delay
+    tree = ast.parse(Path(netsim.__file__).read_text())
+    drawers = {node.name: _rng_draws(node) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and _rng_draws(node)}
+    assert list(drawers) == ["_delay_drawer"] and sum(drawers.values()) == _rng_draws(tree)
+    # the run's rng, the one `Random` the simulator builds, goes straight to it
+    rngs = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "Random"]
+    given = [node.args[0] for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_delay_drawer"]
+    assert len(rngs) == 1 and given == rngs, (len(rngs), len(given))
 
 
 def _order_index_reads(tree):
