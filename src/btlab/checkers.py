@@ -118,8 +118,8 @@ def check_block_validity(h: History, window: int) -> Verdict:
     earlier tick, or earlier on the reading process."""
     first_time: Dict[str, int] = {}                 # block -> earliest append
     first_key: Dict[Tuple[str, str], Tuple[int, int]] = {}   # (block, process) -> earliest
-    for e in h.events:                              # canonical order: first is least
-        if e.op == "append" and e.kind is EventKind.INVOCATION and e.args:
+    for _, op, e, _ in h.operations:                # invocation order: first is least
+        if op == "append" and e.args:
             block_id = str(e.args[0])
             first_time.setdefault(block_id, e.logical_time)
             first_key.setdefault((block_id, e.process), canonical_order(e))

@@ -105,6 +105,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    # before reading the trace: a bad flag is a usage error whatever the trace holds
+    if args.window < 1:
+        raise TraceError(f"--window must be at least 1, got {args.window}")
+    names = args.criterion or ["sc", "ec"]
+    for name in names:
+        if name not in CHECKERS:
+            raise TraceError(f"--criterion {name!r} is unknown; "
+                             f"pick from {', '.join(sorted(CHECKERS))}")
     parsed = History.from_jsonl(_read_input(args.trace, TraceError, "cannot read trace"),
                                 complete=args.complete)
     for name in args.byzantine or []:
@@ -114,13 +122,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     # the parsed events and operations, fewer processes correct: nothing to check again
     history = History._trusted(parsed.events, parsed.correct.difference(args.byzantine or []),
                                args.complete, parsed.operations).restricted()
-    if args.window < 1:
-        raise TraceError(f"--window must be at least 1, got {args.window}")
-    names = args.criterion or ["sc", "ec"]
-    for name in names:
-        if name not in CHECKERS:
-            raise TraceError(
-                f"unknown criterion {name!r}; pick from {', '.join(sorted(CHECKERS))}")
     worst = OK
     for name in names:
         verdict = run_checker(name, history, args.window)

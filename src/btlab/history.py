@@ -17,8 +17,10 @@ A History keeps its events in that one order and no per-process copy of it.
 
 A History validates and sorts its events when it is built, except a
 restriction and a simulated run's history (see `History._trusted`): their
-events come in canonical order already, and their builder derives or pairs
-their operations instead of matching them again. The indexes that program
+events come in canonical order already, and their builder pairs their
+operations (a restriction keeps those whose invocation `restrict` kept)
+instead of matching them again. Every History lists its operations in the
+canonical order of their invocations. The indexes that program
 order, the read queries and the communication checkers use are built on
 first use, so a history that is only parsed, re-wrapped or written out never
 pays for them. A History is immutable: its events, processes and operations
@@ -157,8 +159,9 @@ class History:
         checked or matched, for callers that vouch for what `__init__` would
         establish: the events in canonical order with distinct ids, and the
         operations that matching them gives. `restricted()` keeps a
-        subsequence of a checked history's events and derives its operations
-        from that history's; `btlab check` re-wraps a parsed history's own.
+        subsequence of a checked history's events and, of that history's
+        operations, those whose invocation it kept, each with its response
+        iff that was kept; `btlab check` re-wraps a parsed history's own.
         `run_scenario` gives each event the next id at the tick just popped
         from a heap that pops ticks in non-decreasing order, pairs each
         response with its invocation as it emits both, in invocation order,
@@ -300,22 +303,20 @@ class History:
         """Keep only the checker-visible events (see `restrict`). Idempotent.
 
         The kept events are a subsequence of these, sorted and validated, so
-        they are neither sorted nor matched again: a read at a correct process
-        keeps its operation, an append whose invocation is kept keeps its
-        operation without the response, and every other operation drops out,
-        which is what matching the kept events gives. The result shares this
-        history's line memo: its events are these.
+        they are neither sorted nor matched again: each operation whose
+        invocation `restrict` kept stays, with its response iff that was kept
+        too. Of one process's invocations and responses of one op, `restrict`
+        keeps all or none, or, of an append, some invocations and no
+        response, so matching the kept events pairs them as here. The result
+        shares this history's line memo: its events are these.
         """
-        correct = self.correct
-        events = tuple(restrict(self.events, correct))
-        operations = []
-        for o in self.operations:
-            if o.op == "read":
-                if o.process in correct:
-                    operations.append(o)
-            elif o.op == "append" and _append_is_valid(o.invocation):
-                operations.append(Operation(o.process, o.op, o.invocation))
-        return History._trusted(events, correct, self.complete, tuple(operations),
+        events = tuple(restrict(self.events, self.correct))
+        kept = set(map(_event_id, events))
+        operations = tuple([
+            o if o.response is None or o.response.event_id in kept
+            else _new_operation((o.process, o.op, o.invocation, None))
+            for o in self.operations if o.invocation.event_id in kept])
+        return History._trusted(events, self.correct, self.complete, operations,
                                 self.line_memo)
 
     # -- serialization --------------------------------------------------------------
@@ -554,29 +555,24 @@ def restrict(events: Iterable[Event], correct: Set[str]) -> List[Event]:
     """The checker-visible events, in their given order.
 
     Read invocations/responses at correct processes; append invocations
-    carrying valid blocks (any process); send/receive/update at correct
-    processes. Everything else (append responses, oracle chatter,
+    carrying valid blocks (any process; their args are (block_id, parent_id,
+    valid_flag), and an omitted flag means valid); send/receive/update at
+    correct processes. Everything else (append responses, oracle chatter,
     Byzantine communication) drops out.
     """
-    kept = []
+    kept: List[Event] = []
+    keep = kept.append
     for e in events:
-        if e.op == "read" and e.process in correct:
-            kept.append(e)
-        elif e.op == "append" and e.kind is EventKind.INVOCATION:
-            if _append_is_valid(e):
-                kept.append(e)
-        elif e.kind in _COMMUNICATION:
+        op = e.op
+        if op == "read":
             if e.process in correct:
-                kept.append(e)
+                keep(e)
+        elif op == "append" and e.kind is _INVOCATION:
+            if len(e.args) < 3 or e.args[2]:
+                keep(e)
+        elif e.kind in _COMMUNICATION and e.process in correct:
+            keep(e)
     return kept
-
-
-def _append_is_valid(e: Event) -> bool:
-    # append invocation args: (block_id, parent_id, valid_flag); scripted
-    # histories may omit the flag, which means valid.
-    if len(e.args) >= 3:
-        return bool(e.args[2])
-    return True
 
 
 def fresh_ids(chain: Tuple, prev: Tuple) -> Tuple:

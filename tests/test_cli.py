@@ -509,6 +509,18 @@ def test_check_rejects_unknown_criteria_and_missing_files(figure_traces, tmp_pat
     assert_unreadable_inputs_exit_two(tmp_path, capsys, "check")
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--window", "0"], "--window"), (["--window", "-1"], "--window"),
+    (["--criterion", "nope"], "--criterion"),
+    (["--criterion", "sc", "--criterion", "nope"], "--criterion")])
+def test_check_refuses_a_bad_flag_before_reading_the_trace(tmp_path, capsys, flags, named):
+    # the trace does not exist: only a flag checked first can be the error
+    assert run_cli("check", str(tmp_path / "missing.jsonl"), *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured
+    assert named in captured.err and "missing.jsonl" not in captured.err, captured.err
+
+
 READ_INVOCATION = {"args": [], "event_id": 0, "kind": "invocation", "logical_time": 0,
                    "op": "read", "process": "p", "returned": None}
 READ_RESPONSE = {"args": [], "event_id": 1, "kind": "response", "logical_time": 1,

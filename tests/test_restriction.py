@@ -5,7 +5,8 @@ sorting and matching the kept events again. Whatever the parent, the result
 must equal `History(restrict(h.events, h.correct), ...)` in events,
 processes, correct set, completeness, operations and every verdict; so must
 the restriction of the restriction, and all three share the parent's line
-memo. Inputs: one fixed history under every correct set, random histories
+memo. Its operations are the parent's, not rebuilt: each read the same
+`Operation`, each kept append holding the same invocation event. Inputs: one fixed history under every correct set, random histories
 (any op name, invalid appends, open operations, nested args) under random
 correct sets, and simulated runs with Byzantine processes.
 
@@ -58,15 +59,25 @@ def assert_restricts_as_rebuilt(h):
         assert verdicts(r) == verdicts(rebuilt)
 
 
+def assert_derived(restriction, parent):
+    """Each operation of `restriction` is taken from `parent`'s, not rebuilt:
+    a read is its parent's operation, a kept append holds its parent's
+    invocation."""
+    of = {o.invocation.event_id: o for o in parent.operations}
+    for o in restriction.operations:
+        if o.op == "read":
+            assert o is of[o.invocation.event_id]
+        else:
+            assert o.op == "append" and o.invocation is of[o.invocation.event_id].invocation
+
+
 INV, RSP = EventKind.INVOCATION, EventKind.RESPONSE
 
 
-@pytest.mark.parametrize("complete", [False, True])
-@pytest.mark.parametrize("correct", [{"p", "q"}, {"p"}, {"q"}, set()])
-def test_a_restriction_keeps_the_operations_matching_would(correct, complete):
+def fixed_history(correct, complete):
     # reads at both processes, one still open; valid, flagless and invalid
     # appends with responses; oracle chatter; and communication
-    h = History([
+    return History([
         make_event(0, INV, "read", (), "p", 0),
         make_event(1, RSP, "read", (), "p", 1, ["b0"]),
         make_event(2, INV, "append", ("x", "b0", True), "q", 1),
@@ -82,7 +93,12 @@ def test_a_restriction_keeps_the_operations_matching_would(correct, complete):
         make_event(12, RSP, "read", (), "q", 6, ["b0", "x"]),
         make_event(13, INV, "read", (), "p", 7),
     ], correct=correct, complete=complete)
-    assert_restricts_as_rebuilt(h)
+
+
+@pytest.mark.parametrize("complete", [False, True])
+@pytest.mark.parametrize("correct", [{"p", "q"}, {"p"}, {"q"}, set()])
+def test_a_restriction_keeps_the_operations_matching_would(correct, complete):
+    assert_restricts_as_rebuilt(fixed_history(correct, complete))
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,3 +134,20 @@ def test_a_preset_run_builds_the_histories_its_events_give(name):
 def test_a_simulated_run_builds_the_histories_its_events_give(doc, complete):
     doc["declared_complete"] = complete
     assert_built_as_checked(run_scenario(scenario_from_dict(doc)))
+
+
+@pytest.mark.parametrize("correct", [{"p", "q"}, {"p"}, {"q"}, set()])
+def test_a_restriction_takes_its_operations_from_its_parent(correct):
+    h = fixed_history(correct, False)
+    restriction = h.restricted()
+    assert_derived(restriction, h)
+    # the valid and the flagless append, and every read at a correct process
+    reads = {0: "p", 11: "q", 13: "p"}              # invocation id -> process
+    assert [o.invocation.event_id for o in restriction.operations] == sorted(
+        [2, 4] + [i for i, p in reads.items() if p in correct])
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_a_preset_restriction_takes_its_operations_from_its_parent(name):
+    run = run_scenario(preset(name))
+    assert_derived(run.history, run.full_history)

@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import btlab
-from btlab import history, netsim
+from btlab import checkers, history, netsim
 
 SOURCES = sorted(Path(btlab.__file__).resolve().parent.glob("*.py"))
 
@@ -178,3 +178,28 @@ def test_program_order_alone_reads_its_indexes():
                if isinstance(node, ast.FunctionDef) and _order_index_reads(node)}
     assert list(readers) == ["history.py:History.po"], readers
     assert sum(readers.values()) == sum(map(_order_index_reads, trees.values()))
+
+
+def _function(tree, name, cls=None):
+    """The function `name` defined at the top of `tree`, or in its class `cls`."""
+    body = tree.body if cls is None else next(
+        node.body for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_restrict_alone_states_which_events_a_checker_sees():
+    # a restriction keeps the operations whose invocation `restrict` kept, and
+    # block validity reads its appends from the operations: a second statement
+    # of the read/append rule, or a second pass over the events, could drift
+    tree = ast.parse(Path(history.__file__).read_text())
+    restricted = _function(tree, "restricted", cls="History")
+    strings = [node.value for statement in restricted.body for node in ast.walk(statement)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert strings == [ast.get_docstring(restricted, clean=False)], strings
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_append_is_valid" not in defined
+    validity = _function(ast.parse(Path(checkers.__file__).read_text()),
+                         "check_block_validity")
+    loops = [ast.unparse(node.iter) for node in ast.walk(validity)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert loops and not [it for it in loops if "events" in it], loops
