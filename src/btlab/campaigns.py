@@ -149,10 +149,10 @@ def _random_scenario(seed: int) -> Scenario:
     interval = rng.choice([8, 10, 12])
     self_d = rng.randint(1, 2)
     cross_d = rng.randint(1, 4)
-    appenders = max(1, rng.randint(1, n) if capacity is None else 1)
+    appenders = rng.randint(1, n) if capacity is None else 1
     drops = []
     if rng.random() < 0.2:
-        drops = [{"block": f"p0-1", "to": procs[-1]}]
+        drops = [{"block": "p0-1", "to": procs[-1]}]
     specs = []
     for idx, p in enumerate(procs):
         specs.append(ProcessSpec(

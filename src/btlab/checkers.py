@@ -26,11 +26,10 @@ import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .blocktree import GENESIS_ID, mcps, prefix_comparable
-from .history import (Event, EventKind, History, MessageKey, Operation, canonical_order,
-                      fresh_ids, returned_chain)
+from .history import History, Message, Operation, canonical_order, fresh_ids, returned_chain
 
 
 class Status:
@@ -300,52 +299,48 @@ def check_eventual_prefix(h: History, window: int) -> Verdict:
 # -- update agreement ----------------------------------------------------------------
 
 
-def _block_owner(h: History) -> Dict[str, str]:
-    """Originator of each block: process of its earliest send/update."""
-    first: Dict[str, Event] = {}        # block -> its earliest send/update so far
-    for e, (_, _, block) in h.messages(EventKind.SEND) + h.messages(EventKind.UPDATE):
-        seen = first.get(block)
-        if seen is None or canonical_order(e) < canonical_order(seen):
-            first[block] = e
-    return {block: e.process for block, e in first.items()}
+def _received_everywhere(h: History, name: str, messages: Iterable[Message],
+                         detail: str) -> Verdict:
+    """PASS if each of `messages` names a (parent, block) that every correct
+    process received, else unmet at the first that does not, with `detail`
+    formatted by its `process`, its `block` and the `missing` processes: R3
+    and LRC agreement. Each distinct (parent, block) is looked up once."""
+    first_receive = h.messages.first_receive
+    correct = sorted(h.correct)
+    judged: Set[Tuple[str, str]] = set()
+    for e, (_, parent, block) in messages:
+        if (parent, block) in judged:
+            continue
+        judged.add((parent, block))
+        missing = [p for p in correct if (p, parent, block) not in first_receive]
+        if missing:
+            return _unmet(h, name, (e.event_id,), detail.format(
+                process=e.process, block=block, missing=", ".join(missing)))
+    return Verdict(name, Status.PASS)
 
 
 @_criterion()
 def check_update_agreement(h: History, window: int) -> Verdict:
     """R1: own updates are broadcast. R2: foreign updates follow a local
     receive. R3: an updated block is eventually received everywhere."""
-    sent = {key for _, key in h.messages(EventKind.SEND)}
-    # key -> canonical order of its first receive, which is on the key's process
-    received: Dict[MessageKey, Tuple[int, int]] = {
-        key: canonical_order(e) for e, key in reversed(h.messages(EventKind.RECEIVE))}
-    updates = h.messages(EventKind.UPDATE)
-    owner = _block_owner(h)
-    correct = sorted(h.correct)
-
-    for u, key in updates:                                         # R2 (safety) first
-        if owner.get(key[2]) == u.process:
-            continue
-        first = received.get(key)
-        if first is None or first > canonical_order(u):
+    m = h.messages
+    unsent = None                  # R1's witness: the first own update never sent
+    for u, key in m.updates:
+        first = m.first_receive.get(key)           # on the key's process, u's own
+        if m.origin[key[2]] == u.process:
+            if unsent is None and key not in m.sent:
+                unsent = u, key
+        elif first is None or canonical_order(first) > canonical_order(u):   # R2 (safety)
             return Verdict("update-agreement", Status.FAIL, (u.event_id,),
                            f"R2: {u.process} updated {key[2]!r} without a "
                            "prior local receive")
-    for u, key in updates:                                         # R1 (eventual)
-        if owner.get(key[2]) == u.process and key not in sent:
-            return _unmet(h, "update-agreement", (u.event_id,),
-                          f"R1: {u.process} updated own block {key[2]!r} "
-                          "without ever broadcasting it")
-    judged: Set[Tuple[str, str]] = set()
-    for u, (_, parent, block) in updates:                          # R3 (eventual)
-        if (parent, block) in judged:
-            continue
-        judged.add((parent, block))
-        missing = [p for p in correct if (p, parent, block) not in received]
-        if missing:
-            return _unmet(h, "update-agreement", (u.event_id,),
-                          f"R3: {block!r} was updated but never received at "
-                          f"{', '.join(missing)}")
-    return Verdict("update-agreement", Status.PASS)
+    if unsent is not None:                                         # R1 (eventual)
+        u, key = unsent
+        return _unmet(h, "update-agreement", (u.event_id,),
+                      f"R1: {u.process} updated own block {key[2]!r} "
+                      "without ever broadcasting it")
+    return _received_everywhere(h, "update-agreement", m.updates,  # R3 (eventual)
+                                "R3: {block!r} was updated but never received at {missing}")
 
 
 # -- reliable broadcast (validity + agreement) ------------------------------------------
@@ -355,27 +350,14 @@ def check_update_agreement(h: History, window: int) -> Verdict:
 def check_lrc(h: History, window: int) -> Verdict:
     """Broadcast contract: a sender delivers to itself, and a message
     received anywhere correct is received everywhere correct."""
-    receives = h.messages(EventKind.RECEIVE)
-    got: Set[MessageKey] = {key for _, key in receives}
-    for e, key in h.messages(EventKind.SEND):
-        if e.process not in h.correct:
-            continue
-        if key not in got:
+    correct, m = h.correct, h.messages
+    for e, key in m.sends:
+        if e.process in correct and key not in m.first_receive:
             return _unmet(h, "lrc", (e.event_id,),
                           f"validity: {e.process} never delivered its own "
                           f"broadcast of {e.args[1]!r}")
-    correct = sorted(h.correct)
-    judged: Set[Tuple[str, str]] = set()
-    for e, (_, parent, block) in receives:
-        if e.process not in h.correct or (parent, block) in judged:
-            continue
-        judged.add((parent, block))
-        missing = [p for p in correct if (p, parent, block) not in got]
-        if missing:
-            return _unmet(h, "lrc", (e.event_id,),
-                          f"agreement: {block!r} reached {e.process} but not "
-                          f"{', '.join(missing)}")
-    return Verdict("lrc", Status.PASS)
+    return _received_everywhere(h, "lrc", (r for r in m.receives if r[0].process in correct),
+                                "agreement: {block!r} reached {process} but not {missing}")
 
 
 # -- composite criteria --------------------------------------------------------------------

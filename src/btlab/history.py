@@ -20,19 +20,20 @@ restriction and a simulated run's history (see `History._trusted`): their
 events come in canonical order already, and their builder pairs their
 operations (a restriction keeps those whose invocation `restrict` kept)
 instead of matching them again. Every History lists its operations in the
-canonical order of their invocations. The indexes that program
-order, the read queries and the communication checkers use are built on
-first use, so a history that is only parsed, re-wrapped or written out never
-pays for them. A History is immutable: its events, processes and operations
-are tuples, each event and operation is a named tuple, its correct set is a
-frozenset and `complete` is read-only, so whatever is computed from it (an
-index, a checker's verdict in `verdict_cache`, an event's trace line in
-`line_memo`) never goes stale. A run's restricted and full histories share
-one line memo, so writing both traces encodes each event once. The lines are
-encoded field by field over all events (`_encode_columns`): one encoder call
-for every `args`, one for every read chain or consumed set, one for every
-other returned value, and each distinct `op` and `process` once, not one
-object per event; one f-string then joins each event's fields into its line.
+canonical order of their invocations. Its indexes (program order's two, the
+completed reads, and `messages`, which update agreement and LRC read instead
+of the events) are built on first use, so a history that is only parsed,
+re-wrapped or written out never pays for them. A History is immutable: its
+events, processes and operations are tuples, each event and operation is a
+named tuple, its correct set is a frozenset and `complete` is read-only, so
+whatever is computed from it (an index, a checker's verdict in
+`verdict_cache`, an event's trace line in `line_memo`) never goes stale. A
+run's restricted and full histories share one line memo, so writing both
+traces encodes each event once. The lines are encoded field by field over
+all events (`_encode_columns`): one encoder call for every `args`, one for
+every read chain or consumed set, one for every other returned value, and
+each distinct `op` and `process` once, not one object per event; one
+f-string then joins each event's fields into its line.
 
 The decoders only turn JSON into events: both check the same field types
 (`_FIELD_TYPES`), and neither looks at what a read returned, which the
@@ -105,6 +106,20 @@ _event_id = attrgetter("event_id")
 # (process, str(args[0]), str(args[1])) of a send, receive or update: who
 # sent, received or applied the block args[1] whose parent is args[0]
 MessageKey = Tuple[str, str, str]
+Message = Tuple[Event, MessageKey]
+
+
+class Messages(NamedTuple):
+    """A history's communication index (`History.messages`): its send,
+    receive and update events with two or more args, each with its
+    `MessageKey`, in canonical order, and what the checkers look up."""
+
+    sends: Tuple[Message, ...]
+    receives: Tuple[Message, ...]
+    updates: Tuple[Message, ...]
+    first_receive: Dict[MessageKey, Event]     # key -> its first receive
+    sent: FrozenSet[MessageKey]                # the keys of the sends
+    origin: Dict[str, str]      # block -> the process of its first send or update
 
 
 class Operation(NamedTuple):
@@ -244,19 +259,27 @@ class History:
         return {p: tuple(ops) for p, ops in out.items()}
 
     @cached_property
-    def _messages(self) -> Dict[EventKind, Tuple[Tuple[Event, MessageKey], ...]]:
-        """kind -> its send, receive or update events with two or more args,
-        each with its `MessageKey`, in canonical order: one pass for all three."""
-        sends: List[Tuple[Event, MessageKey]] = []
-        receives: List[Tuple[Event, MessageKey]] = []
-        updates: List[Tuple[Event, MessageKey]] = []
+    def messages(self) -> Messages:
+        """The communication index, in one pass over the events. A block's
+        origin is keyed by its id alone, whatever parent it is named under."""
+        sends: List[Message] = []
+        receives: List[Message] = []
+        updates: List[Message] = []
+        first_receive: Dict[MessageKey, Event] = {}
+        origin: Dict[str, str] = {}
         for e in self.events:
             kind, args = e.kind, e.args
             if kind is _INVOCATION or kind is _RESPONSE or len(args) < 2:
                 continue
-            (sends if kind is _SEND else receives if kind is _RECEIVE else updates).append(
-                (e, (e.process, str(args[0]), str(args[1]))))
-        return {_SEND: tuple(sends), _RECEIVE: tuple(receives), _UPDATE: tuple(updates)}
+            key = (e.process, str(args[0]), str(args[1]))
+            if kind is _RECEIVE:
+                receives.append((e, key))
+                first_receive.setdefault(key, e)
+            else:
+                (sends if kind is _SEND else updates).append((e, key))
+                origin.setdefault(key[2], e.process)
+        return Messages(tuple(sends), tuple(receives), tuple(updates), first_receive,
+                        frozenset([key for _, key in sends]), origin)
 
     def event(self, event_id: int) -> Event:
         return self._by_id[event_id]
@@ -289,13 +312,6 @@ class History:
 
     def reads_of(self, process: str) -> Tuple[Operation, ...]:
         return self._reads_of.get(process, ())
-
-    # -- communication -------------------------------------------------------------
-
-    def messages(self, kind: EventKind) -> Tuple[Tuple[Event, MessageKey], ...]:
-        """The `kind` (send, receive or update) events with two or more args,
-        each with its `MessageKey`, in canonical order."""
-        return self._messages[kind]
 
     # -- restriction -------------------------------------------------------------
 

@@ -3,14 +3,15 @@
 Status, witness, detail and parts must match for all nine criteria, over
 windows 1-4 and both completeness flags. Inputs: small random scenarios run
 through the simulator (forks, drops, Byzantine processes), raw random event
-streams (same-tick events, pending reads, updates nobody received), every
-preset, and the golden generated runs.
+streams (same-tick events, pending reads, updates nobody received, messages
+naming a block under a parent other than its own), every preset, and the
+golden generated runs.
 """
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import reference_checkers as reference  # noqa: E402
@@ -100,6 +101,7 @@ def test_checkers_agree_on_simulated_runs(doc, full):
 # a small block tree: b0 <- a1 <- a2 <- a3, a1 <- d2, b0 <- c1 <- c2
 PARENT = {"a1": "b0", "a2": "a1", "a3": "a2", "d2": "a1", "c1": "b0", "c2": "c1"}
 BLOCKS = sorted(PARENT)
+SEND, RECV, UPD = EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE
 
 
 def chain_to(block):
@@ -122,8 +124,8 @@ def event_streams(draw):
     for p in procs:
         t = draw(st.integers(0, 2))
         for _ in range(draw(st.integers(0, 7))):
-            what = draw(st.sampled_from(["read", "read", "pending", "append",
-                                         "send", "receive", "update"]))
+            what = draw(st.sampled_from(["read", "read", "pending", "append", "send",
+                                         "receive", "update", "broadcast", "broadcast"]))
             if what in ("read", "pending"):
                 raw.append((EventKind.INVOCATION, "read", p, t, (), None))
                 if what == "read":
@@ -136,25 +138,61 @@ def event_streams(draw):
                 raw.append((EventKind.INVOCATION, "append", p, t,
                             (block, PARENT[block]) + flag, None))
             else:                                # few blocks, so comms collide
-                block = draw(st.sampled_from(BLOCKS[:3]))
-                raw.append((EventKind(what), what, p, t, (PARENT[block], block), None))
+                block = draw(st.sampled_from(BLOCKS[:2]))
+                # under its own parent or another: a block's origin is keyed by
+                # its id alone, a message by (parent, block)
+                args = (draw(st.sampled_from([PARENT[block], "c1"])), block)
+                if what != "broadcast":
+                    raw.append((EventKind(what), what, p, t, args, None))
+                else:
+                    # p sends, delivers and applies it, and the others, or some
+                    # of them, receive it later: so a message that reached every
+                    # process can come before one that did not
+                    others = [q for q in procs if q != p]
+                    raw += [(kind, kind.value, p, t, args, None) for kind in (SEND, RECV, UPD)]
+                    raw += [(RECV, "receive", q, t + draw(st.integers(0, 3)), args, None)
+                            for q in draw(st.one_of(st.just(others), st.lists(
+                                st.sampled_from(others), unique=True)))]
             t += draw(st.integers(0, 2))
     # random ids shuffle same-tick events across processes; each process keeps
     # its ids increasing so that its own events stay in the order drawn
     shuffled = draw(st.permutations(range(len(raw))))
-    ids = []
+    ids = [0] * len(raw)
     for p in procs:
         mine = [k for k, e in enumerate(raw) if e[2] == p]
-        ids += sorted(shuffled[k] for k in mine)
+        for k, i in zip(mine, sorted(shuffled[k] for k in mine)):
+            ids[k] = i
     events = [make_event(i, kind, op, args=args, process=p, logical_time=t,
                          returned=returned)
               for i, (kind, op, p, t, args, returned) in zip(ids, raw)]
-    correct = set(draw(st.lists(st.sampled_from(procs), unique=True)))
+    correct = set(draw(st.one_of(st.lists(st.sampled_from(procs), unique=True),
+                                 st.just(procs))))
     return History(events, correct=correct)
+
+
+def messages_history(rows, correct):
+    """The history of `(kind, process, logical_time, parent, block)` rows, each
+    with its position as its id."""
+    return History([make_event(i, kind, kind.value, (parent, block), p, t)
+                    for i, (kind, p, t, parent, block) in enumerate(rows)], correct=correct)
+
+
+# a1 reaches every correct process under b0 but not under c1: judging one
+# message per block, not per (parent, block), would miss the second
+REACHED_THEN_NOT = messages_history(
+    [(SEND, "p", 0, "b0", "a1"), (RECV, "p", 0, "b0", "a1"), (UPD, "p", 0, "b0", "a1"),
+     (RECV, "q", 1, "b0", "a1"),
+     (SEND, "p", 2, "c1", "a1"), (RECV, "p", 2, "c1", "a1"), (UPD, "p", 2, "c1", "a1")],
+    {"p", "q"})
+# q originates a1; p is the first to name it under c1, and applies it unreceived
+FOREIGN_UNDER_ANOTHER_PARENT = messages_history(
+    [(SEND, "q", 0, "b0", "a1"), (UPD, "p", 1, "c1", "a1")], {"p", "q"})
 
 
 @settings(max_examples=150, deadline=None)
 @given(h=event_streams(), restrict=st.booleans())
+@example(h=REACHED_THEN_NOT, restrict=False)
+@example(h=FOREIGN_UNDER_ANOTHER_PARENT, restrict=False)
 def test_checkers_agree_on_raw_event_streams(h, restrict):
     assert_agree(h.restricted() if restrict else h)
 

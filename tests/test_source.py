@@ -2,6 +2,7 @@
 
 import ast
 import random
+import re
 from pathlib import Path
 
 import btlab
@@ -203,3 +204,38 @@ def test_restrict_alone_states_which_events_a_checker_sees():
     loops = [ast.unparse(node.iter) for node in ast.walk(validity)
              if isinstance(node, (ast.For, ast.comprehension))]
     assert loops and not [it for it in loops if "events" in it], loops
+
+
+def _message_key_parts(tree):
+    """The parts of a message key built in `tree`: each `str(...args[1])`,
+    the block a message names, and each tuple holding a `str(...args[0])`."""
+    def is_str_of_arg(node, i):
+        return re.fullmatch(rf"str\((\w+\.)?args\[{i}\]\)", ast.unparse(node)) is not None
+    return sum(isinstance(node, ast.Call) and is_str_of_arg(node, 1)
+               or isinstance(node, ast.Tuple) and any(is_str_of_arg(e, 0) for e in node.elts)
+               for node in ast.walk(tree))
+
+
+def test_one_index_states_what_a_message_is():
+    # update agreement and LRC read the history's one communication index: a
+    # checker that walked the events, named an event kind or built a message
+    # key would state again which events are messages and what they name
+    tree = ast.parse(Path(checkers.__file__).read_text())
+    loops = [ast.unparse(node.iter) for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert loops and not [it for it in loops if re.search(r"\bevents\b", it)], loops
+    kinds = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "EventKind"
+             or isinstance(node, ast.Attribute) and node.attr == "EventKind"
+             or isinstance(node, ast.alias) and node.name == "EventKind"]
+    assert not kinds, kinds
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    defs = [(f"{name}:{node.name}", node) for name, tree in trees.items()
+            for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{name}:{cls.name}.{node.name}", node) for name, tree in trees.items()
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, ast.FunctionDef)]
+    builders = {name: _message_key_parts(node) for name, node in defs
+                if _message_key_parts(node)}
+    assert list(builders) == ["history.py:History.messages"], builders
+    assert sum(builders.values()) == sum(map(_message_key_parts, trees.values()))
