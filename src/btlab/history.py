@@ -177,8 +177,10 @@ class History:
         subsequence of a checked history's events and, of that history's
         operations, those whose invocation it kept, each with its response
         iff that was kept; `btlab check` re-wraps a parsed history's own.
-        `run_scenario` gives each event the next id at the tick just popped
-        from a heap that pops ticks in non-decreasing order, pairs each
+        `run_scenario` builds each event in `netsim._record`, the one place
+        that gives it its position in the run's list as its id, at the tick
+        just popped from a heap that pops ticks in non-decreasing order; it
+        pops the heap in push order within a tick and action class, pairs each
         response with its invocation as it emits both, in invocation order,
         and records as a read's returned chain the tree's selected one.
         """

@@ -33,15 +33,16 @@ import json
 import random
 import re
 from dataclasses import MISSING, asdict, dataclass, field
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
                     Optional, Sequence, Set, Tuple)
 
 from .blocktree import Block, BlockTree
 from .checkers import CHECKERS, DEFAULT_WINDOW, Verdict, run_checker
-from .history import (_INVOCATION, _RECEIVE, _RESPONSE, _SEND, _UPDATE, Event, History,
-                      Operation, TraceError, _new_event, _new_operation, decode_events)
+from .history import (_INVOCATION, _RECEIVE, _RESPONSE, _SEND, _UPDATE, Event, EventKind,
+                      History, Operation, TraceError, _new_event, _new_operation,
+                      decode_events)
 from .oracle import Merit, OracleState
 from .refinement import AppendStatus, RefinedLedger
 
@@ -328,6 +329,15 @@ class SimRun:
     dropped: int = 0
 
 
+def _record(events: List[Event], kind: EventKind, op: str, args: Tuple, process: str, tick: int,
+            returned: Any = None) -> Event:
+    """Append to a run's `events` its next event, with its position as its id,
+    and return it: the one place the simulator builds an event."""
+    event = _new_event((len(events), kind, op, args, process, tick, returned))
+    events.append(event)
+    return event
+
+
 class _Replica:
     def __init__(self, spec: ProcessSpec, oracle: OracleState):
         self.spec = spec
@@ -342,9 +352,8 @@ class _Replica:
         while todo:
             block = todo.pop()
             if self.ledger.integrate(block):
-                events.append(_new_event((len(events), _UPDATE, "update",
-                                          (block.parent_id, block.id), self.spec.id, tick,
-                                          None)))
+                _record(events, _UPDATE, "update", (block.parent_id, block.id), self.spec.id,
+                        tick)
                 children = self.orphans.pop(block.id, None)
                 if children:
                     todo.extend(reversed(children))
@@ -374,10 +383,9 @@ def _delay_drawer(rng: random.Random, max_delay: int) -> Callable[[], int]:
 def run_scenario(scenario: Scenario) -> SimRun:
     if scenario.script:
         return _replay_script(scenario)
-    # each event with its position as its id, and each operation at its
-    # response, in invocation order: what `History` would sort and match
+    # each event recorded by `_record`, and each operation at its response, in
+    # invocation order: what `History` would sort and match
     events: List[Event] = []
-    record = events.append
     operations: List[Optional[Operation]] = []
     pair = operations.append
     oracle = OracleState(
@@ -386,13 +394,12 @@ def run_scenario(scenario: Scenario) -> SimRun:
     replicas = {p.id: _Replica(p, oracle) for p in scenario.processes}
     order = [p.id for p in scenario.processes]
 
+    correct = scenario.correct_set()
     heap: List[Tuple[int, int, int, Any]] = []      # (tick, action class, order, payload)
-    counter = 0
+    schedule_order = count()
 
     def push(tick: int, klass: int, payload: Any):
-        nonlocal counter
-        heapq.heappush(heap, (tick, klass, counter, payload))
-        counter += 1
+        heapq.heappush(heap, (tick, klass, next(schedule_order), payload))
 
     undelivered = 0
     dropped = 0
@@ -406,10 +413,8 @@ def run_scenario(scenario: Scenario) -> SimRun:
 
     def operation(op: str, process: str, tick: int, args: Tuple, returned: Any):
         """Record an invocation and its response, both of `args`, and pair them."""
-        n = len(events)
-        invocation = _new_event((n, _INVOCATION, op, args, process, tick, None))
-        response = _new_event((n + 1, _RESPONSE, op, args, process, tick, returned))
-        events.extend((invocation, response))
+        invocation = _record(events, _INVOCATION, op, args, process, tick)
+        response = _record(events, _RESPONSE, op, args, process, tick, returned)
         pair(_new_operation((process, op, invocation, response)))
 
     def send(sender: str, block: Block, tick: int, skip: Optional[str]):
@@ -438,7 +443,7 @@ def run_scenario(scenario: Scenario) -> SimRun:
             start = p.append_offset if p.append_offset is not None else p.block_interval
             for t in range(start, scenario.duration + 1, p.block_interval):
                 push(t, _APPEND, p.id)
-        if p.read_interval and p.correct:
+        if p.read_interval and p.id in correct:
             for t in range(p.read_offset, scenario.duration + 1, p.read_interval):
                 push(t, _READ, p.id)
 
@@ -452,38 +457,31 @@ def run_scenario(scenario: Scenario) -> SimRun:
             block = res.block
             granted = res.status is not AppendStatus.EXHAUSTED
             operation("get_token", payload, tick, (candidate.id,), res.attempts)
-            append = _new_event((len(events), _INVOCATION, "append",
-                                 (candidate.id, block.parent_id or "", granted), payload,
-                                 tick, None))
-            record(append)
+            append = _record(events, _INVOCATION, "append",
+                             (candidate.id, block.parent_id or "", granted), payload, tick)
             slot = len(operations)
             pair(None)                              # the append's, filled at its response
             if granted:
                 operation("consume_token", payload, tick, (block.id, block.parent_id),
                           tuple(sorted(b.id for b in res.consumed)))
-            response = _new_event((len(events), _RESPONSE, "append", (), payload, tick,
-                                   bool(res)))
-            record(response)
+            response = _record(events, _RESPONSE, "append", (), payload, tick, bool(res))
             operations[slot] = _new_operation((payload, "append", append, response))
             if res:
-                record(_new_event((len(events), _SEND, "send", (block.parent_id, block.id),
-                                   payload, tick, None)))
+                _record(events, _SEND, "send", (block.parent_id, block.id), payload, tick)
                 send(payload, block, tick, None)
         elif klass == _DELIVER:
             dest, block = payload
             if due[dest, block.id] < tick:          # beaten by a later push due earlier
                 continue
-            rep = replicas[dest]
-            if rep.spec.correct:
-                record(_new_event((len(events), _RECEIVE, "receive",
-                                   (block.parent_id, block.id), dest, tick, None)))
-                rep.integrate(block, tick, events)
+            if dest in correct:
+                _record(events, _RECEIVE, "receive", (block.parent_id, block.id), dest, tick)
+                replicas[dest].integrate(block, tick, events)
                 send(dest, block, tick, dest)          # echo to every other process
         else:                                       # _READ
             operation("read", payload, tick, (), replicas[payload].ledger.read())
 
-    full = History._trusted(tuple(events), scenario.correct_set(),
-                            scenario.declared_complete, tuple(operations))
+    full = History._trusted(tuple(events), correct, scenario.declared_complete,
+                            tuple(operations))
     return SimRun(scenario=scenario, history=full.restricted(), full_history=full,
                   oracle=oracle, ledgers={k: r.ledger for k, r in replicas.items()},
                   undelivered=undelivered, dropped=dropped)

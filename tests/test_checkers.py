@@ -6,8 +6,8 @@ import random
 import pytest
 
 from btlab import checkers
-from btlab.checkers import (DEFAULT_WINDOW, Status, check_block_validity, check_ec,
-                            check_eventual_prefix, check_ever_growing_tree,
+from btlab.checkers import (DEFAULT_WINDOW, Status, Verdict, check_block_validity,
+                            check_ec, check_eventual_prefix, check_ever_growing_tree,
                             check_local_monotonic_read, check_lrc, check_sc,
                             check_strong_prefix, check_update_agreement,
                             run_checker)
@@ -476,6 +476,13 @@ def test_sc_composite_reports_parts():
     v = check_sc(h, W1)
     assert set(v.parts) == {"block-validity", "local-monotonic-read",
                             "strong-prefix", "ever-growing-tree"}
+
+
+def test_a_verdict_reads_as_its_criterion_status_witness_and_detail():
+    assert str(Verdict("lrc", Status.PASS)) == "lrc: PASS"
+    h = run_scenario(preset("fork-strong-violation")).history
+    assert str(check_sc(h, DEFAULT_WINDOW)) == (
+        "sc: FAIL witness=[23, 25] (strong-prefix failed: b0/p1-1 vs b0/p0-1)")
 
 
 def test_each_criterion_is_judged_once_per_history_and_window():

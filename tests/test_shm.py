@@ -16,7 +16,7 @@ import btlab
 import btlab.campaigns as campaigns
 from btlab.blocktree import Block
 from btlab.campaigns import cas_equivalence_suite, consensus_campaign
-from btlab.oracle import Merit, frugal_oracle
+from btlab.oracle import ConfigError, Merit, frugal_oracle
 from btlab.shm import (CrashSchedule, RegisterSpace, cas_via_consume,
                        consume_via_snapshot, finish, interleavings, propose,
                        run_consensus, run_interleaving)
@@ -187,6 +187,14 @@ def test_a_proposer_on_an_oracle_above_capacity_1_raises(flags):
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout == ("ConfigError: consensus needs a capacity-1 oracle: "
                            "b consumed 2 blocks under 'b0'\n")
+
+
+def test_the_second_proposer_to_finish_on_a_capacity_2_oracle_cannot_decide():
+    oracle = frugal_oracle({"a": Merit(1.0), "b": Merit(1.0)}, k=2)
+    assert finish(propose(oracle, "a", Block(id="v-a"))).id == "v-a"
+    with pytest.raises(ConfigError, match=r"^consensus needs a capacity-1 oracle: b "
+                                          r"consumed 2 blocks under 'b0'$"):
+        finish(propose(oracle, "b", Block(id="v-b")))
 
 
 def test_proposer_exhausts_after_grant_budget():

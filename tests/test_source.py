@@ -163,6 +163,45 @@ def test_the_simulator_draws_delays_in_one_place():
     assert len(rngs) == 1 and given == rngs, (len(rngs), len(given))
 
 
+def _own_nodes(function):
+    """The nodes of `function`'s body, less those of the functions it defines."""
+    todo = list(function.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _event_numberings(nodes):
+    """The calls among `nodes` that build an event or count a run's events."""
+    return sum(isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "_new_event"
+        or ast.unparse(node) == "len(events)") for node in nodes)
+
+
+def test_the_simulator_numbers_its_events_in_one_place():
+    # `History._trusted` takes a run's events unchecked, each id being its
+    # position in the run; `_record` alone builds an event and reads how many
+    # came before it, so a second numbering cannot give two events one id
+    tree = ast.parse(Path(netsim.__file__).read_text())
+    numberers = {node.name: _event_numberings(_own_nodes(node)) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and _event_numberings(_own_nodes(node))}
+    assert numberers == {"_record": 2}, numberers
+    assert _event_numberings(ast.walk(tree)) == 2
+    # the heap's tie order comes from one counter that no function steps itself
+    nonlocals = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Nonlocal) and "counter" in node.names]
+    assert not nonlocals, nonlocals
+    # a run asks once who is correct, and every rule reads that one set
+    run = _function(tree, "run_scenario")
+    reads = [node.lineno for node in ast.walk(run)
+             if isinstance(node, ast.Attribute) and node.attr == "correct"]
+    asks = [node.lineno for node in ast.walk(run)
+            if isinstance(node, ast.Attribute) and node.attr == "correct_set"]
+    assert not reads and len(asks) == 1, (reads, asks)
+
+
 def _order_index_reads(tree):
     return sum(isinstance(node, ast.Attribute) and node.attr in ("_out", "_in")
                and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
