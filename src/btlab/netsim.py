@@ -8,8 +8,8 @@ itself, and every correct process re-forwards a message once on first
 receive; a later copy of a block is ignored, and a copy that one scheduled
 earlier beats to its process is never scheduled. Replicas apply blocks on
 receive (an update event), so a process's own update can land after a cross
-receive when the channel is slower to self-deliver. Blocks arriving before
-their parent wait in an orphan buffer.
+receive when the channel is slower to self-deliver. A block received before
+its parent waits in the run's buffer, keyed by process and parent.
 
 The channel rules are resolved once per run into a route per (sender, dest)
 link. A send matching a `drops` rule is lost; any other send's delay is that
@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
                     Optional, Sequence, Set, Tuple)
 
-from .blocktree import Block, BlockTree
+from .blocktree import Block
 from .checkers import CHECKERS, DEFAULT_WINDOW, Verdict, run_checker
 from .history import (_INVOCATION, _RECEIVE, _RESPONSE, _SEND, _UPDATE, Event, EventKind,
                       History, Operation, TraceError, _new_event, _new_operation,
@@ -338,29 +338,6 @@ def _record(events: List[Event], kind: EventKind, op: str, args: Tuple, process:
     return event
 
 
-class _Replica:
-    def __init__(self, spec: ProcessSpec, oracle: OracleState):
-        self.spec = spec
-        self.ledger = RefinedLedger(oracle=oracle, tree=BlockTree())
-        self.orphans: Dict[str, List[Block]] = {}
-        self.blocks_made = 0
-
-    def integrate(self, block: Block, tick: int, events: List[Event]) -> None:
-        """Apply on receive, each block applied an update event in `events`;
-        orphans wait for their parent, then are applied after it, depth first."""
-        todo = [block]
-        while todo:
-            block = todo.pop()
-            if self.ledger.integrate(block):
-                _record(events, _UPDATE, "update", (block.parent_id, block.id), self.spec.id,
-                        tick)
-                children = self.orphans.pop(block.id, None)
-                if children:
-                    todo.extend(reversed(children))
-            elif block.parent_id not in self.ledger.tree and block.id not in self.ledger.tree:
-                self.orphans.setdefault(block.parent_id, []).append(block)
-
-
 def _delay_drawer(rng: random.Random, max_delay: int) -> Callable[[], int]:
     """A function drawing one delay in [1, `max_delay`] from `rng` per call.
 
@@ -391,7 +368,10 @@ def run_scenario(scenario: Scenario) -> SimRun:
     oracle = OracleState(
         {p.id: Merit(p.merit) for p in scenario.processes},
         capacity=scenario.oracle.capacity, seed=scenario.oracle.seed)
-    replicas = {p.id: _Replica(p, oracle) for p in scenario.processes}
+    ledgers = {p.id: RefinedLedger(oracle) for p in scenario.processes}
+    made = {p.id: count(1) for p in scenario.processes}        # each process's block numbers
+    # (process, parent id) -> the blocks received there before that parent, in arrival order
+    orphans: Dict[Tuple[str, str], List[Block]] = {}
     order = [p.id for p in scenario.processes]
 
     correct = scenario.correct_set()
@@ -416,6 +396,20 @@ def run_scenario(scenario: Scenario) -> SimRun:
         invocation = _record(events, _INVOCATION, op, args, process, tick)
         response = _record(events, _RESPONSE, op, args, process, tick, returned)
         pair(_new_operation((process, op, invocation, response)))
+
+    def apply(dest: str, block: Block, tick: int):
+        """Apply a block `dest` received, or let it wait for its parent; each block
+        the ledger admits is an update, then its waiting children apply, depth first."""
+        ledger = ledgers[dest]
+        if block.parent_id not in ledger.tree:
+            orphans.setdefault((dest, block.parent_id), []).append(block)
+            return
+        todo = [block]
+        while todo:
+            block = todo.pop()
+            if ledger.integrate(block):
+                _record(events, _UPDATE, "update", (block.parent_id, block.id), dest, tick)
+                todo.extend(reversed(orphans.pop((dest, block.id), ())))
 
     def send(sender: str, block: Block, tick: int, skip: Optional[str]):
         """Deliver block to every process but skip, after channel delays."""
@@ -450,10 +444,8 @@ def run_scenario(scenario: Scenario) -> SimRun:
     while heap:
         tick, klass, _, payload = heapq.heappop(heap)
         if klass == _APPEND:
-            rep = replicas[payload]
-            rep.blocks_made += 1
-            candidate = Block(id=f"{payload}-{rep.blocks_made}")
-            res = rep.ledger.acquire(candidate, payload)
+            candidate = Block(id=f"{payload}-{next(made[payload])}")
+            res = ledgers[payload].acquire(candidate, payload)
             block = res.block
             granted = res.status is not AppendStatus.EXHAUSTED
             operation("get_token", payload, tick, (candidate.id,), res.attempts)
@@ -475,16 +467,15 @@ def run_scenario(scenario: Scenario) -> SimRun:
                 continue
             if dest in correct:
                 _record(events, _RECEIVE, "receive", (block.parent_id, block.id), dest, tick)
-                replicas[dest].integrate(block, tick, events)
+                apply(dest, block, tick)
                 send(dest, block, tick, dest)          # echo to every other process
         else:                                       # _READ
-            operation("read", payload, tick, (), replicas[payload].ledger.read())
+            operation("read", payload, tick, (), ledgers[payload].read())
 
     full = History._trusted(tuple(events), correct, scenario.declared_complete,
                             tuple(operations))
     return SimRun(scenario=scenario, history=full.restricted(), full_history=full,
-                  oracle=oracle, ledgers={k: r.ledger for k, r in replicas.items()},
-                  undelivered=undelivered, dropped=dropped)
+                  oracle=oracle, ledgers=ledgers, undelivered=undelivered, dropped=dropped)
 
 
 def _replay_script(scenario: Scenario) -> SimRun:

@@ -73,7 +73,8 @@ class RefinedLedger:
 
         Accepts only blocks the oracle confirms consumed (tokens cannot be
         forged). Returns False for duplicates and for orphans (parent not
-        here yet); callers buffer orphans.
+        here yet). The simulator buffers a block until its parent is here, so
+        it hands over only blocks whose parent is present.
         """
         if (block.id in self.tree or block.parent_id not in self.tree
                 or not self.oracle.is_consumed_block(block)):

@@ -18,6 +18,7 @@ import reference_checkers as reference  # noqa: E402
 from btlab import checkers  # noqa: E402
 from btlab.history import EventKind, History, make_event  # noqa: E402
 from btlab.netsim import preset, preset_names, run_scenario, scenario_from_dict  # noqa: E402
+from strategies import scenarios  # noqa: E402
 from test_golden import GENERATED  # noqa: E402
 
 BASE = ("block-validity", "local-monotonic-read", "strong-prefix",
@@ -47,46 +48,6 @@ def assert_agree(h, windows=WINDOWS, completes=(False, True)):
 
 
 # -- random scenarios through the simulator -------------------------------------
-
-
-@st.composite
-def scenarios(draw):
-    n = draw(st.integers(2, 4))
-    ids = [f"p{i}" for i in range(n)]
-    processes, delays, withheld = [], [], []
-    for i, pid in enumerate(ids):
-        byzantine = i > 0 and draw(st.booleans())
-        processes.append({
-            "id": pid,
-            "merit": draw(st.sampled_from([1.0, 0.5, 0.2])),
-            "behavior": "byzantine" if byzantine else "correct",
-            "block_interval": draw(st.sampled_from([None, 4, 6, 9])),
-            "read_interval": draw(st.sampled_from([None, 3, 5, 7])),
-            "read_offset": draw(st.integers(0, 4)),
-        })
-        if byzantine:    # it withholds its sends from some processes and lags the rest
-            withheld += [{"from": pid, "to": q}
-                         for q in draw(st.lists(st.sampled_from(ids), max_size=2))]
-            lag = draw(st.integers(0, 3))
-            if lag:
-                delays.append({"from": pid, "delay": lag})
-    drops = draw(st.lists(st.fixed_dictionaries(
-        {"to": st.sampled_from(ids)},
-        optional={"block": st.sampled_from(["p0-1", "p0-2", "p1-1"]),
-                  "from": st.sampled_from(ids)}), max_size=2)) + withheld
-    return {
-        "version": 1,
-        "name": "equivalence",
-        "processes": processes,
-        "channel": {"kind": draw(st.sampled_from(["synchronous", "asynchronous"])),
-                    "delta": draw(st.integers(1, 4)),
-                    "async_max_delay": draw(st.integers(1, 12)),
-                    "delays": delays, "drops": drops},
-        "oracle": {"capacity": draw(st.sampled_from([None, 1, 2])),
-                   "seed": draw(st.integers(0, 2**16))},
-        "seed": draw(st.integers(0, 2**16)),
-        "duration": draw(st.integers(10, 45)),
-    }
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -12,15 +12,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from btlab import netsim
-from btlab.blocktree import Block
+from btlab import campaigns, netsim
 from btlab.checkers import Status, run_checker
 from btlab.history import EventKind, History
 from btlab.netsim import (ChannelKind, ChannelModel, OracleSpec, ProcessSpec,
                           Scenario, ScenarioError, evaluate_run, preset,
                           preset_names, run_scenario, scenario_from_dict)
-from btlab.netsim import _Replica
-from btlab.oracle import Merit, prodigal_oracle
 from btlab.refinement import RefinedLedger
 
 PRESETS_DIR = Path(__file__).resolve().parent.parent / "src" / "btlab" / "presets"
@@ -498,21 +495,52 @@ def test_a_run_leaves_no_reference_cycle():
 
 
 def test_orphans_are_applied_depth_first_in_arrival_order():
-    oracle = prodigal_oracle({"s": Merit(1.0), "t": Merit(1.0)}, seed=0)
-    source, other = RefinedLedger(oracle=oracle), RefinedLedger(oracle=oracle)
-    a = source.refined_append(Block(id="a"), "s").block
-    assert other.integrate(a)
-    c1 = source.refined_append(Block(id="c1"), "s").block
-    d = source.refined_append(Block(id="d"), "s").block
-    c2 = other.refined_append(Block(id="c2"), "t").block      # a fork under a
-    replica = _Replica(ProcessSpec("r"), oracle)
-    events = []
-    for block in (c1, c2, d, a):                              # the parent last
-        replica.integrate(block, 5, events)
-    assert [e.args for e in events] == [
-        ("b0", "a"), ("a", "c1"), ("c1", "d"), ("a", "c2")]
-    assert [e.event_id for e in events] == [0, 1, 2, 3]       # each its position
-    assert replica.orphans == {}
+    # r gets s-1 only from u, five ticks late: the blocks built on it wait,
+    # then apply after it depth first, each fork in the order it arrived
+    run = run_scenario(scenario_from_dict({
+        "version": 1, "name": "orphans", "duration": 8,
+        "processes": [{"id": "s", "block_interval": 1, "append_offset": 1},
+                      {"id": "t", "block_interval": 100, "append_offset": 2},
+                      {"id": "u"}, {"id": "r"}],
+        "channel": {"kind": "synchronous", "delta": 1,
+                    "delays": [{"from": "u", "to": "r", "delay": 5}],
+                    "drops": [{"block": "s-1", "from": "s", "to": "r"},
+                              {"block": "s-1", "from": "t", "to": "r"}]}}))
+    events = run.full_history.events
+    at_r = [e for e in events if e.process == "r"]
+    received = [(e.args[1], e.logical_time) for e in at_r if e.kind is EventKind.RECEIVE]
+    assert [b for b, _ in received[:6]] == ["s-2", "t-1", "s-3", "s-4", "s-5", "s-1"]
+    assert received[5][1] == 7
+    updates = [e.args for e in at_r if e.kind is EventKind.UPDATE]
+    assert [b for _, b in updates] == ["s-1", "s-2", "t-1", "s-3", "s-4", "s-5", "s-6", "s-7"]
+    assert ("t-1", "s-3") in updates                        # s-3 sits under t-1, not s-2
+    assert [e.event_id for e in events] == list(range(len(events)))     # each its position
+    for p in run.full_history.correct:
+        got = {e.args[1] for e in events if e.process == p and e.kind is EventKind.RECEIVE}
+        applied = {e.args[1] for e in events if e.process == p and e.kind is EventKind.UPDATE}
+        assert got <= applied, (p, got - applied)
+
+
+def test_a_run_hands_its_ledgers_only_blocks_they_admit(monkeypatch):
+    # a block waits in the run's buffer until its parent is applied, and a
+    # copy reaches a process once: so every block a run hands a ledger has
+    # its parent there and is admitted, on the presets and the hierarchy corpus
+    calls = []
+    integrate = RefinedLedger.integrate
+
+    def spy(ledger, block):
+        found = block.parent_id in ledger.tree
+        admitted = integrate(ledger, block)
+        calls.append((block.id, found, admitted))
+        return admitted
+
+    monkeypatch.setattr(RefinedLedger, "integrate", spy)
+    for name in preset_names():
+        run_scenario(preset(name))
+    for _ in campaigns.hierarchy_corpus(200):
+        pass
+    refused = [c for c in calls if not (c[1] and c[2])]
+    assert len(calls) > 3000 and not refused, (len(calls), refused[:5])
 
 
 def test_messages_past_duration_are_counted_undelivered():

@@ -26,7 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 from btlab.checkers import CHECKERS  # noqa: E402
 from btlab.history import EventKind, History, make_event, restrict  # noqa: E402
 from btlab.netsim import preset, preset_names, run_scenario, scenario_from_dict  # noqa: E402
-from test_checker_equivalence import scenarios  # noqa: E402
+from strategies import scenarios  # noqa: E402
 from test_codec_equivalence import histories  # noqa: E402
 
 
