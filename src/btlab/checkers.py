@@ -227,17 +227,6 @@ def check_ever_growing_tree(h: History, window: int) -> Verdict:
 # -- eventual prefix ----------------------------------------------------------------
 
 
-def _cut(h: History, refs: Tuple[Operation, ...], read: Operation) -> int:
-    """How many of `refs`, one process's reads in response order, precede
-    `read` in program order. Program order is transitive and orders a
-    process's reads, so those that precede `read` are a prefix of `refs`:
-    the walk back from the last stops at the first that does."""
-    k = len(refs)
-    while k and not h.po(refs[k - 1].response, read.response):
-        k -= 1
-    return k
-
-
 @_criterion(windowed=True)
 def check_eventual_prefix(h: History, window: int) -> Verdict:
     """For each reference read, later reads eventually agree up to its score.
@@ -248,44 +237,34 @@ def check_eventual_prefix(h: History, window: int) -> Verdict:
 
     A reference's after set is the window reads with a non-empty chain that
     follow it in program order. The least `mcps` over the pairs of a set is
-    the length of the common prefix of all its chains, so each distinct after
-    set is decided by that one number, found once with an `mcps` per member
-    against the first. A reference with score s violates iff the number is
-    below s; only then are its pairs scanned, earlier read first, for the
-    first one below s, the witness.
+    the length of the common prefix of all its chains, found with an `mcps`
+    per member against the first. A reference with score s violates iff that
+    length is below s; only then are its pairs scanned, earlier read first,
+    for the first one below s, the witness.
 
-    No after set agrees on less than the common prefix of all window chains,
-    so a reference scoring no more than that floor is met and skipped. For
-    the others, the references of one process that precede a window read
-    are a prefix of that process's references (see `_cut`), so one cut per
-    window read and process, found with a few `po` lookups, gives every after
-    set by integer compares.
+    Program order is transitive and orders a process's reads, so a window
+    read that follows a reference follows its process's first reference:
+    every after set lies among the window reads that some first reference
+    precedes, and none agrees on less than their common prefix. A reference
+    scoring no more than that floor is met and skipped.
     """
     refs, last = _split_window(h, window)
     last = [o for o in last if returned_chain(o)]   # an empty chain is in no pair
     chains = [returned_chain(o) for o in last]
-    agreed: Dict[Tuple[int, ...], float] = {}       # after set -> its common prefix
 
-    def agreement(after: Tuple[int, ...]) -> float:
-        low = agreed.get(after)
-        if low is None:
-            low = agreed[after] = min((mcps(chains[after[0]], chains[j]) for j in after[1:]),
-                                      default=math.inf)
-        return low
+    def agreement(group: List[int]) -> float:
+        return min((mcps(chains[group[0]], chains[j]) for j in group[1:]), default=math.inf)
 
-    everyone = tuple(range(len(last)))
-    cuts: Dict[str, List[int]] = {}     # process -> its references before each window read
-    for p in h.processes:
-        own = h.reads_of(p)[:-window]
-        cuts[p] = [_cut(h, own, o) for o in last]
-    seen = dict.fromkeys(h.processes, 0)            # process -> its references so far
+    first: Dict[str, Operation] = {}                # process -> its first reference
     for r in refs:
-        k = seen[r.process]
-        seen[r.process] = k + 1
+        first.setdefault(r.process, r)
+    floor = agreement([i for i, o in enumerate(last)
+                       if any(h.po(f.response, o.response) for f in first.values())])
+    for r in refs:
         s = len(returned_chain(r))
-        if s <= agreement(everyone):
+        if s <= floor:
             continue
-        after = tuple([i for i, c in enumerate(cuts[r.process]) if k < c])
+        after = [i for i, o in enumerate(last) if h.po(r.response, o.response)]
         if agreement(after) < s:
             i, j = next((i, j) for n, i in enumerate(after) for j in after[n + 1:]
                         if mcps(chains[i], chains[j]) < s)

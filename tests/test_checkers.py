@@ -265,8 +265,9 @@ def test_eventual_prefix_walks_each_after_set_once(monkeypatch):
     v = check_eventual_prefix(h, W1)
     assert v == reference.check_eventual_prefix(h, W1)
     assert v.status == Status.FAIL and v.witness == (3, 5, 7)
-    # a set of k chains costs k - 1 calls: 2 for a's, 1 for b's; b's set falls
-    # below its score, so its pairs are scanned for the witness: 1 more
+    # a set of k chains costs k - 1 calls: 2 for the floor, which is a's after
+    # set, 1 for b's; b's set falls below its score, so its pairs are scanned
+    # for the witness: 1 more
     assert len(mcps_calls) == 2 + 1 + 1
 
 
@@ -294,8 +295,8 @@ def test_eventual_prefix_witness_is_the_first_pair_below_the_score():
 
 def test_eventual_prefix_after_set_of_a_reference_between_two_cuts():
     # W1. Of p's references, wq (invoked at 3) follows only r0, and wu
-    # (invoked at 10) follows r0 and r1: r1 sits between the two cuts, so its
-    # after set is {wp, wu}, whose pair agrees only below r1's score 3
+    # (invoked at 10) follows r0 and r1: r1's after set is {wp, wu}, a strict
+    # part of r0's, and its pair agrees only below r1's score 3
     spans = [
         ("p", 0, 1, ("b0",)),                       # r0
         ("p", 4, 5, ("b0", "a1", "a2")),            # r1
@@ -308,6 +309,24 @@ def test_eventual_prefix_after_set_of_a_reference_between_two_cuts():
     assert v == reference.check_eventual_prefix(h, W1)
     assert v.status == Status.FAIL
     assert [h.event(i).logical_time for i in v.witness] == [5, 21, 31]
+
+
+def test_eventual_prefix_floor_leaves_out_a_window_read_no_reference_precedes(monkeypatch):
+    # W1. q's one read is invoked before p's first responds, so no reference
+    # precedes it: the floor is the agreement of wp alone, which every
+    # reference meets, and every lookup starts at p's first reference
+    spans = [
+        ("p", 0, 1, ("b0", "a1")),                  # r0
+        ("p", 2, 3, ("b0", "a1", "a2")),            # r1
+        ("p", 4, 5, ("b0", "a1", "a2", "a3")),      # wp
+        ("q", 0, 50, ("b0", "c1")),                 # wq
+    ]
+    h = reads_history(spans, complete=True)
+    expected = reference.check_eventual_prefix(h, W1)
+    looked_up = po_starts(monkeypatch)
+    v = check_eventual_prefix(h, W1)
+    assert v == expected and v.status == Status.PASS
+    assert looked_up and set(looked_up) == {h.reads_of("p")[0].response.event_id}
 
 
 def test_a_read_rooted_at_another_genesis_is_refused():
@@ -624,6 +643,18 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
+def po_starts(monkeypatch):
+    """The event each `History.po` lookup starts from, in call order."""
+    starts = []
+    po = History.po
+
+    def recording(self, a, b):
+        starts.append(a.event_id)
+        return po(self, a, b)
+    monkeypatch.setattr(History, "po", recording)
+    return starts
+
+
 def test_indexed_checkers_stay_within_their_call_bounds(monkeypatch):
     h = cap1_history()
     reads = h.reads()
@@ -637,7 +668,7 @@ def test_indexed_checkers_stay_within_their_call_bounds(monkeypatch):
 
     assert check_eventual_prefix(h, window).status == Status.PASS
     assert len(mcps_calls) <= w * (w - 1) // 2    # once per unordered window pair
-    assert len(po_calls) <= len(h.processes) * w  # one cut per process and window read
+    assert len(po_calls) <= w                     # one floor lookup per window read
 
     po_calls.clear()
     check_ever_growing_tree(h, window)
@@ -653,13 +684,7 @@ def test_ever_growing_tree_looks_up_no_order_for_a_reference_below_the_window(mo
                  for p in h.processes for o in h.reads_of(p)[-DEFAULT_WINDOW:])
     assert any(len(returned_chain(r)) < lowest for r in h.reads())
     scores = {r.response.event_id: len(returned_chain(r)) for r in h.reads()}
-    looked_up = []
-    po = History.po
-
-    def recording(self, a, b):
-        looked_up.append(a.event_id)
-        return po(self, a, b)
-    monkeypatch.setattr(History, "po", recording)
+    looked_up = po_starts(monkeypatch)
     check_ever_growing_tree(h, DEFAULT_WINDOW)
     assert looked_up and all(scores[i] >= lowest for i in looked_up)
 

@@ -293,3 +293,22 @@ def test_the_run_loop_alone_applies_a_received_block():
     tree = ast.parse(Path(netsim.__file__).read_text())
     calls = _integrate_calls(_function(tree, "run_scenario")), _integrate_calls(tree)
     assert calls == (1, 1), calls
+
+
+def _window_slices(tree):
+    return sum(isinstance(node, ast.Subscript) and any(
+        isinstance(n, ast.Name) and n.id == "window" for n in ast.walk(node.slice))
+        for node in ast.walk(tree))
+
+
+def test_one_function_of_the_checkers_cuts_the_window():
+    # `_split_window` alone cuts a process's reads into references and window
+    # reads; a checker that sliced them again could cut the window apart, and
+    # eventual prefix asks program order directly instead of cutting
+    tree = ast.parse(Path(checkers.__file__).read_text())
+    slicers = {node.name: _window_slices(node) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and _window_slices(node)}
+    assert list(slicers) == ["_split_window"], slicers
+    assert sum(slicers.values()) == _window_slices(tree)
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_cut" not in defined
