@@ -30,14 +30,17 @@ whatever is computed from it (an index, a checker's verdict in
 `verdict_cache`, an event's trace line in `line_memo`) never goes stale. A
 run's restricted and full histories share one line memo, so writing both
 traces encodes each event once. The lines are encoded field by field over
-all events (`_encode_columns`): one encoder call for every `args`, one for
-every read chain or consumed set, one for every other returned value, and
-each distinct `op` and `process` once, not one object per event; one
-f-string then joins each event's fields into its line.
+all events (`_encode_columns`): one encoder call for every `args` and every
+non-null `returned`, cut apart by one rule, the `[` count of `_encode_lists`,
+and each distinct `op` and `process` once, not one object per event; one
+f-string then joins each event's fields into its line. Anything that rule
+refuses is encoded one event at a time.
 
-The decoders only turn JSON into events: both check the same field types
-(`_FIELD_TYPES`), and neither looks at what a read returned, which the
-History judges whether its events were parsed or built in code.
+The decoders only turn JSON into events: a trace is decoded in one call when
+every line is a flat event object, else each line by `json.loads`. Both
+paths check the same field types (`_FIELD_TYPES`), and neither looks at
+what a read returned, which the History judges whether its events were
+parsed or built in code.
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ _fields_of = itemgetter(*TRACE_FIELDS)
 _KINDS = {k.value: k for k in EventKind}
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_raw_decode = json.JSONDecoder().raw_decode
 _decode = json.JSONDecoder().decode
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 # the type of each typed field of a trace line, in the order `decode_events`
@@ -430,34 +432,28 @@ def _encode_columns(events: Sequence[Event]) -> Optional[List[str]]:
     `event_id` and `logical_time` must be an exact `int`, written in decimal
     (an f-string writes an exact `int` as the encoder does), and every `op`
     and `process` an exact `str`: each distinct one is encoded once. Every
-    `args` list is encoded in one call, and so is every tuple `returned`, a
-    read's chain or a consumed set (see `_encode_lists`). A `returned` None
-    is `null`. The other `returned` values, an attempt count or an append's
-    result, are encoded in one call too, kept iff it holds exactly one `,`
-    fewer than values: then no value holds a `,` and each `,` separates two
-    of them. Otherwise each is encoded on its own.
+    `args` list and every non-null `returned` are encoded in one call (see
+    `_encode_lists`): a tuple `returned`, a read's chain or a consumed set,
+    as it is, any other value, an attempt count or an append's result, in a
+    1-tuple whose brackets are cut off again. A `returned` None is `null`.
     """
     ids, kinds, ops, args, processes, times, returned = zip(*events)
     if ((_types(ids) | _types(times)) != {int} or (_types(ops) | _types(processes)) != {str}
             or not _types(args) <= {tuple, list}):
         return None
-    args = _encode_lists(args)
-    chains = _encode_lists([r for r in returned if type(r) is tuple])
-    if args is None or chains is None:
+    lists = _encode_lists([*args, *[r if type(r) is tuple else (r,)
+                                    for r in returned if r is not None]])
+    if lists is None:
         return None
     strings = {s: _ENCODER.encode(s) for s in {*ops, *processes}}
-    others = [r for r in returned if r is not None and type(r) is not tuple]
-    body = _ENCODER.encode(others)
-    chains = iter(chains)
-    others = iter(body[1:-1].split(",") if body.count(",") == len(others) - 1
-                  else map(_ENCODER.encode, others))
-    returned = ["null" if r is None else next(chains) if type(r) is tuple else next(others)
-                for r in returned]
+    values = iter(lists[len(args):])       # the non-null `returned`, after the args
+    returned = ["null" if r is None else next(values) if type(r) is tuple
+                else next(values)[1:-1] for r in returned]
     # keys in sorted order. A kind's name is its member's own `_value_`
     # (`.value` is a descriptor, a Python function) and holds nothing JSON escapes
     return [f'{{"args":{a},"event_id":{i},"kind":"{k._value_}","logical_time":{t},'
             f'"op":{strings[o]},"process":{strings[p]},"returned":{r}}}'
-            for a, i, k, o, p, t, r in zip(args, ids, kinds, ops, processes, times, returned)]
+            for a, i, k, o, p, t, r in zip(lists, ids, kinds, ops, processes, times, returned)]
 
 
 def _encode_lists(values: Sequence[Sequence[Any]]) -> Optional[List[str]]:
@@ -537,14 +533,9 @@ def _json_lines(text: str) -> Iterator[Tuple[int, Any]]:
         if not line:
             continue
         try:
-            doc, end = _raw_decode(line)
-        except (ValueError, RecursionError):   # JSONDecodeError is a ValueError
-            end = -1
-        if end != len(line):        # let json.loads word the error, as it always has
-            try:
-                doc = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise TraceError(f"line {n}: not JSON ({exc})") from exc
+            doc = json.loads(line)
+        except (ValueError, RecursionError) as exc:   # JSONDecodeError is a ValueError
+            raise TraceError(f"line {n}: not JSON ({exc})") from exc
         yield n, doc
 
 

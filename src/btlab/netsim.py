@@ -327,6 +327,7 @@ class SimRun:
     ledgers: Dict[str, RefinedLedger]
     undelivered: int = 0
     dropped: int = 0
+    waiting: int = 0        # blocks received whose parent never came: never applied
 
 
 def _record(events: List[Event], kind: EventKind, op: str, args: Tuple, process: str, tick: int,
@@ -475,7 +476,8 @@ def run_scenario(scenario: Scenario) -> SimRun:
     full = History._trusted(tuple(events), correct, scenario.declared_complete,
                             tuple(operations))
     return SimRun(scenario=scenario, history=full.restricted(), full_history=full,
-                  oracle=oracle, ledgers=ledgers, undelivered=undelivered, dropped=dropped)
+                  oracle=oracle, ledgers=ledgers, undelivered=undelivered, dropped=dropped,
+                  waiting=sum(map(len, orphans.values())))
 
 
 def _replay_script(scenario: Scenario) -> SimRun:
@@ -508,6 +510,7 @@ def evaluate_run(run: SimRun) -> Dict[str, Any]:
         **({} if run.scenario.script else {"seed": run.scenario.seed}),   # a script reads none
         "undelivered": run.undelivered,
         "dropped": run.dropped,
+        "waiting": run.waiting,
         "verdicts": verdicts,
         "ok": ok,
     }

@@ -120,6 +120,10 @@ COLUMN_CASES = {               # name -> (events, encoded column by column)
     "empty-args-alone": ([make_event(0, INV, "read", (), "p", 0)], True),
     "empty-returned": (CONSUME + [make_event(1, RSP, "consume_token", ["x"], "p", 0, ())],
                        True),
+    "comma-in-returned": (CONSUME + [make_event(1, RSP, "consume_token", ["x"], "p", 0,
+                                                "a,b")], True),
+    "bracket-in-returned": (CONSUME + [make_event(1, RSP, "consume_token", ["x"], "p", 0,
+                                                  "x[")], False),
 }
 
 
@@ -132,15 +136,20 @@ def test_to_jsonl_matches_whichever_path_encodes_it(name):
 
 
 @pytest.mark.parametrize("returned, one_call", [
-    ([3, True, False, 2.5, "x", {"k": [1]}, -1], True),
-    ([3, "a,b", 4], False),             # a `,` inside a value
-    ([{"a": 1, "b": 2}], False),        # ... and inside a dict
+    ([3, True, False, 2.5, "x", {"k": 1}, -1], True),
+    ([3, "a,b", 4], True),              # a `,` inside a value
+    ([{"a": 1, "b": 2}], True),         # ... and inside a dict
+    ([{"k": {"j": "],"}}], True),       # a dict inside a dict
     (["", 0], True),
+    ([3, "x[", 4], False),              # a `[` inside a string
+    ([{"k": [1]}], False),              # a list inside a dict
+    ([("b0", ("x",))], False),          # ... and inside a tuple
 ])
-def test_returned_values_other_than_chains_are_encoded_in_one_call(monkeypatch, returned,
-                                                                   one_call):
+def test_every_args_and_returned_is_encoded_in_one_call(monkeypatch, returned, one_call):
     events = [make_event(i, SEND, "send", ["b0", f"x{i}"], "p", i, r)
               for i, r in enumerate(returned)]
+    events += [make_event(len(events), INV, "read", (), "q", 0),
+               make_event(len(events) + 1, RSP, "read", (), "q", 0, ["b0", "x0"])]
     h = History(events)
     encoded = []
 
@@ -151,8 +160,12 @@ def test_returned_values_other_than_chains_are_encoded_in_one_call(monkeypatch, 
     monkeypatch.setattr(history_module, "_ENCODER",
                         Recording(sort_keys=True, separators=(",", ":")))
     assert h.to_jsonl() == reference.to_jsonl(h)
-    assert encoded.count(returned) == 1
-    assert all(r in encoded for r in returned) is not one_call
+    # one call over every args, then every non-null returned, a chain as it
+    # is and any other value in a 1-tuple; refused, each event on its own
+    values = [e.returned for e in h.events if e.returned is not None]
+    assert [o for o in encoded if type(o) is list] == [
+        [e.args for e in h.events] + [r if type(r) is tuple else (r,) for r in values]]
+    assert len([o for o in encoded if type(o) is dict]) == (0 if one_call else len(h.events))
 
 
 FORKED = {                       # 4 prodigal processes at merit 0.02: forks
@@ -279,7 +292,7 @@ def test_from_jsonl_matches_per_line_decoding(text):
 
 @pytest.fixture
 def decoder_calls(monkeypatch):
-    """How often the whole-trace and the per-line decoder were called."""
+    """How often the whole-trace decoder and the per-line path were called."""
     calls = {"trace": 0, "line": 0}
 
     def counting(name, decode):
@@ -289,8 +302,8 @@ def decoder_calls(monkeypatch):
         return call
     monkeypatch.setattr(history_module, "_decode",
                         counting("trace", history_module._decode))
-    monkeypatch.setattr(history_module, "_raw_decode",
-                        counting("line", history_module._raw_decode))
+    monkeypatch.setattr(history_module, "_json_lines",
+                        counting("line", history_module._json_lines))
     return calls
 
 

@@ -543,6 +543,46 @@ def test_a_run_hands_its_ledgers_only_blocks_they_admit(monkeypatch):
     assert len(calls) > 3000 and not refused, (len(calls), refused[:5])
 
 
+def _never_applied(run):
+    """How many blocks a correct process received and never applied."""
+    events = run.full_history.events
+
+    def blocks(p, kind):
+        return {e.args[1] for e in events if e.process == p and e.kind is kind}
+    return sum(len(blocks(p, EventKind.RECEIVE) - blocks(p, EventKind.UPDATE))
+               for p in run.full_history.correct)
+
+
+def test_a_run_counts_the_blocks_left_waiting_for_their_parent(monkeypatch):
+    # a block whose parent never reaches its process waits to the end of the
+    # run, received and never applied; the run and its report count it
+    runs = {name: run_scenario(preset(name)) for name in preset_names()}
+    assert {name: run.waiting for name, run in runs.items()} == {
+        **dict.fromkeys(preset_names(), 0), "update-drop": 3}
+    # r never gets s-1, under which both s-2 and t-1 wait: seven blocks in all
+    runs["lost-parent"] = run_scenario(scenario_from_dict({
+        "version": 1, "name": "lost-parent", "duration": 8,
+        "processes": [{"id": "s", "block_interval": 1, "append_offset": 1},
+                      {"id": "t", "block_interval": 100, "append_offset": 2},
+                      {"id": "u"}, {"id": "r"}],
+        "channel": {"kind": "synchronous", "delta": 1,
+                    "drops": [{"block": "s-1", "from": p, "to": "r"} for p in "stu"]}}))
+    assert runs["lost-parent"].waiting == 7
+    for run in runs.values():
+        assert run.waiting == _never_applied(run)
+        assert evaluate_run(run)["waiting"] == run.waiting
+    waiting = []
+
+    def spy(sc, run_scenario=campaigns.run_scenario):
+        run = run_scenario(sc)
+        waiting.append(run.waiting)
+        return run
+    monkeypatch.setattr(campaigns, "run_scenario", spy)
+    for _ in campaigns.hierarchy_corpus(1000):
+        pass
+    assert (len(waiting), sum(map(bool, waiting)), sum(waiting)) == (1000, 128, 438)
+
+
 def test_messages_past_duration_are_counted_undelivered():
     sc = small_scenario(4, duration=9)          # append at 8(+i), delivery at 10+
     run = run_scenario(sc)

@@ -98,6 +98,25 @@ def test_the_encode_functions_of_history_alone_write_trace_lines():
     assert built == ["history.py:JSONEncoder"], built
 
 
+def _count_calls(tree):
+    return sum(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "count"
+               for node in ast.walk(tree))
+
+
+def test_each_direction_of_the_trace_codec_has_two_paths():
+    # the writer cuts its one encoder call by `_encode_lists`' `[` count alone,
+    # and the reader's fallback is `json.loads` per line: a second split rule
+    # or a raw-decode fast path would be a third path no trace btlab writes takes
+    tree = ast.parse(Path(history.__file__).read_text())
+    raw = [node.lineno for node in ast.walk(tree)
+           if "raw_decode" in (getattr(node, "id", None) or getattr(node, "attr", None)
+                               or getattr(node, "name", None) or "")]
+    assert not raw, raw
+    counters = {node.name: _count_calls(node) for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and _count_calls(node)}
+    assert counters == {"_encode_lists": _count_calls(tree)}, counters
+
+
 def _percent_formats(tree):
     return sum(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
                or isinstance(node, ast.Attribute) and node.attr == "__mod__"
